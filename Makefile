@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test lint chaos serve bench bench-fast perf profile examples suite trace clean
+.PHONY: install test lint chaos serve bench bench-fast perf profile examples suite table3 trace clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -87,5 +87,5 @@ clean:
 	rm -f trace_chrome.json PERF_SENTINEL.json
 	rm -f serve_report.json serve_trace.jsonl
 	find . -maxdepth 1 -name 'BENCH_*.json' ! -name BENCH_phase2.json \
-		! -name BENCH_parallel.json ! -name BENCH_serve.json -delete
+		! -name BENCH_serve.json -delete
 	find . -name __pycache__ -type d -exec rm -rf {} +

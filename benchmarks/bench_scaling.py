@@ -1,52 +1,20 @@
-"""Runtime scaling of our router: instance size and worker count.
+"""Runtime scaling of our router across instance size.
 
 The paper's runtime advantage (5.761x over [18], 34x over the 3rd winner)
-rests on the router scaling gracefully; the first benchmark sweeps one
-case across scales and reports connections vs wall-clock, so super-linear
-blow-ups in any phase show up immediately.  The second sweeps the worker
-count (1/2/4/8, thread vs process) over a generated 10x-contest case to
-measure the sharded first pass (docs/performance.md); its rows land in
-``BENCH_parallel.json`` as the sentinel baseline, each stamped with the
-backend, resolved worker count and the host's core count so comparisons
-across machines stay apples-to-apples.
+rests on the router scaling gracefully; this benchmark sweeps one case
+across scales and reports connections vs wall-clock, so super-linear
+blow-ups in any phase show up immediately.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
-from benchmarks.conftest import record_bench_result, register_report
-from repro import DelayModel, RouterConfig, SynergisticRouter
-from repro.api import parallel_run_info, route, solution_fingerprint
+from benchmarks.conftest import register_report
+from repro import SynergisticRouter
 from repro.benchgen import load_case
-from repro.benchgen.generator import BenchmarkSpec, generate_case
 
 SCALES = [1.0 / 64, 1.0 / 32, 1.0 / 16]
-
-#: 10x the shard-friendly contest-like case of tests/test_sharding.py:
-#: 8 FPGAs, strongly local traffic, so the 8-shard cut has real interior
-#: work for every worker.
-PARALLEL_SPEC = BenchmarkSpec(
-    name="shardsweep",
-    num_fpgas=8,
-    sll_wires_total=8000,
-    num_tdm_edges=14,
-    tdm_wires_total=6000,
-    num_nets=1600,
-    num_connections=2800,
-    seed=7,
-    locality=0.9,
-    cross_weight=1.0,
-)
-
-WORKER_SWEEP = [1, 2, 4, 8]
-BACKENDS = ["thread", "process"]
-
-#: The acceptance target only binds on hosts that can physically run 8
-#: workers; smaller boxes still record honest rows for the sentinel.
-SPEEDUP_TARGET = 3.0
-SPEEDUP_MIN_CORES = 8
 
 
 def test_runtime_scaling(benchmark):
@@ -85,92 +53,3 @@ def test_runtime_scaling(benchmark):
     # range (allows congestion effects, catches quadratic blow-ups).
     per_conn = [row[2] / row[1] for row in rows]
     assert per_conn[-1] <= per_conn[0] * 8
-
-
-def test_worker_count_sweep(benchmark):
-    """Thread vs process backend across 1/2/4/8 workers, shards pinned.
-
-    Pinning ``num_shards`` to the FPGA count keeps the boundary-first
-    schedule constant across the sweep, so every cell must produce the
-    same fingerprint — the determinism check rides along with the
-    timing.  The >= 3x speedup acceptance only binds on hosts with at
-    least :data:`SPEEDUP_MIN_CORES` cores; a 1-core container records
-    honest (slower, spawn-dominated) numbers instead.
-    """
-    case = generate_case(PARALLEL_SPEC, 1.0)
-    delay_model = DelayModel()
-    cpu_count = os.cpu_count() or 1
-    rows = []
-
-    def sweep():
-        for backend in BACKENDS:
-            for workers in WORKER_SWEEP:
-                config = RouterConfig(
-                    parallel_backend=backend,
-                    num_workers=workers,
-                    num_shards=PARALLEL_SPEC.num_fpgas,
-                )
-                start = time.perf_counter()
-                result = route(
-                    case.system, case.netlist, delay_model, config=config
-                )
-                elapsed = time.perf_counter() - start
-                rows.append(
-                    {
-                        "backend": backend,
-                        "workers": workers,
-                        "elapsed": elapsed,
-                        "fingerprint": solution_fingerprint(
-                            result.solution, delay_model
-                        ),
-                        "conflicts": result.conflict_count,
-                        "delay": result.critical_delay,
-                        "info": parallel_run_info(config),
-                    }
-                )
-        return rows
-
-    benchmark.pedantic(sweep, rounds=1, iterations=1)
-
-    lines = [
-        f"{'backend':>8s} {'workers':>8s} {'time(s)':>9s} {'speedup':>8s} "
-        f"{'conf':>6s}"
-    ]
-    base_time = {}
-    for row in rows:
-        backend, workers = row["backend"], row["workers"]
-        base_time.setdefault(backend, row["elapsed"])
-        speedup = base_time[backend] / row["elapsed"] if row["elapsed"] else 0.0
-        lines.append(
-            f"{backend:>8s} {workers:8d} {row['elapsed']:9.2f} "
-            f"{speedup:8.2f} {row['conflicts']:6d}"
-        )
-        record_bench_result(
-            "parallel",
-            PARALLEL_SPEC.name,
-            backend=backend,
-            workers=workers,
-            resolved_workers=row["info"]["resolved_workers"],
-            num_shards=PARALLEL_SPEC.num_fpgas,
-            cpu_count=cpu_count,
-            wall_seconds=round(row["elapsed"], 4),
-            speedup_vs_1=round(speedup, 3),
-            critical_delay=row["delay"],
-            conflicts=row["conflicts"],
-            fingerprint=row["fingerprint"][:16],
-        )
-    lines.append(f"(host cpu_count = {cpu_count})")
-    register_report("Worker-count sweep (10x shard case)", lines)
-
-    # Determinism: shards pinned -> every cell is bit-identical.
-    fingerprints = {row["fingerprint"] for row in rows}
-    assert len(fingerprints) == 1, "worker sweep broke deterministic merge"
-    # Acceptance (>= 3x at 8 process workers) binds only where the host
-    # can actually run 8 workers in parallel.
-    if cpu_count >= SPEEDUP_MIN_CORES:
-        process_times = {
-            row["workers"]: row["elapsed"]
-            for row in rows
-            if row["backend"] == "process"
-        }
-        assert process_times[1] / process_times[8] >= SPEEDUP_TARGET

@@ -59,26 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         "leaves the count unset",
     )
     parser.add_argument(
-        "--parallel-backend",
-        choices=["thread", "process"],
-        default="thread",
-        help="worker pool backend; 'process' routes phase I over spatial "
-        "shards in spawned workers (see docs/performance.md)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="spatial shards for the sharded first pass (default: one per "
-        "worker, capped at the FPGA count)",
-    )
-    parser.add_argument(
-        "--completion-order-merge",
-        action="store_true",
-        help="merge shard results in completion order instead of the "
-        "deterministic fixed shard order (faster, unstable fingerprints)",
-    )
-    parser.add_argument(
         "--drc", action="store_true", help="run the design-rule checker afterwards"
     )
     parser.add_argument(
@@ -187,12 +167,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 2
 
         baseline_cls = _resolve_router(args.router)
-        parallel_knobs = dict(
-            num_workers=args.workers,
-            parallel_backend=args.parallel_backend,
-            num_shards=args.shards,
-            deterministic_merge=not args.completion_order_merge,
-        )
         # The facade owns RouterConfig normalization (REPRO014): knobs
         # travel as a plain mapping on the request.
         if baseline_cls is None:
@@ -200,7 +174,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
             request = RouteRequest(
                 case=case_to_dict(system, netlist, delay_model),
-                config=parallel_knobs,
+                config={"num_workers": args.workers},
                 checkpoint_dir=args.checkpoint_dir,
             )
         if args.router == "portfolio":

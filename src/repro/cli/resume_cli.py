@@ -65,11 +65,19 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         configure_logging(args.log_level)
     from repro.api import RouteRequest, execute_request
+    from repro.io import CheckpointFormatError
 
     request = RouteRequest(
         resume_from=args.checkpoint, checkpoint_dir=args.checkpoint_dir
     )
-    result = execute_request(request)
+    try:
+        result = execute_request(request)
+    except FileNotFoundError as exc:
+        print(f"repro resume: no such file: {exc.filename}", file=sys.stderr)
+        return 2
+    except CheckpointFormatError as exc:
+        print(f"repro resume: invalid checkpoint: {exc}", file=sys.stderr)
+        return 2
     if not args.quiet:
         print(f"resumed from       : {args.checkpoint}")
         print(f"critical delay     : {result.critical_delay:.2f}")

@@ -100,31 +100,6 @@ class RouterConfig:
             cold-rebuilding it (bit-identical either way).  ``0.0``
             forces cold rebuilds.
 
-    Parallel routing (docs/performance.md):
-
-    Attributes:
-        parallel_backend: ``"thread"`` (default) keeps every executor a
-            thread pool; ``"process"`` routes phase I's sharded first
-            pass in ``multiprocessing`` spawn workers over shared-memory
-            cost vectors — the only pool that scales past the GIL.
-            Phase II stays on threads either way (its tasks close over
-            unpicklable state, and numpy releases the GIL there).
-        num_shards: spatial shards for the sharded first pass.  ``None``
-            derives one shard per resolved worker; the count is always
-            capped at the system's FPGA count.  Sharding engages only
-            when it can help: process backend, more than one worker and
-            more than one shard, plain (non-batched, non-Steiner,
-            non-resumed) first pass.  Pin this when comparing
-            fingerprints across worker counts — the shard plan, not the
-            worker count, determines the routing schedule.
-        deterministic_merge: apply shard results in fixed shard order
-            (boundary connections first, then shard 0, 1, ...), making
-            the routed result a pure function of inputs + shard plan —
-            bit-identical across runs, worker counts and backends.
-            ``False`` merges in completion order: same legality and
-            negotiation guarantees, lower latency, unstable
-            fingerprints.
-
     Resilience (docs/resilience.md):
 
     Attributes:
@@ -162,10 +137,6 @@ class RouterConfig:
     parallel_net_threshold: int = 200_000
     incremental_rebuild_fraction: float = 0.2
 
-    parallel_backend: str = "thread"
-    num_shards: Optional[int] = None
-    deterministic_merge: bool = True
-
     wall_clock_budget_seconds: Optional[float] = None
     worker_max_retries: int = 2
     worker_retry_backoff_seconds: float = 0.01
@@ -200,10 +171,6 @@ class RouterConfig:
             raise ValueError("refine_margin_epsilon must be non-negative")
         if not 0.0 <= self.incremental_rebuild_fraction <= 1.0:
             raise ValueError("incremental_rebuild_fraction must be in [0, 1]")
-        if self.parallel_backend not in ("thread", "process"):
-            raise ValueError("parallel_backend must be thread or process")
-        if self.num_shards is not None and self.num_shards < 1:
-            raise ValueError("num_shards must be >= 1 when set")
         if (
             self.wall_clock_budget_seconds is not None
             and self.wall_clock_budget_seconds < 0

@@ -339,8 +339,7 @@ class InitialRouter:
             if self.config.initial_batch_size:
                 self._batched_first_pass(order, graph, state, cost_model, paths)
             elif self._kernel is not None:
-                if not self._sharded_first_pass(order, state, cost_model, paths):
-                    self._route_ordered(order, state, paths)
+                self._route_ordered(order, state, paths)
             else:
                 for conn_index in order:
                     paths[conn_index] = self._route_connection(
@@ -383,140 +382,6 @@ class InitialRouter:
             add_path(conn.net_index, path)
             paths[conn_index] = path
         self.stats.connections_routed += len(order)
-
-    # ------------------------------------------------------------------
-    def _sharded_first_pass(
-        self,
-        order: List[int],
-        state: NegotiationState,
-        cost_model: EdgeCostModel,
-        paths: List[Optional[List[int]]],
-    ) -> bool:
-        """Route the first pass over spatial shards when configured.
-
-        Engages when the config opts in (``parallel_backend="process"``
-        or an explicit ``num_shards``) and the system/plan can actually
-        shard (≥2 FPGAs, ≥2 derived shards, at least one shard-interior
-        connection); returns False otherwise so the caller falls back to
-        the sequential pass.
-
-        The schedule is boundary-first: connections of shard-spanning
-        nets route on the coordinator in global order, the resulting
-        pricing state is published in a shared-memory arena, and every
-        shard's interior connections route concurrently in workers
-        seeded from that snapshot (see :mod:`repro.parallel.sharding`
-        for why this is scheduling-independent).  With
-        ``deterministic_merge`` the shard results are applied in shard
-        order; any SLL overuse the snapshots hid is healed by the
-        negotiation rounds that follow, like ordinary first-pass
-        overflow.
-        """
-        from repro.parallel import (
-            ParallelExecutor,
-            SharedRoutingArena,
-            build_shard_tasks,
-            plan_shards,
-            resolve_workers,
-            route_shard_task,
-        )
-        from repro.partition.die_shards import derive_die_shards
-
-        config = self.config
-        if config.parallel_backend != "process" and config.num_shards is None:
-            return False
-        if self.system.num_fpgas < 2 or not order:
-            return False
-        workers, _ = resolve_workers(config.num_workers)
-        num_shards = (
-            config.num_shards if config.num_shards is not None else workers
-        )
-        if num_shards < 2:
-            return False
-        tracer = self.tracer
-        with tracer.span("ir.shard_plan"):
-            die_shards = derive_die_shards(self.system, num_shards, self.netlist)
-            plan = plan_shards(self.netlist, die_shards, order)
-        if die_shards.num_shards < 2 or plan.num_interior == 0:
-            logger.info(
-                "sharded first pass disengaged: %d shards, %d interior "
-                "connections — routing sequentially",
-                die_shards.num_shards,
-                plan.num_interior,
-            )
-            return False
-        tracer.add("shard.count", die_shards.num_shards)
-        tracer.add("shard.interior_connections", plan.num_interior)
-        tracer.add("shard.boundary_connections", len(plan.boundary))
-        logger.info(
-            "sharded first pass: %d shards over %d FPGAs, %d boundary + "
-            "%d interior connections, %d workers (%s backend)",
-            die_shards.num_shards,
-            self.system.num_fpgas,
-            len(plan.boundary),
-            plan.num_interior,
-            workers,
-            config.parallel_backend,
-        )
-
-        # Boundary nets first, in global order — exactly the prefix the
-        # sequential pass would route if the order were boundary-first.
-        self._route_ordered(list(plan.boundary), state, paths)
-
-        kernel = self._kernel
-        kernel.sync()
-        arena = SharedRoutingArena.create(kernel.cost_vec, state.demand)
-        try:
-            tasks = build_shard_tasks(
-                plan,
-                self.netlist,
-                self.system,
-                self.delay_model,
-                config.to_dict(),
-                cost_model.base_weights,
-                arena.spec,
-            )
-            with tracer.span(
-                "ir.shard_route",
-                shards=len(tasks),
-                workers=workers,
-                backend=config.parallel_backend,
-            ):
-                with ParallelExecutor(
-                    workers,
-                    tracer=tracer,
-                    backend=config.parallel_backend,
-                    max_retries=config.worker_max_retries,
-                    retry_backoff=config.worker_retry_backoff_seconds,
-                ) as executor:
-                    if config.deterministic_merge:
-                        results = executor.map(route_shard_task, tasks)
-                    else:
-                        results = executor.map_unordered(route_shard_task, tasks)
-        finally:
-            arena.close()
-            arena.unlink()
-
-        connections = self.netlist.connections
-        add_path = state.add_path
-        kernel_stats = kernel.stats
-        search = self._search
-        for result in results:
-            for conn_index, die_path in result.paths:
-                path = list(die_path)
-                add_path(connections[conn_index].net_index, path)
-                paths[conn_index] = path
-            search.searches += result.search_stats["searches"]
-            search.pops += result.search_stats["pops"]
-            search.relaxations += result.search_stats["relaxations"]
-            kernel_stats.tree_hits += result.kernel_stats["tree_hits"]
-            kernel_stats.tree_misses += result.kernel_stats["tree_misses"]
-            kernel_stats.epoch_bumps += result.kernel_stats["epoch_bumps"]
-            kernel_stats.overlay_searches += result.kernel_stats[
-                "overlay_searches"
-            ]
-        self.stats.connections_routed += plan.num_interior
-        tracer.gauge("shard.merge_overflow", float(state.total_overflow()))
-        return True
 
     # ------------------------------------------------------------------
     def _steiner_first_pass(

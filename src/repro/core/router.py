@@ -46,12 +46,9 @@ def parallel_run_info(config: RouterConfig) -> Dict[str, Any]:
     """
     workers, from_env = resolve_workers(config.num_workers)
     return {
-        "backend": config.parallel_backend,
         "requested_workers": config.num_workers,
         "resolved_workers": workers,
         "workers_from_env": from_env,
-        "num_shards": config.num_shards,
-        "deterministic_merge": config.deterministic_merge,
     }
 
 
@@ -136,11 +133,11 @@ class RoutingResult:
             (``RouterConfig.wall_clock_budget_seconds``) cut the run
             short; the solution is the best-so-far legal state and the
             run report carries the same flag (docs/resilience.md).
-        parallel_info: how the run's worker pools were sized — backend,
-            requested vs resolved worker count, whether ``REPRO_WORKERS``
-            supplied it, shard/merge settings.  Recorded in run reports
-            and ``BENCH_*.json`` so perf-sentinel comparisons are
-            apples-to-apples (docs/performance.md).
+        parallel_info: how the run's worker pool was sized — requested
+            vs resolved worker count and whether ``REPRO_WORKERS``
+            supplied it.  Recorded in run reports and ``BENCH_*.json``
+            so perf-sentinel comparisons are apples-to-apples
+            (docs/performance.md).
     """
 
     solution: RoutingSolution

@@ -14,7 +14,7 @@ Schema::
 
     {
       "kind": "repro.checkpoint",
-      "schema_version": 1,
+      "schema_version": 2,
       "barrier": "<one of KNOWN_BARRIERS>",
       "sequence": <int, write order within a run>,
       "case": {...},          # case_to_dict
@@ -31,7 +31,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Union
 
 CHECKPOINT_KIND = "repro.checkpoint"
-CHECKPOINT_SCHEMA_VERSION = 1
+#: v2 dropped three ``RouterConfig`` fields that every v1 document embeds.
+CHECKPOINT_SCHEMA_VERSION = 2
 
 #: Barriers in the order a full run reaches them.  ``phase1.round`` and
 #: ``phase2.round`` recur (one checkpoint per negotiation/timing round).

@@ -575,15 +575,14 @@ class ModuleMutableStateRule(Rule):
     """REPRO013: no module-level mutable state in executor task modules.
 
     Task functions submitted to :class:`repro.parallel.ParallelExecutor`
-    must be pure functions of their arguments.  Under the thread backend
-    a module-level dict/list is shared state that workers can race on;
-    under the spawn-based process backend it is worse in a quieter way —
-    every worker re-imports the module and gets its *own* copy, so a
-    cache or accumulator that "works" in-process silently diverges
-    between coordinator and workers.  Module-level bindings in
-    ``repro.parallel`` are therefore restricted to immutables (strings,
-    numbers, tuples, frozensets); anything a worker needs must travel
-    through the task object or the shared-memory arena.
+    must be pure functions of their arguments.  The pool's threads share
+    the module namespace, so a module-level dict/list is shared state
+    that workers can race on: a cache or accumulator that "works"
+    sequentially corrupts or loses updates once tasks overlap, and the
+    retry loop re-runs tasks on the assumption that they are idempotent.
+    Module-level bindings in ``repro.parallel`` are therefore restricted
+    to immutables (strings, numbers, tuples, frozensets); anything a
+    worker needs must travel through the task's arguments.
 
     ``__all__`` and other dunder bindings are exempt: they are import
     machinery, assigned once and never mutated.
@@ -592,13 +591,12 @@ class ModuleMutableStateRule(Rule):
     rule_id = "REPRO013"
     title = "no module-level mutable state in task modules"
     rationale = (
-        "spawn workers re-import task modules, so module-level mutable "
-        "state silently forks into per-process copies (and races under "
-        "threads)"
+        "pool threads share task modules, so module-level mutable state "
+        "is raced on by concurrent tasks and breaks idempotent retries"
     )
     remedy = (
-        "pass state through the task dataclass or the shared-memory "
-        "arena; keep module-level bindings immutable"
+        "pass state through the task's arguments; keep module-level "
+        "bindings immutable"
     )
     node_types = (ast.Module,)
     include = ("repro.parallel",)

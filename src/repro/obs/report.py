@@ -145,11 +145,8 @@ def validate_run_report(doc: Any) -> List[str]:
     if parallel is not None:
         if not isinstance(parallel, dict):
             problems.append("parallel must be an object or null")
-        else:
-            if parallel.get("backend") not in ("thread", "process"):
-                problems.append("parallel.backend must be thread or process")
-            if not isinstance(parallel.get("resolved_workers"), int):
-                problems.append("parallel.resolved_workers must be an int")
+        elif not isinstance(parallel.get("resolved_workers"), int):
+            problems.append("parallel.resolved_workers must be an int")
     telemetry = doc.get("telemetry")
     if telemetry is not None:
         if not isinstance(telemetry, dict):
@@ -242,7 +239,6 @@ def _parallel_section(info: Any) -> Optional[Dict[str, Any]]:
     if info is None:
         return None
     return {
-        "backend": str(info["backend"]),
         "requested_workers": (
             int(info["requested_workers"])
             if info.get("requested_workers") is not None
@@ -250,10 +246,6 @@ def _parallel_section(info: Any) -> Optional[Dict[str, Any]]:
         ),
         "resolved_workers": int(info["resolved_workers"]),
         "workers_from_env": bool(info.get("workers_from_env", False)),
-        "num_shards": (
-            int(info["num_shards"]) if info.get("num_shards") is not None else None
-        ),
-        "deterministic_merge": bool(info.get("deterministic_merge", True)),
     }
 
 

@@ -1,9 +1,8 @@
 """Parallel-map substrate standing in for the paper's OpenMP threading.
 
-Since the process backend landed this package also carries the sharded
-phase I machinery: :mod:`repro.parallel.shm` (shared-memory cost-vector
-transport) and :mod:`repro.parallel.sharding` (shard planning plus the
-spawn-safe per-shard routing task).
+:class:`ParallelExecutor` is a thread pool serving phase II's per-edge
+work (legalization, wire assignment); phase I routes sequentially, as
+in the paper.
 """
 
 from repro.parallel.executor import (
@@ -11,32 +10,13 @@ from repro.parallel.executor import (
     WORKERS_ENV_VAR,
     ParallelExecutor,
     TransientWorkerError,
-    chunked,
     resolve_workers,
 )
-from repro.parallel.sharding import (
-    ShardPlan,
-    ShardRouteResult,
-    ShardTask,
-    build_shard_tasks,
-    plan_shards,
-    route_shard_task,
-)
-from repro.parallel.shm import ArenaSpec, SharedRoutingArena
 
 __all__ = [
     "TASK_SITE",
     "WORKERS_ENV_VAR",
-    "ArenaSpec",
     "ParallelExecutor",
-    "SharedRoutingArena",
-    "ShardPlan",
-    "ShardRouteResult",
-    "ShardTask",
     "TransientWorkerError",
-    "build_shard_tasks",
-    "chunked",
-    "plan_shards",
     "resolve_workers",
-    "route_shard_task",
 ]

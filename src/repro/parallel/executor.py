@@ -1,23 +1,12 @@
-"""Chunked parallel map over threads or spawned processes.
+"""Parallel map over a thread pool.
 
 The paper parallelizes phase II with OpenMP: per-TDM-edge work (Eq. 12
 solves, legalization, wire assignment) and per-connection reductions.  In
 Python the numerically heavy reductions are vectorized with numpy instead
 (see :mod:`repro.core.lagrangian`); this executor covers the remaining
-per-edge, object-level work and — since the sharded phase I landed — the
-per-shard routing tasks of :mod:`repro.parallel.sharding`.
-
-Two backends share one dispatch interface:
-
-* ``"thread"`` (default) — a persistent :class:`ThreadPoolExecutor`.
-  Right for tasks dominated by numpy calls that release the GIL (phase
-  II's per-edge work) and for closures, which need no pickling.
-* ``"process"`` — a persistent :class:`ProcessPoolExecutor` using the
-  ``spawn`` start method.  Escapes the GIL for pure-Python tasks (the
-  phase I shard routes), at the price of spawn-safety: the function and
-  every item must be picklable, so tasks are module-level functions of
-  plain-data payloads (lint rule REPRO013 enforces the matching
-  no-module-state discipline on task modules).
+per-edge, object-level work on a persistent :class:`ThreadPoolExecutor`.
+Those tasks are dominated by numpy calls that release the GIL, and
+closures need no pickling.
 
 Worker-count resolution: ``num_workers=None`` honors the
 ``REPRO_WORKERS`` environment variable when set (the one sanctioned
@@ -29,11 +18,9 @@ apples-to-apples), and otherwise falls back to the paper's
 Failure semantics (docs/resilience.md): a task raising
 :class:`TransientWorkerError` — the executor's model of a killed or
 preempted worker — is retried up to ``max_retries`` times with doubling
-backoff.  Under the process backend a worker process dying outright
-(``BrokenProcessPool``) is folded into the same transient hierarchy: the
-pool is respawned and the task retried.  The tasks dispatched here are
-pure functions of their inputs, so a re-run is idempotent.  Any other
-exception fails fast and propagates to the dispatch side.
+backoff.  The tasks dispatched here are pure functions of their inputs,
+so a re-run is idempotent.  Any other exception fails fast and
+propagates to the dispatch side.
 """
 
 from __future__ import annotations
@@ -41,9 +28,8 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Iterable, List, Optional, Tuple, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -55,25 +41,15 @@ TASK_SITE = "parallel.task"
 #: Environment variable overriding ``num_workers=None`` resolution.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
 
-_BACKENDS = ("thread", "process")
-
 
 class TransientWorkerError(RuntimeError):
     """A worker failure that is safe to retry (task is idempotent).
 
     Raised (or injected — :class:`repro.resilience.faults.WorkerKilled`
     subclasses this) when a worker dies mid-task.  The executor's retry
-    loop treats exactly this hierarchy — plus a broken process pool —
-    as retryable; everything else fails fast.
+    loop treats exactly this hierarchy as retryable; everything else
+    fails fast.
     """
-
-
-def chunked(items: Sequence[T], chunk_size: int) -> Iterator[List[T]]:
-    """Split ``items`` into consecutive chunks of at most ``chunk_size``."""
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
-    for start in range(0, len(items), chunk_size):
-        yield list(items[start : start + chunk_size])
 
 
 def resolve_workers(num_workers: Optional[int]) -> Tuple[int, bool]:
@@ -106,7 +82,7 @@ def resolve_workers(num_workers: Optional[int]) -> Tuple[int, bool]:
 
 
 class ParallelExecutor:
-    """Maps a function over items, sequentially or with a worker pool.
+    """Maps a function over items, sequentially or with a thread pool.
 
     Args:
         num_workers: workers; ``0`` or ``1`` runs sequentially; ``None``
@@ -114,12 +90,9 @@ class ParallelExecutor:
             override, else the paper's ``min(10, cpu_count)``).
         tracer: optional :class:`repro.obs.Tracer`; when given, every
             :meth:`map` call is wrapped in a ``parallel.map`` span with
-            task/worker/backend attributes (dispatch-side only — worker
-            threads/processes are never touched, so sinks see a
-            single-threaded span stream).
-        backend: ``"thread"`` (default) or ``"process"`` (spawn start
-            method).  The process backend requires picklable functions
-            and items; see the module docstring.
+            task/worker attributes (dispatch-side only — worker threads
+            are never touched, so sinks see a single-threaded span
+            stream).
         max_retries: retries per task for :class:`TransientWorkerError`
             failures; ``0`` disables retrying.
         retry_backoff: base sleep in seconds before a retry, doubling per
@@ -128,16 +101,14 @@ class ParallelExecutor:
             attempt at site ``"parallel.task"``; defaults to the tracer's
             ``fault_plan`` attribute when present (so a
             :class:`repro.resilience.faults.FaultInjectingTracer` wires
-            the whole stack without core code changes).  Fires on the
-            dispatch side under both backends, so injection stays
-            deterministic even across processes.
+            the whole stack without core code changes).
 
     The pool is created lazily on the first parallel :meth:`map` and
     reused by every later call — one executor can serve a whole routing
-    run (sharded first pass + legalizer + wire assigner + refine rounds)
-    without re-spawning workers.  Call :meth:`close` (or use the executor
-    as a context manager) to release the workers; a closed executor
-    re-creates the pool on the next parallel map.
+    run (legalizer + wire assigner + refine rounds) without re-creating
+    workers.  Call :meth:`close` (or use the executor as a context
+    manager) to release the workers; a closed executor re-creates the
+    pool on the next parallel map.
     """
 
     def __init__(
@@ -145,7 +116,6 @@ class ParallelExecutor:
         num_workers: Optional[int] = 1,
         tracer: Optional[object] = None,
         *,
-        backend: str = "thread",
         max_retries: int = 0,
         retry_backoff: float = 0.01,
         fault_plan: Optional[object] = None,
@@ -153,17 +123,12 @@ class ParallelExecutor:
         num_workers, from_env = resolve_workers(num_workers)
         if num_workers < 0:
             raise ValueError("num_workers must be non-negative")
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"backend must be one of {_BACKENDS}, got {backend!r}"
-            )
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
         if retry_backoff < 0:
             raise ValueError("retry_backoff must be non-negative")
         self.num_workers = num_workers
         self.workers_from_env = from_env
-        self.backend = backend
         self.tracer = tracer
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
@@ -171,7 +136,6 @@ class ParallelExecutor:
             fault_plan = getattr(tracer, "fault_plan", None)
         self.fault_plan = fault_plan
         self._pool: Optional[ThreadPoolExecutor] = None
-        self._process_pool: Optional[ProcessPoolExecutor] = None
         # Lazy pool creation must be race-free: the serving layer shares
         # one executor across concurrent request workers, so two first
         # maps may arrive at once.
@@ -183,13 +147,10 @@ class ParallelExecutor:
         return self.num_workers > 1
 
     def close(self) -> None:
-        """Shut down the persistent pools (idempotent)."""
+        """Shut down the persistent pool (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._process_pool is not None:
-            self._process_pool.shutdown(wait=True)
-            self._process_pool = None
 
     def __enter__(self) -> "ParallelExecutor":
         return self
@@ -203,67 +164,27 @@ class ParallelExecutor:
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
         """Apply ``fn`` to every item, preserving item order.
 
-        Transient failures (:class:`TransientWorkerError`, and a broken
-        process pool under the process backend) are retried per task up
-        to ``max_retries`` times; other exceptions propagate immediately.
+        Transient failures (:class:`TransientWorkerError`) are retried
+        per task up to ``max_retries`` times; other exceptions propagate
+        immediately.
         """
-        return self._dispatch(fn, items, ordered=True)
-
-    def map_unordered(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
-        """Apply ``fn`` to every item, yielding results in completion order.
-
-        Sequential execution (0/1 workers or a single item) degenerates
-        to :meth:`map`'s item order; with a parallel pool the order is
-        whatever the scheduler produces, so callers must not rely on it
-        (the router's ``deterministic_merge=False`` mode is the intended
-        consumer).  Retry semantics match :meth:`map`.
-        """
-        return self._dispatch(fn, items, ordered=False)
-
-    def _dispatch(
-        self, fn: Callable[[T], R], items: Iterable[T], ordered: bool
-    ) -> List[R]:
         items = list(items)
         tracer = self.tracer
         if tracer is None:
-            return self._map(fn, items, ordered)
-        with tracer.span(
-            "parallel.map",
-            tasks=len(items),
-            workers=self.num_workers,
-            backend=self.backend,
-            ordered=ordered,
-        ):
+            return self._map(fn, items)
+        with tracer.span("parallel.map", tasks=len(items), workers=self.num_workers):
             tracer.add("parallel.tasks", len(items))
-            return self._map(fn, items, ordered)
+            return self._map(fn, items)
 
-    def _map(self, fn: Callable[[T], R], items: List[T], ordered: bool) -> List[R]:
+    def _map(self, fn: Callable[[T], R], items: List[T]) -> List[R]:
+        run = self._run_task
         if not self.is_parallel or len(items) <= 1:
-            run = self._run_task
             return [run(fn, item) for item in items]
-        if self.backend == "process":
-            return self._process_map(fn, items, ordered)
-        return self._thread_map(fn, items, ordered)
-
-    # -- thread backend -------------------------------------------------
-    def _thread_map(
-        self, fn: Callable[[T], R], items: List[T], ordered: bool
-    ) -> List[R]:
         if self._pool is None:
             with self._pool_lock:
                 if self._pool is None:
                     self._pool = ThreadPoolExecutor(max_workers=self.num_workers)
-        run = self._run_task
-        if ordered:
-            return list(self._pool.map(lambda item: run(fn, item), items))
-        futures = [self._pool.submit(run, fn, item) for item in items]
-        results: List[R] = []
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                results.append(future.result())
-        return results
+        return list(self._pool.map(lambda item: run(fn, item), items))
 
     def _run_task(self, fn: Callable[[T], R], item: T) -> R:
         """One in-process task with fault injection and bounded retries."""
@@ -278,89 +199,6 @@ class ParallelExecutor:
                 if attempt > self.max_retries:
                     raise
                 self._note_retry(attempt)
-
-    # -- process backend ------------------------------------------------
-    def _ensure_process_pool(self) -> ProcessPoolExecutor:
-        if self._process_pool is None:
-            with self._pool_lock:
-                if self._process_pool is None:
-                    import multiprocessing
-
-                    self._process_pool = ProcessPoolExecutor(
-                        max_workers=self.num_workers,
-                        mp_context=multiprocessing.get_context("spawn"),
-                    )
-        return self._process_pool
-
-    def _process_map(
-        self, fn: Callable[[T], R], items: List[T], ordered: bool
-    ) -> List[R]:
-        """Submit to the process pool with per-task transient retries.
-
-        The fault plan fires on the dispatch side before each submission
-        attempt, so deterministic injection (and its counting) does not
-        depend on which process picks the task up.  A task that fails
-        transiently — including by breaking the pool — is resubmitted
-        (to a respawned pool when broken) until its retry budget runs
-        out.
-        """
-        attempts = [0] * len(items)
-        futures = {
-            self._submit_process(fn, item, index, attempts): index
-            for index, item in enumerate(items)
-        }
-        results: List[Optional[R]] = [None] * len(items)
-        completion: List[R] = []
-        while futures:
-            done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
-            for future in done:
-                index = futures.pop(future)
-                try:
-                    value = future.result()
-                except BrokenProcessPool:
-                    if self._process_pool is not None:
-                        self._process_pool.shutdown(wait=False)
-                        self._process_pool = None
-                    self._retry_or_raise(
-                        index,
-                        attempts,
-                        TransientWorkerError("process pool broke mid-task"),
-                    )
-                    futures[self._submit_process(fn, items[index], index, attempts)] = index
-                    continue
-                except TransientWorkerError as exc:
-                    self._retry_or_raise(index, attempts, exc)
-                    futures[self._submit_process(fn, items[index], index, attempts)] = index
-                    continue
-                results[index] = value
-                completion.append(value)
-        return results if ordered else completion  # type: ignore[return-value]
-
-    def _submit_process(
-        self, fn: Callable[[T], R], item: T, index: int, attempts: List[int]
-    ):
-        """Fire the fault plan, then submit one task to the process pool.
-
-        Dispatch-side injection of a transient fault consumes the task's
-        retry budget exactly like a worker-side failure would; when the
-        budget still allows, the submission is retried immediately (the
-        injected failure happened before any work was dispatched).
-        """
-        while True:
-            try:
-                if self.fault_plan is not None:
-                    self.fault_plan.fire(TASK_SITE)
-                return self._ensure_process_pool().submit(fn, item)
-            except TransientWorkerError as exc:
-                self._retry_or_raise(index, attempts, exc)
-
-    def _retry_or_raise(
-        self, index: int, attempts: List[int], exc: TransientWorkerError
-    ) -> None:
-        attempts[index] += 1
-        if attempts[index] > self.max_retries:
-            raise exc
-        self._note_retry(attempts[index])
 
     def _note_retry(self, attempt: int) -> None:
         tracer = self.tracer

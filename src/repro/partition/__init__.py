@@ -14,25 +14,20 @@ for users starting from a flat netlist:
   design into the router's die-level :class:`~repro.netlist.Netlist`.
 * :mod:`repro.partition.generator` — a synthetic clustered logic netlist
   generator for experiments.
-* :mod:`repro.partition.die_shards` — FPGA-aligned spatial shards of an
-  existing system for process-parallel routing.
 """
 
 from repro.partition.logic import Cell, LogicNet, LogicNetlist
 from repro.partition.fm import FmResult, fm_bipartition
 from repro.partition.partitioner import DiePartitioner, PartitionResult
 from repro.partition.generator import generate_logic_netlist
-from repro.partition.die_shards import DieShards, derive_die_shards
 
 __all__ = [
     "Cell",
     "DiePartitioner",
-    "DieShards",
     "FmResult",
     "LogicNet",
     "LogicNetlist",
     "PartitionResult",
-    "derive_die_shards",
     "fm_bipartition",
     "generate_logic_netlist",
 ]

@@ -213,132 +213,6 @@ class TestInducedExceptions:
         )
 
 
-class TestProcessBackendChaos:
-    """Fault injection with spawned shard workers.
-
-    The contest cases are boundary-heavy, so these run on a generated
-    high-locality case that is guaranteed to dispatch shard tasks to the
-    process pool.  Injection is dispatch-side (the executor fires the
-    plan before submitting), so the same deterministic
-    :class:`TransientWorkerError` accounting covers processes too."""
-
-    @pytest.fixture(scope="class")
-    def shard_case(self):
-        from repro.benchgen.generator import BenchmarkSpec, generate_case
-
-        return generate_case(
-            BenchmarkSpec(
-                name="chaos-shards",
-                num_fpgas=4,
-                sll_wires_total=800,
-                num_tdm_edges=6,
-                tdm_wires_total=600,
-                num_nets=160,
-                num_connections=280,
-                seed=7,
-                locality=0.9,
-                cross_weight=1.0,
-            ),
-            1.0,
-        )
-
-    @pytest.fixture(scope="class")
-    def process_config_kwargs(self):
-        return dict(parallel_backend="process", num_shards=2, num_workers=2)
-
-    @pytest.fixture(scope="class")
-    def fault_free_fingerprint(self, shard_case, delay_model, process_config_kwargs):
-        result = route(
-            shard_case.system,
-            shard_case.netlist,
-            delay_model,
-            config=RouterConfig(**process_config_kwargs),
-        )
-        return solution_fingerprint(result.solution, delay_model)
-
-    def test_killed_process_task_is_retried_bit_identically(
-        self, shard_case, delay_model, process_config_kwargs, fault_free_fingerprint
-    ):
-        plan = FaultPlan([FaultSpec(site=TASK_SITE, at=0, action="kill_worker")])
-        tracer = FaultInjectingTracer(plan)
-        result = route(
-            shard_case.system,
-            shard_case.netlist,
-            delay_model,
-            config=RouterConfig(worker_max_retries=2, **process_config_kwargs),
-            tracer=tracer,
-        )
-        assert [spec.action for spec, _ in plan.fired] == ["kill_worker"]
-        assert result.telemetry.counters.get("parallel.retries", 0) >= 1
-        assert (
-            solution_fingerprint(result.solution, delay_model)
-            == fault_free_fingerprint
-        )
-
-    def test_process_retries_exhausted_reraises(
-        self, shard_case, delay_model, process_config_kwargs
-    ):
-        plan = FaultPlan(
-            [
-                FaultSpec(site=TASK_SITE, at=0, action="kill_worker"),
-                FaultSpec(site=TASK_SITE, at=1, action="kill_worker"),
-            ]
-        )
-        with pytest.raises(WorkerKilled):
-            route(
-                shard_case.system,
-                shard_case.netlist,
-                delay_model,
-                config=RouterConfig(
-                    worker_max_retries=1, **process_config_kwargs
-                ),
-                tracer=FaultInjectingTracer(plan),
-            )
-
-    def test_checkpoint_resume_under_process_backend(
-        self,
-        shard_case,
-        delay_model,
-        process_config_kwargs,
-        fault_free_fingerprint,
-        tmp_path,
-    ):
-        """The resilience stack is backend-agnostic: checkpoints written
-        during a process-backend run resume to the identical solution."""
-        config = RouterConfig(**process_config_kwargs)
-        manager = CheckpointManager(
-            tmp_path, shard_case.system, shard_case.netlist, delay_model,
-            config=config,
-        )
-        SynergisticRouter(
-            shard_case.system,
-            shard_case.netlist,
-            delay_model,
-            config=config,
-            checkpoint=manager,
-        ).route()
-        resumed = resume(manager.latest())
-        assert (
-            solution_fingerprint(resumed.solution, delay_model)
-            == fault_free_fingerprint
-        )
-
-    def test_budget_degrades_gracefully_under_process_backend(
-        self, shard_case, delay_model, process_config_kwargs
-    ):
-        result = route(
-            shard_case.system,
-            shard_case.netlist,
-            delay_model,
-            config=RouterConfig(
-                wall_clock_budget_seconds=1e-4, **process_config_kwargs
-            ),
-        )
-        assert result.degraded is True
-        assert result.solution.is_complete
-        assert result.conflict_count == 0
-
-
 class TestBudgetExhaustion:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_tiny_budget_degrades_gracefully(self, case05, delay_model, workers):

@@ -301,3 +301,48 @@ class TestUnifiedCli:
         unified_main(["lint", str(tmp_path)])
         # outside cli/examples scope REPRO011 stays quiet; the command ran
         assert "scanned" in capsys.readouterr().out
+
+
+class TestResumeErrors:
+    """Bad checkpoint inputs fail with one stderr line and exit 2."""
+
+    def _resume_error(self, path, capsys):
+        code = unified_main(["resume", str(path), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro resume: ")
+        return lines[0]
+
+    def test_missing_path(self, tmp_path, capsys):
+        line = self._resume_error(tmp_path / "nope.json", capsys)
+        assert "no such file" in line
+
+    def test_not_json(self, tmp_path, capsys):
+        path = tmp_path / "ckpt_0000.json"
+        path.write_text("not json {")
+        assert "not JSON" in self._resume_error(path, capsys)
+
+    def test_empty_directory(self, tmp_path, capsys):
+        assert "no checkpoints" in self._resume_error(tmp_path, capsys)
+
+    def test_old_schema_version(self, tmp_path, capsys):
+        import json
+
+        from repro import RouterConfig
+
+        path = tmp_path / "ckpt_0000.json"
+        doc = {
+            "kind": "repro.checkpoint",
+            "schema_version": 1,
+            "barrier": "final",
+            "sequence": 0,
+            "case": {},
+            "config": RouterConfig().to_dict(),
+            "rng_state": None,
+            "payload": {},
+        }
+        path.write_text(json.dumps(doc))
+        assert "schema_version" in self._resume_error(path, capsys)

@@ -60,33 +60,6 @@ class TestRouterConfig:
         with pytest.raises(TypeError):
             RouterConfig(0.5)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"parallel_backend": "fiber"},
-            {"parallel_backend": ""},
-            {"num_shards": 0},
-            {"num_shards": -2},
-        ],
-    )
-    def test_invalid_parallel_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            RouterConfig(**kwargs)
-
-    def test_parallel_defaults(self):
-        config = RouterConfig()
-        assert config.parallel_backend == "thread"
-        assert config.num_shards is None
-        assert config.deterministic_merge is True
-
-    def test_process_backend_accepted(self):
-        config = RouterConfig(
-            parallel_backend="process", num_shards=4, deterministic_merge=False
-        )
-        assert config.parallel_backend == "process"
-        assert config.num_shards == 4
-        assert config.deterministic_merge is False
-
 
 #: Every field drawn within its validated domain, so any drawn dict
 #: constructs; ``from_dict``/``to_dict`` must then round-trip exactly.
@@ -116,9 +89,6 @@ config_mappings = st.fixed_dictionaries(
         | st.floats(min_value=0.0, max_value=3600.0),
         "worker_max_retries": st.integers(min_value=0, max_value=5),
         "worker_retry_backoff_seconds": st.floats(min_value=0.0, max_value=1.0),
-        "parallel_backend": st.sampled_from(["thread", "process"]),
-        "num_shards": st.none() | st.integers(min_value=1, max_value=16),
-        "deterministic_merge": st.booleans(),
     },
 )
 

@@ -156,8 +156,8 @@ MATRIX = [
         "def f(t, i):\n    t.event('round', iteration=i)\n",
     ),
     (
-        # Spawn workers re-import task modules: a module-level cache
-        # forks into per-process copies and never syncs back.
+        # Pool threads share task modules: a module-level cache is
+        # raced on by concurrent tasks.
         "REPRO013",
         "repro.parallel.sharding",
         "_GRAPH_CACHE = {}\n\ndef route_shard_task(task):\n    return task\n",

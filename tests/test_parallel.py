@@ -7,46 +7,9 @@ import pytest
 
 from repro.parallel import (
     ParallelExecutor,
-    TransientWorkerError,
     WORKERS_ENV_VAR,
-    chunked,
     resolve_workers,
 )
-
-
-def _square(x):
-    """Module-level so the spawn backend can pickle it by name."""
-    return x * x
-
-
-def _flaky(payload):
-    """Fail transiently until a filesystem sentinel exists.
-
-    The sentinel file is how a one-shot failure survives the process
-    boundary: the first worker attempt (in whichever process) creates it
-    and dies, every later attempt sees it and succeeds.
-    """
-    sentinel, value = payload
-    if not os.path.exists(sentinel):
-        with open(sentinel, "w") as handle:
-            handle.write("failed once")
-        raise TransientWorkerError("injected transient failure")
-    return value + 1
-
-
-class TestChunked:
-    def test_even_split(self):
-        assert list(chunked([1, 2, 3, 4], 2)) == [[1, 2], [3, 4]]
-
-    def test_ragged_tail(self):
-        assert list(chunked([1, 2, 3, 4, 5], 2)) == [[1, 2], [3, 4], [5]]
-
-    def test_empty(self):
-        assert list(chunked([], 3)) == []
-
-    def test_bad_chunk_size(self):
-        with pytest.raises(ValueError):
-            list(chunked([1], 0))
 
 
 class TestParallelExecutor:
@@ -78,9 +41,8 @@ class TestParallelExecutor:
         assert not executor.is_parallel
         assert executor.map(str, [1]) == ["1"]
 
-    def test_none_picks_paper_default(self):
-        import os
-
+    def test_none_picks_paper_default(self, monkeypatch):
+        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
         executor = ParallelExecutor(None)
         assert executor.num_workers == min(10, os.cpu_count() or 1)
 
@@ -166,63 +128,3 @@ class TestResolveWorkers:
         monkeypatch.setenv(WORKERS_ENV_VAR, "2")
         assert ParallelExecutor(None).workers_from_env is True
         assert ParallelExecutor(2).workers_from_env is False
-
-
-class TestBackendSelection:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            ParallelExecutor(2, backend="fiber")
-
-    def test_backend_recorded(self):
-        assert ParallelExecutor(2).backend == "thread"
-        with ParallelExecutor(2, backend="process") as executor:
-            assert executor.backend == "process"
-
-    def test_map_unordered_sequential_keeps_item_order(self):
-        with ParallelExecutor(1) as executor:
-            assert executor.map_unordered(str, range(4)) == ["0", "1", "2", "3"]
-
-    def test_map_unordered_thread_is_a_permutation(self):
-        with ParallelExecutor(4) as executor:
-            results = executor.map_unordered(lambda x: x * 2, range(20))
-        assert sorted(results) == [x * 2 for x in range(20)]
-
-
-class TestProcessBackend:
-    """Spawned workers: pickled module-level tasks, ordered results,
-    transient retries across the process boundary."""
-
-    def test_ordered_map(self):
-        with ParallelExecutor(2, backend="process") as executor:
-            assert executor.map(_square, range(6)) == [0, 1, 4, 9, 16, 25]
-
-    def test_map_unordered_is_a_permutation(self):
-        with ParallelExecutor(2, backend="process") as executor:
-            results = executor.map_unordered(_square, range(6))
-        assert sorted(results) == [0, 1, 4, 9, 16, 25]
-
-    def test_pool_reused_across_maps(self):
-        with ParallelExecutor(2, backend="process") as executor:
-            executor.map(_square, range(4))
-            pool = executor._process_pool
-            assert pool is not None
-            executor.map(_square, range(4))
-            assert executor._process_pool is pool
-
-    def test_worker_side_transient_failure_is_retried(self, tmp_path):
-        sentinel = str(tmp_path / "fail-once")
-        with ParallelExecutor(2, backend="process", max_retries=2) as executor:
-            results = executor.map(
-                _flaky, [(sentinel, 10), (str(tmp_path / "never"), 20)]
-            )
-        # The second payload's sentinel is created by its own first
-        # (failing) attempt too, so both items retry into success.
-        assert results == [11, 21]
-
-    def test_retries_exhausted_raises(self, tmp_path):
-        def fresh(index):
-            return str(tmp_path / f"s{index}")
-
-        with ParallelExecutor(2, backend="process", max_retries=0) as executor:
-            with pytest.raises(TransientWorkerError):
-                executor.map(_flaky, [(fresh(0), 1), (fresh(1), 2)])
