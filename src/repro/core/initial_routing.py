@@ -123,10 +123,13 @@ class InitialRouter:
                 checkpointed paths/history are restored and negotiation
                 continues at the next round — bit-identical to never
                 having stopped.
-            checkpoint: duck-typed writer with ``save(barrier, payload)``
+            checkpoint: duck-typed writer with
+                ``save(barrier, build_payload)``
                 (e.g. :class:`repro.resilience.CheckpointManager`);
-                called after connection ordering, after every
-                negotiation round, and on completion.
+                offered a barrier after connection ordering, after every
+                negotiation round, and on completion.  ``build_payload``
+                returns the barrier's JSON-ready state and is called
+                only when the writer writes that barrier.
             deadline: wall-clock budget as a ``tracer.elapsed()`` value;
                 checked at round boundaries — when exceeded, negotiation
                 stops with the best-so-far topology and
@@ -203,7 +206,10 @@ class InitialRouter:
             if checkpoint is not None:
                 checkpoint.save(
                     "phase1.ordering",
-                    {"order": list(order), "weight_mode": self.stats.weight_mode},
+                    lambda: {
+                        "order": list(order),
+                        "weight_mode": self.stats.weight_mode,
+                    },
                 )
             self._first_pass(order, graph, state, cost_model, paths)
 
@@ -275,7 +281,7 @@ class InitialRouter:
                 if checkpoint is not None:
                     checkpoint.save(
                         "phase1.round",
-                        self._round_payload(round_index, paths, cost_model),
+                        lambda: self._round_payload(round_index, paths, cost_model),
                     )
 
         self.stats.final_overflow = state.total_overflow()
@@ -300,7 +306,9 @@ class InitialRouter:
         if checkpoint is not None:
             checkpoint.save(
                 "phase1.done",
-                self._round_payload(self.stats.negotiation_rounds, paths, cost_model),
+                lambda: self._round_payload(
+                    self.stats.negotiation_rounds, paths, cost_model
+                ),
             )
 
         solution = RoutingSolution(self.system, netlist)

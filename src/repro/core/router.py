@@ -268,10 +268,13 @@ class SynergisticRouter:
         tracer: obs tracer receiving spans, counters and per-iteration
             events; defaults to a fresh null-sink tracer so an
             uninstrumented run pays one attribute check per hot call site.
-        checkpoint: duck-typed writer with ``save(barrier, payload)``
+        checkpoint: duck-typed writer with ``save(barrier, build_payload)``
             (e.g. :class:`repro.resilience.CheckpointManager`); when set,
-            the run persists its state at every barrier of
-            docs/resilience.md so it can be resumed bit-identically.
+            the run offers it every barrier of docs/resilience.md, so a
+            written barrier resumes bit-identically.  ``build_payload``
+            is a zero-argument callable returning the barrier's
+            JSON-ready state; a writer calls it only for a barrier it
+            writes.
         artifacts: optional warm per-topology state
             (:class:`repro.core.artifacts.RoutingArtifacts` for this
             case and pricing config) forwarded to phase I; reuses the
@@ -437,7 +440,7 @@ class SynergisticRouter:
             if checkpoint is not None and phase2_ran and lr_history is not None:
                 checkpoint.save(
                     "phase2.assigned",
-                    self._phase2_payload(
+                    lambda: self._phase2_payload(
                         solution,
                         multipliers,
                         lr_history,
@@ -530,7 +533,7 @@ class SynergisticRouter:
                         if checkpoint is not None:
                             checkpoint.save(
                                 "phase2.round",
-                                self._phase2_payload(
+                                lambda: self._phase2_payload(
                                     solution,
                                     multipliers,
                                     lr_history,
@@ -580,7 +583,7 @@ class SynergisticRouter:
         if checkpoint is not None:
             checkpoint.save(
                 "final",
-                self._phase2_payload(
+                lambda: self._phase2_payload(
                     solution,
                     multipliers,
                     lr_history,
@@ -750,7 +753,7 @@ class SynergisticRouter:
                 ``prev_incidence`` was built.
             checkpoint: when set (initial pass only — timing-round
                 candidates may be rejected, so their intermediate states
-                are not resumable), saves the ``phase2.lr`` and
+                are not resumable), offered the ``phase2.lr`` and
                 ``phase2.legalized`` barriers.
             deadline: wall-clock budget forwarded to the LR solve.
             initial_stats: phase I diagnostics embedded into checkpoint
@@ -788,7 +791,7 @@ class SynergisticRouter:
             if checkpoint is not None:
                 checkpoint.save(
                     "phase2.lr",
-                    {
+                    lambda: {
                         "paths": self._paths_payload(solution),
                         "ratios": [float(r) for r in lr_result.ratios],
                         "multipliers": self._multipliers_payload(
@@ -810,7 +813,7 @@ class SynergisticRouter:
                 if checkpoint is not None:
                     checkpoint.save(
                         "phase2.legalized",
-                        {
+                        lambda: {
                             "paths": self._paths_payload(solution),
                             "legal_ratios": [float(r) for r in legal.ratios],
                             "wire_budgets": [

@@ -87,7 +87,9 @@ def assert_valid_checkpoint(doc: Any) -> None:
 def write_checkpoint(path: Union[str, Path], doc: Dict[str, Any]) -> None:
     """Validate and write one checkpoint document as JSON."""
     assert_valid_checkpoint(doc)
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))
+    # Compact on purpose: ``indent`` switches ``json`` to its pure-Python
+    # encoder, several times slower on these documents.
+    Path(path).write_text(json.dumps(doc, sort_keys=True))
 
 
 def read_checkpoint(path: Union[str, Path]) -> Dict[str, Any]:

@@ -1,17 +1,20 @@
 """Checkpoint writing and discovery (docs/resilience.md).
 
 :class:`CheckpointManager` is the ``checkpoint`` hook the core routers
-accept (duck-typed: anything with ``save(barrier, payload)`` works — core
-never imports this package).  Each ``save`` writes one self-contained
-document via :mod:`repro.io.checkpoint_io`, embedding the case and config
-captured at construction, so :func:`repro.resilience.runner.resume` needs
-nothing but the file.
+accept (duck-typed: anything with ``save(barrier, build_payload)`` works —
+core never imports this package).  ``build_payload`` is a zero-argument
+callable returning the barrier's JSON-ready payload, so a writer that
+decides not to write a barrier pays nothing for it.  Each
+:meth:`CheckpointManager.save` writes one self-contained document via
+:mod:`repro.io.checkpoint_io`, embedding the case and config captured at
+construction, so :func:`repro.resilience.runner.resume` needs nothing but
+the file.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.arch.system import MultiFpgaSystem
 from repro.core.config import RouterConfig
@@ -56,8 +59,8 @@ class CheckpointManager:
         self._rng_state = rng_state
         self._sequence = 0
 
-    def save(self, barrier: str, payload: Dict[str, Any]) -> Path:
-        """Write one checkpoint; returns the file path."""
+    def save(self, barrier: str, build_payload: Callable[[], Dict[str, Any]]) -> Path:
+        """Write one checkpoint, building its payload once; returns the path."""
         path = self.directory / (
             f"ckpt_{self._sequence:04d}_{barrier.replace('.', '-')}.json"
         )
@@ -71,7 +74,7 @@ class CheckpointManager:
                 "case": self._case,
                 "config": self._config,
                 "rng_state": self._rng_state,
-                "payload": payload,
+                "payload": build_payload(),
             },
         )
         self._sequence += 1

@@ -15,9 +15,10 @@
   request that waited too long in the queue comes back *degraded*, not
   failed;
 * checkpoint-based preemption: a higher-priority arrival can interrupt
-  a running request at its next barrier; the loser is re-queued as a
-  ``resume_from`` request and finishes bit-identical to an
-  uninterrupted run (docs/resilience.md).
+  a running request at its next barrier; the loser writes one
+  checkpoint there, is re-queued as a ``resume_from`` request and
+  finishes bit-identical to an uninterrupted run (docs/resilience.md).
+  A request that is never preempted writes no checkpoint.
 
 Everything flows through :mod:`repro.api` — this module never touches
 ``repro.core`` internals (REPRO011) and never constructs
@@ -33,7 +34,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.api import (
     ArtifactCache,
@@ -67,18 +68,37 @@ class Preempted(Exception):
 class _PreemptingCheckpoint:
     """Checkpoint writer that turns a set event into a clean interrupt.
 
-    Delegates every ``save`` to the real :class:`CheckpointManager`
-    first, so the barrier the run resumes from is always the one that
-    was just persisted — preemption never loses work past a barrier.
+    The router offers it every barrier.  While no preemption is pending
+    it returns without building the payload; once one is, it writes the
+    barrier and raises :class:`Preempted`, so the run resumes from
+    exactly the barrier it stopped at and preemption never loses work
+    past it.  With ``every_barrier`` (the request named its own
+    ``checkpoint_dir``) it writes every barrier regardless.  The
+    :class:`CheckpointManager` comes from ``open_manager`` at the first
+    write, so a run that writes nothing builds none.
     """
 
-    def __init__(self, manager: CheckpointManager, stop: threading.Event) -> None:
-        self.manager = manager
+    def __init__(
+        self,
+        open_manager: Callable[[], CheckpointManager],
+        stop: threading.Event,
+        every_barrier: bool,
+    ) -> None:
+        self._open_manager = open_manager
+        self._manager: Optional[CheckpointManager] = None
         self._stop = stop
+        self._every_barrier = every_barrier
 
-    def save(self, barrier: str, payload: Dict[str, Any]) -> Path:
-        path = self.manager.save(barrier, payload)
-        if self._stop.is_set():
+    def save(
+        self, barrier: str, build_payload: Callable[[], Dict[str, Any]]
+    ) -> Optional[Path]:
+        preempt = self._stop.is_set()
+        if not (preempt or self._every_barrier):
+            return None
+        if self._manager is None:
+            self._manager = self._open_manager()
+        path = self._manager.save(barrier, build_payload)
+        if preempt:
             raise Preempted(path)
         return path
 
@@ -115,11 +135,9 @@ class RoutingService:
         tracer: obs tracer receiving service telemetry (and, via the
             executor, ``parallel.*`` counters); a fault-injecting tracer
             here subjects the whole service to its plan.
-        spool_dir: directory for the per-request preemption checkpoints;
-            a temporary directory (removed on close) when ``None``.
-        preemptible: attach a checkpoint writer to every request so it
-            can be interrupted at barriers; turn off to trade
-            preemptability for zero checkpoint I/O.
+        spool_dir: directory for the preemption checkpoints; each
+            request's are removed when it finishes.  A temporary
+            directory (removed on close) when ``None``.
     """
 
     def __init__(
@@ -133,7 +151,6 @@ class RoutingService:
         executor_max_retries: int = 2,
         tracer: Optional[Tracer] = None,
         spool_dir: Optional[str] = None,
-        preemptible: bool = True,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -151,7 +168,6 @@ class RoutingService:
                 max_retries=executor_max_retries,
             )
         )
-        self._preemptible = preemptible
         self._owns_spool = spool_dir is None
         self._spool = Path(
             spool_dir
@@ -240,14 +256,13 @@ class RoutingService:
             # gone from the routing budget (degraded beats late).
             remaining = max(0.0, request.slo_seconds - ticket.queue_seconds)
             effective = dataclasses.replace(request, slo_seconds=remaining)
-        factory = self._checkpoint_factory(ticket) if self._preemptible else None
         try:
             response = route_request(
                 effective,
                 tracer=self.tracer,
                 cache=self.cache,
                 executor=self.executor,
-                checkpoint_factory=factory,
+                checkpoint_factory=self._checkpoint_factory(ticket),
                 queue_seconds=ticket.queue_seconds,
                 preemptions=ticket.preemptions,
                 reraise=(Preempted,),
@@ -257,27 +272,33 @@ class RoutingService:
             return
         self._finish(ticket, response)
 
+    def _spool_dir(self, ticket: ServiceTicket) -> Path:
+        return self._spool / f"req{ticket.seq:04d}"
+
     def _checkpoint_factory(self, ticket: ServiceTicket):
-        base = (
-            Path(ticket.request.checkpoint_dir)
-            if ticket.request.checkpoint_dir is not None
-            else self._spool / f"req{ticket.seq:04d}"
-        )
+        own_dir = ticket.request.checkpoint_dir
+        base = Path(own_dir) if own_dir is not None else self._spool_dir(ticket)
         # One directory per attempt: a fresh manager restarts its write
         # sequence, so mixing attempts would corrupt latest() ordering.
         directory = base / f"attempt{ticket.preemptions}"
         stop = ticket.preempt_event
 
         def factory(system, netlist, delay_model, config, rng_state=None):
-            manager = CheckpointManager(
-                directory,
-                system,
-                netlist,
-                delay_model,
-                config=config,
-                rng_state=rng_state,
+            # CheckpointManager stays a module attribute looked up when
+            # the manager is built: perfbench/layers.py swaps it to time
+            # the writes.
+            return _PreemptingCheckpoint(
+                lambda: CheckpointManager(
+                    directory,
+                    system,
+                    netlist,
+                    delay_model,
+                    config=config,
+                    rng_state=rng_state,
+                ),
+                stop,
+                every_barrier=own_dir is not None,
             )
-            return _PreemptingCheckpoint(manager, stop)
 
         return factory
 
@@ -308,6 +329,10 @@ class RoutingService:
         )
 
     def _finish(self, ticket: ServiceTicket, response: RouteResponse) -> None:
+        if ticket.request.checkpoint_dir is None:
+            # Only preemptions write here, and the last attempt has
+            # already read the checkpoint it resumed from.
+            shutil.rmtree(self._spool_dir(ticket), ignore_errors=True)
         ticket.response = response
         self.tracer.add("serve.requests")
         if response.status == "ok":
@@ -324,8 +349,6 @@ class RoutingService:
     def _maybe_preempt_locked(self, priority: int) -> None:
         """With the lock held: interrupt the weakest running request if
         every worker is busy and the newcomer outranks it."""
-        if not self._preemptible:
-            return
         if len(self._running) < self._num_workers:
             return
         victims = [

@@ -110,6 +110,22 @@ class TestResumeBitEquality:
         )
 
 
+class TestCheckpointManager:
+    def test_save_builds_the_payload_once(self, tmp_path):
+        case = load_case("case02")
+        manager = CheckpointManager(tmp_path, case.system, case.netlist, DelayModel())
+        payload = {"order": [2, 0, 1], "weight_mode": "delay"}
+        builds = []
+
+        def build():
+            builds.append(None)
+            return payload
+
+        path = manager.save("phase1.ordering", build)
+        assert len(builds) == 1
+        assert read_checkpoint(path)["payload"] == payload
+
+
 class TestCheckpointSchema:
     def test_documents_are_schema_versioned(self, checkpointed_run):
         for path in checkpointed_run.manager.checkpoints():

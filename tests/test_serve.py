@@ -9,17 +9,21 @@ against sequential cold-run fingerprints.
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 
 import pytest
 
+import repro.serve.service as service_module
 from repro.api import (
     ArtifactCache,
+    CheckpointManager,
     FaultInjectingTracer,
     FaultPlan,
     FaultSpec,
     RouteRequest,
     route_request,
 )
+from repro.io import read_checkpoint
 from repro.obs import assert_valid_run_report, build_run_report, validate_run_report
 from repro.serve import LoadSpec, RoutingService, build_requests, run_load
 
@@ -114,10 +118,13 @@ class TestPreemption:
         assert section["requeues"] >= 1
 
     def test_priority_jumps_the_queue(self):
-        # Non-preemptible: the blocker finishes, then the queue drains
-        # in priority order — the late high-priority request waits less.
-        with RoutingService(workers=1, preemptible=False) as service:
-            blocker = service.submit(RouteRequest(contest_case="case05", tag="blk"))
+        # Nothing outranks the priority-10 blocker, so it finishes; then
+        # the queue drains in priority order — the late high-priority
+        # request waits less.
+        with RoutingService(workers=1) as service:
+            blocker = service.submit(
+                RouteRequest(contest_case="case05", tag="blk", priority=10)
+            )
             time.sleep(0.05)
             low = service.submit(
                 RouteRequest(contest_case="case02", tag="low", priority=0)
@@ -137,6 +144,135 @@ class TestPreemption:
             responses = [service.result(t, timeout=120) for t in (first, second)]
         assert all(r.status == "ok" for r in responses)
         assert all(r.preemptions == 0 for r in responses)
+
+
+# ----------------------------------------------------------------------
+# Checkpoint writes
+# ----------------------------------------------------------------------
+class _CountingWriter:
+    """Wraps a service checkpoint writer; records the barriers the
+    router offers it and the payloads it builds."""
+
+    def __init__(self, writer, spy):
+        self._writer = writer
+        self._spy = spy
+
+    def save(self, barrier, build_payload):
+        self._spy.offered.append(barrier)
+
+        def build():
+            self._spy.built.append(barrier)
+            return build_payload()
+
+        return self._writer.save(barrier, build)
+
+
+@pytest.fixture
+def checkpoint_spy(monkeypatch):
+    """Records the service's checkpoint work: managers built and files
+    written (a spy :class:`CheckpointManager` where the service looks it
+    up), barriers offered and payloads built (a :class:`_CountingWriter`
+    around each request's writer)."""
+    spy = SimpleNamespace(managers=[], saves=[], offered=[], built=[])
+
+    class SpyManager(CheckpointManager):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            spy.managers.append(self.directory)
+
+        def save(self, barrier, build_payload):
+            path = super().save(barrier, build_payload)
+            spy.saves.append(path)
+            return path
+
+    serve_route_request = service_module.route_request
+
+    def counting_route_request(request, *, checkpoint_factory, **kwargs):
+        def factory(*args, **factory_kwargs):
+            return _CountingWriter(checkpoint_factory(*args, **factory_kwargs), spy)
+
+        return serve_route_request(request, checkpoint_factory=factory, **kwargs)
+
+    monkeypatch.setattr(service_module, "CheckpointManager", SpyManager)
+    monkeypatch.setattr(service_module, "route_request", counting_route_request)
+    return spy
+
+
+def _barriers(directory):
+    return [
+        read_checkpoint(path)["barrier"]
+        for path in sorted(directory.glob("ckpt_*.json"))
+    ]
+
+
+class TestCheckpointWrites:
+    def test_unpreempted_requests_do_no_checkpoint_work(
+        self, checkpoint_spy, cold_fingerprints
+    ):
+        mix = ["case02", "case05", "case02"]
+        with RoutingService(workers=1) as service:
+            responses = service.route(
+                [RouteRequest(contest_case=c, tag=f"{i}:{c}") for i, c in enumerate(mix)]
+            )
+        assert [r.status for r in responses] == ["ok"] * 3
+        assert [r.preemptions for r in responses] == [0] * 3
+        assert [r.fingerprint for r in responses] == [
+            cold_fingerprints[c] for c in mix
+        ]
+        assert checkpoint_spy.offered, "the router offered no barrier"
+        assert checkpoint_spy.managers == []
+        assert checkpoint_spy.built == []
+
+    def test_a_preemption_writes_one_checkpoint(
+        self, checkpoint_spy, cold_fingerprints
+    ):
+        with RoutingService(workers=1) as service:
+            low = service.submit(
+                RouteRequest(contest_case="case05", tag="low", priority=0)
+            )
+            time.sleep(0.05)  # let the victim reach routing
+            high = service.submit(
+                RouteRequest(contest_case="case02", tag="high", priority=5)
+            )
+            high_response = service.result(high, timeout=120)
+            low_response = service.result(low, timeout=120)
+        assert low_response.preemptions >= 1
+        assert high_response.preemptions == 0
+        assert len(checkpoint_spy.saves) == low_response.preemptions
+        assert len(checkpoint_spy.built) == low_response.preemptions
+        assert low_response.fingerprint == cold_fingerprints["case05"]
+        assert high_response.fingerprint == cold_fingerprints["case02"]
+
+    def test_finished_requests_leave_nothing_in_the_spool(
+        self, tmp_path, cold_fingerprints
+    ):
+        spool = tmp_path / "spool"
+        with RoutingService(workers=1, spool_dir=str(spool)) as service:
+            low = service.submit(
+                RouteRequest(contest_case="case05", tag="low", priority=0)
+            )
+            time.sleep(0.05)  # let the victim reach routing
+            high = service.submit(
+                RouteRequest(contest_case="case02", tag="high", priority=5)
+            )
+            service.result(high, timeout=120)
+            low_response = service.result(low, timeout=120)
+            left = sorted(path.name for path in spool.glob("req*"))
+        assert low_response.preemptions >= 1
+        assert low_response.fingerprint == cold_fingerprints["case05"]
+        assert left == []
+
+    def test_own_checkpoint_dir_gets_every_barrier(self, tmp_path):
+        direct, served = tmp_path / "direct", tmp_path / "served"
+        request = RouteRequest(contest_case="case02", checkpoint_dir=str(direct))
+        responses = [route_request(request)]
+        with RoutingService(workers=1) as service:
+            responses += service.route(
+                [RouteRequest(contest_case="case02", checkpoint_dir=str(served))]
+            )
+        assert [r.status for r in responses] == ["ok", "ok"]
+        assert len(_barriers(direct)) >= 6
+        assert _barriers(served / "attempt0") == _barriers(direct)
 
 
 # ----------------------------------------------------------------------
