@@ -41,15 +41,13 @@ examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f > /dev/null || exit 1; done
 	@echo "all examples ran cleanly"
 
-# Performance gate: runtime budgets plus the phase I kernel and phase II
-# pipeline speedup benchmarks (docs/performance.md).  Fresh trajectories
-# land in bench_out/ and the perf-regression sentinel compares them
-# against the committed baselines (docs/observability.md) — the gate
-# fails on a statistically meaningful slowdown, not on machine noise.
+# Performance gate: runtime budgets plus the phase II pipeline speedup
+# benchmark (docs/performance.md).  Fresh trajectories land in bench_out/
+# and the perf-regression sentinel compares them against the committed
+# baselines (docs/observability.md) — the gate fails on a statistically
+# meaningful slowdown, not on machine noise.
 perf:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_performance_guards.py -q
-	REPRO_BENCH_OUT=bench_out REPRO_BENCH_BASELINE=. \
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_kernel.py --benchmark-only -q
 	REPRO_BENCH_OUT=bench_out REPRO_BENCH_BASELINE=. \
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_phase2.py --benchmark-only -q
 	PYTHONPATH=src $(PYTHON) -m repro.cli.perf_cli BENCH_phase2.json \

@@ -98,34 +98,6 @@ def test_ablation_timing_reroute(benchmark, case_name):
 
 
 @pytest.mark.parametrize("case_name", CASES)
-def test_ablation_first_pass_modes(benchmark, case_name):
-    """Exact vs batched vs Steiner-fanout first passes."""
-    case = bench_case(case_name)
-
-    def run():
-        out = {}
-        for label, kwargs in (
-            ("exact", {}),
-            ("batched", {"initial_batch_size": 2048}),
-            ("steiner>=4", {"steiner_fanout_threshold": 4}),
-        ):
-            out[label] = SynergisticRouter(
-                case.system, case.netlist, config=RouterConfig(**kwargs)
-            ).route()
-        return out
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    cells = " | ".join(
-        f"{label}: delay={r.critical_delay:.1f} conf={r.conflict_count} "
-        f"IR={r.phase_times.initial_routing:.2f}s"
-        for label, r in results.items()
-    )
-    register_report("Ablation: first-pass modes", [f"{case_name}: {cells}"])
-    for result in results.values():
-        assert result.solution.is_complete
-
-
-@pytest.mark.parametrize("case_name", CASES)
 def test_ablation_lr_vs_even_packing(benchmark, case_name):
     """Phase II value: LR pipeline vs even per-edge packing, same topology."""
     case = bench_case(case_name)

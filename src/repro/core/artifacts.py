@@ -3,24 +3,18 @@
 A routing run's cold start is dominated by work that depends only on the
 *case* (system + netlist + delay model) and a handful of pricing knobs:
 building the :class:`~repro.route.graph.RoutingGraph`, estimating edge
-weights, the Floyd–Warshall all-pairs matrix, the connection ordering,
-and — in kernel mode — the pristine-cost SSSP trees the first searches
-would otherwise recompute.  In a serving setting (docs/serving.md) the
-same few topologies are routed over and over, so this module factors
-that work into an immutable :class:`RoutingArtifacts` bundle that many
-concurrent runs can share, plus a thread-safe size-bounded
-:class:`ArtifactCache` keyed by ``(case digest, pricing knobs, epoch)``.
+weights, the Floyd–Warshall all-pairs matrix and the connection
+ordering.  In a serving setting (docs/serving.md) the same few
+topologies are routed over and over, so this module factors that work
+into an immutable :class:`RoutingArtifacts` bundle that many concurrent
+runs can share, plus a thread-safe size-bounded :class:`ArtifactCache`
+keyed by ``(case digest, pricing knobs, epoch)``.
 
 Sharing is safe because every artifact is read-only during routing: the
-graph is flat immutable arrays, the weights/dist/order are never written
-after construction, and the seed trees are consumed by value (the kernel
-stores the shared lists but never mutates a tree in place — a stale tree
-is *replaced*, not patched).  Bit-identity is preserved because the seed
-trees are built with the exact flat search the kernel itself uses, from
-the same pristine cost vector a fresh run would start from: extracting a
-path from a cached tree and running the early-exit single-target search
-relax edges in the same order with the same strict ``<`` tie-breaking,
-so the resulting paths — and everything downstream — are unchanged.
+graph is flat immutable arrays, and the weights/dist/order are never
+written after construction.  Bit-identity is preserved because
+:func:`build_artifacts` computes each artifact with exactly the
+functions a cold ``ir.prepare`` calls, in the same order.
 """
 
 from __future__ import annotations
@@ -30,27 +24,23 @@ import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.arch.system import MultiFpgaSystem
 from repro.core.config import RouterConfig
-from repro.core.cost import EdgeCostModel
 from repro.core.ordering import estimate_edge_weights, floyd_warshall, order_connections
-from repro.core.pathfinder import NegotiationState
 from repro.netlist.netlist import Netlist
 from repro.obs import get_logger
-from repro.route.dijkstra import dijkstra_all_flat
 from repro.route.graph import RoutingGraph
 from repro.timing.delay import DelayModel
 
 logger = get_logger(__name__)
 
-#: RouterConfig fields that change what the artifacts contain.  The
-#: weights (and therefore dist/order) depend on ``weight_mode``; the
-#: pristine cost vector behind the seed trees depends on the pricing
-#: constants.  Keying on all of them is deliberately conservative —
+#: RouterConfig fields the cache key carries.  The weights (and
+#: therefore dist/order) depend only on ``weight_mode``; the pricing
+#: constants are keyed too, which is deliberately conservative —
 #: over-keying costs a cache miss, under-keying would corrupt results.
 PRICING_FIELDS = (
     "mu_shared",
@@ -73,9 +63,6 @@ class RoutingArtifacts:
         dist: Floyd–Warshall all-pairs path-weight matrix.
         order: connection routing order (Section III-B).
         rank: connection index → position in ``order``.
-        seed_trees: source die → ``(dist, prev)`` SSSP tree under the
-            pristine (zero-demand, zero-history) cost vector; exactly
-            what the kernel's epoch-0 tree cache would hold.
         nbytes: rough in-memory footprint estimate used by the cache's
             byte bound.
     """
@@ -86,7 +73,6 @@ class RoutingArtifacts:
     dist: np.ndarray
     order: List[int]
     rank: Dict[int, int]
-    seed_trees: Dict[int, Tuple[List[float], List[int]]]
     nbytes: int
 
 
@@ -101,9 +87,9 @@ def build_artifacts(
 
     The computation mirrors :class:`~repro.core.initial_routing.InitialRouter`
     exactly — same functions, same order — so a run seeded from these
-    artifacts is bit-identical to a cold one.
+    artifacts is bit-identical to a cold one.  ``delay_model`` belongs to
+    the case :func:`artifact_key` digests; no artifact depends on it.
     """
-    delay_model = delay_model if delay_model is not None else DelayModel()
     config = config if config is not None else RouterConfig()
 
     def _build() -> RoutingArtifacts:
@@ -115,8 +101,7 @@ def build_artifacts(
         dist = floyd_warshall(graph, weights)
         order = order_connections(netlist, dist)
         rank = {conn_index: pos for pos, conn_index in enumerate(order)}
-        seed_trees = _build_seed_trees(graph, netlist, delay_model, config, weights)
-        nbytes = _estimate_nbytes(graph, dist, seed_trees)
+        nbytes = _estimate_nbytes(graph, dist)
         return RoutingArtifacts(
             graph=graph,
             base_weights=weights,
@@ -124,7 +109,6 @@ def build_artifacts(
             dist=dist,
             order=order,
             rank=rank,
-            seed_trees=seed_trees,
             nbytes=nbytes,
         )
 
@@ -134,52 +118,10 @@ def build_artifacts(
     return _build()
 
 
-def _build_seed_trees(
-    graph: RoutingGraph,
-    netlist: Netlist,
-    delay_model: DelayModel,
-    config: RouterConfig,
-    weights: np.ndarray,
-) -> Dict[int, Tuple[List[float], List[int]]]:
-    """Pristine-cost SSSP trees for every net source die.
-
-    Uses the same CSR row layout and flat search as
-    :class:`~repro.route.kernel.RoutingKernel`, priced by a fresh
-    :class:`EdgeCostModel` at zero demand and zero history — the exact
-    vector a cold kernel starts from, so seeding these trees at epoch 0
-    cannot change any path.
-    """
-    state = NegotiationState(graph)
-    cost_model = EdgeCostModel(graph, delay_model, config, weights)
-    cost_vec = cost_model.cost_vector(state.demand)
-    indptr = graph.csr_indptr.tolist()
-    edge_ids = graph.csr_edge.tolist()
-    neighbor_dies = graph.csr_die.tolist()
-    rows: List[List[Tuple[int, int]]] = [
-        list(
-            zip(
-                edge_ids[indptr[die] : indptr[die + 1]],
-                neighbor_dies[indptr[die] : indptr[die + 1]],
-            )
-        )
-        for die in range(graph.num_dies)
-    ]
-    sources = sorted({conn.source_die for conn in netlist.connections})
-    return {
-        source: dijkstra_all_flat(rows, source, cost_vec)
-        for source in sources
-    }
-
-
-def _estimate_nbytes(
-    graph: RoutingGraph,
-    dist: np.ndarray,
-    seed_trees: Dict[int, Tuple[List[float], List[int]]],
-) -> int:
-    """Rough footprint: the dist matrix, the trees, the CSR arrays."""
-    tree_bytes = len(seed_trees) * graph.num_dies * 16
+def _estimate_nbytes(graph: RoutingGraph, dist: np.ndarray) -> int:
+    """Rough footprint: the dist matrix and the CSR arrays."""
     graph_bytes = graph.num_edges * 40 + graph.num_dies * 8
-    return int(dist.nbytes) + tree_bytes + graph_bytes
+    return int(dist.nbytes) + graph_bytes
 
 
 # ----------------------------------------------------------------------

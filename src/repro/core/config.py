@@ -35,39 +35,6 @@ class RouterConfig:
             net on the edge.  Keeps critical nets on their short paths
             while the overflow drains; ``float("inf")`` restores the
             rip-everything behaviour.
-        initial_batch_size: when set, the first routing pass runs in
-            *batched* mode: connections are committed in waves of this
-            size, with one frozen-cost Dijkstra per distinct source die
-            per wave instead of one per connection.  5-20x faster on
-            large instances at a small quality cost (the µ discount is
-            skipped inside a wave); negotiation and all later phases stay
-            exact.  ``None`` (default) keeps the paper's per-connection
-            pass.
-        steiner_fanout_threshold: when set, nets with at least this many
-            die-crossing sinks are routed as one Steiner tree under the
-            same Eq. 2 cost model (their per-connection paths are the
-            tree paths) instead of connection by connection.  Broadcast
-            trees get built atomically — the limit of what the µ discount
-            encourages — at the cost of the per-connection ordering.
-            ``None`` (default) keeps the paper's pure per-connection
-            routing; ablated in the benchmarks.
-        use_kernel: route phase I searches through the array-driven
-            :class:`~repro.route.kernel.RoutingKernel` (flat CSR
-            adjacency, precomputed cost vector, epoch-cached SSSP trees)
-            instead of the closure-based reference search.  Exact: with
-            per-connection cost syncs the kernel prices every edge
-            bit-identically to the closure, so paths — and therefore all
-            downstream results — are unchanged; it is simply faster.
-            ``False`` restores the reference implementation (used by the
-            equivalence tests and as an escape hatch).
-        batched_negotiation: reroute each negotiation round's victims
-            under costs frozen once per round (after rip-up), so victims
-            sharing a source die reuse one cached SSSP tree instead of
-            searching individually.  Rounds already freeze history, and
-            the round's reroutes are few, so this is quality-neutral in
-            practice; ``False`` keeps the exact per-connection reroute
-            (each victim sees the demand committed by the previous one).
-            Requires ``use_kernel``; ignored without it.
         weight_mode: ``"auto"`` applies the paper's rule (delay-driven
             weights when die demand is below half the SLL capacity,
             congestion-driven otherwise); ``"delay"``/``"congestion"``
@@ -124,10 +91,6 @@ class RouterConfig:
     present_penalty: float = 4.0
     weight_mode: str = "auto"
     ripup_factor: float = 2.0
-    use_kernel: bool = True
-    batched_negotiation: bool = False
-    initial_batch_size: Optional[int] = None
-    steiner_fanout_threshold: Optional[int] = None
     timing_reroute_rounds: int = 3
 
     lr_max_iterations: int = 100
@@ -152,13 +115,6 @@ class RouterConfig:
             raise ValueError("present_penalty must be non-negative")
         if self.ripup_factor <= 0:
             raise ValueError("ripup_factor must be positive")
-        if self.initial_batch_size is not None and self.initial_batch_size <= 0:
-            raise ValueError("initial_batch_size must be positive when set")
-        if (
-            self.steiner_fanout_threshold is not None
-            and self.steiner_fanout_threshold < 2
-        ):
-            raise ValueError("steiner_fanout_threshold must be >= 2 when set")
         if self.weight_mode not in ("auto", "delay", "congestion"):
             raise ValueError("weight_mode must be auto, delay or congestion")
         if self.timing_reroute_rounds < 0:

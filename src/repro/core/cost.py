@@ -118,8 +118,7 @@ class EdgeCostModel:
 
         SLL edges below capacity keep a demand-independent cost, so a
         demand delta there refreshes to the identical value and reports
-        no change — the caller can then keep its cost epoch (and any
-        cached SSSP trees) intact.
+        no change — the caller can then keep its cost epoch.
 
         The arithmetic inlines :meth:`cost` at ``µ = 1`` with the same
         operation order, so entries stay bit-equal to

@@ -11,25 +11,24 @@ solution.  :class:`EcoRouter` supports two incremental operations:
   connections of nets whose name and pins are unchanged keep their paths;
   only new or modified nets are routed.
 
-Both preserve untouched nets' topology unless an SLL overflow forces
-negotiation (disturbed nets are reported, never hidden).
+Both hand the kept paths to the phase I router
+(:class:`~repro.core.initial_routing.InitialRouter`), which routes only
+the connections without one and negotiates any SLL overflow exactly as a
+cold run does.  Untouched nets keep their topology unless negotiation
+rips them up (disturbed nets are reported, never hidden).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.arch.system import MultiFpgaSystem
 from repro.core.config import RouterConfig
-from repro.core.cost import EdgeCostModel
 from repro.core.incidence import TdmIncidence
-from repro.core.ordering import estimate_edge_weights, floyd_warshall, order_connections
-from repro.core.pathfinder import NegotiationState
+from repro.core.initial_routing import InitialRouter
 from repro.core.router import TdmAssigner
 from repro.netlist.netlist import Netlist
-from repro.route.dijkstra import dijkstra_path
-from repro.route.graph import RoutingGraph
 from repro.route.solution import RoutingSolution
 from repro.timing.analysis import TimingAnalyzer
 from repro.timing.delay import DelayModel
@@ -42,7 +41,7 @@ class EcoResult:
     Attributes:
         solution: the updated solution (paths, ratios and wires).
         critical_delay: Eq. 1 objective after the update.
-        conflict_count: remaining SLL overflow.
+        conflict_count: remaining SLL overflow (phase I's final overflow).
         rerouted_connections: connections whose path was (re)computed.
         preserved_connections: connections whose path was carried over.
         disturbed_nets: untouched nets that negotiation had to move.
@@ -91,17 +90,11 @@ class EcoRouter:
         for net_index in sorted(targets):
             if not 0 <= net_index < netlist.num_nets:
                 raise ValueError(f"unknown net index {net_index}")
-        fresh = solution.copy_topology()
-        dirty = [
-            conn.index
+        carried = [
+            None if conn.net_index in targets else solution.path(conn.index)
             for conn in netlist.connections
-            if conn.net_index in targets
         ]
-        for conn_index in dirty:
-            fresh.clear_path(conn_index)
-        return self._route_missing(
-            netlist, fresh, protected=None, prev_incidence=prev_incidence
-        )
+        return self._route_missing(netlist, carried, prev_incidence)
 
     def migrate(
         self,
@@ -115,7 +108,7 @@ class EcoRouter:
         paths.  Everything else is routed incrementally.
         """
         old_netlist = old_solution.netlist
-        fresh = RoutingSolution(self.system, new_netlist)
+        carried: List[Optional[Sequence[int]]] = [None] * new_netlist.num_connections
         preserved = 0
         for net in new_netlist.nets:
             old_net = old_netlist.net_by_name(net.name)
@@ -135,9 +128,9 @@ class EcoRouter:
                     continue
                 path = old_solution.path(old_index)
                 if path is not None:
-                    fresh.set_path(conn.index, list(path))
+                    carried[conn.index] = path
                     preserved += 1
-        result = self._route_missing(new_netlist, fresh, protected=None)
+        result = self._route_missing(new_netlist, carried)
         result.preserved_connections = preserved
         return result
 
@@ -145,112 +138,35 @@ class EcoRouter:
     def _route_missing(
         self,
         netlist: Netlist,
-        solution: RoutingSolution,
-        protected: Optional[Set[int]],
+        carried: Sequence[Optional[Sequence[int]]],
         prev_incidence: Optional["TdmIncidence"] = None,
     ) -> EcoResult:
-        """Route every unrouted connection, negotiate, re-run phase II."""
-        graph = RoutingGraph(self.system)
-        weights = estimate_edge_weights(graph, netlist, self.config.weight_mode)
-        dist = floyd_warshall(graph, weights)
-        cost_model = EdgeCostModel(graph, self.delay_model, self.config, weights)
-
-        state = NegotiationState(graph)
-        paths: List[Optional[List[int]]] = [None] * netlist.num_connections
-        for conn in netlist.connections:
-            path = solution.path(conn.index)
-            if path is not None:
-                paths[conn.index] = list(path)
-                state.add_path(conn.net_index, list(path))
-
-        missing = [i for i, path in enumerate(paths) if path is None]
-        order = order_connections(netlist, dist)
-        rank = {conn_index: position for position, conn_index in enumerate(order)}
-        missing.sort(key=lambda i: rank[i])
-
-        def route_one(conn_index: int) -> None:
-            conn = netlist.connections[conn_index]
-            net_edges = state.net_edges(conn.net_index)
-            demand = state.demand
-            cost = cost_model.cost
-
-            def edge_cost(edge_index: int, frm: int, to: int) -> float:
-                return cost(edge_index, demand[edge_index], edge_index in net_edges)
-
-            path = dijkstra_path(
-                graph.adjacency, conn.source_die, conn.sink_die, edge_cost
-            )
-            if path is None:
-                raise RuntimeError(f"connection {conn_index} unroutable")
-            paths[conn_index] = path
-            state.add_path(conn.net_index, path)
-
-        rerouted = set(missing)
-        for conn_index in missing:
-            route_one(conn_index)
-
-        # Negotiate remaining overflow, disturbing other nets only if
-        # needed; the victim-selection quota keeps disturbance minimal.
-        net_weight = [0.0] * netlist.num_nets
-        for conn in netlist.connections:
-            weight = float(dist[conn.source_die, conn.sink_die])
-            net_weight[conn.net_index] = max(net_weight[conn.net_index], weight)
-        disturbed: Set[int] = set()
-        initially_routed_nets = {
-            conn.net_index
-            for conn in netlist.connections
-            if conn.index not in rerouted
-        }
-        import math
-
-        for _ in range(self.config.max_reroute_iterations):
-            overflowed = state.overflowed_sll_edges()
-            if not overflowed:
-                break
-            cost_model.add_history(overflowed)
-            victims: Set[int] = set()
-            for edge_index in overflowed:
-                overuse = state.overuse(edge_index)
-                nets = state.nets_on_edge(edge_index)
-                nets.sort(key=lambda n: (net_weight[n], n))
-                quota = int(math.ceil(self.config.ripup_factor * overuse))
-                victims.update(nets[:quota])
-            victim_conns = sorted(
-                (
-                    conn_index
-                    for net_index in victims
-                    for conn_index in netlist.connection_indices_of(net_index)
-                    if paths[conn_index] is not None
-                ),
-                key=lambda conn_index: rank[conn_index],
-            )
-            disturbed.update(victims & initially_routed_nets)
-            for conn_index in victim_conns:
-                conn = netlist.connections[conn_index]
-                state.remove_path(conn.net_index, paths[conn_index])
-                paths[conn_index] = None
-            for conn_index in victim_conns:
-                route_one(conn_index)
-                rerouted.add(conn_index)
-
-        final = RoutingSolution(self.system, netlist)
-        for conn_index, path in enumerate(paths):
-            if path is not None:
-                final.set_path(conn_index, path)
-
+        """Route every connection without a carried path, re-run phase II."""
+        router = InitialRouter(self.system, netlist, self.delay_model, self.config)
+        solution = router.route(carried=carried)
+        # Phase I routed the connections without a carried path, then
+        # every connection of each net negotiation ripped up.
+        rerouted = {i for i, path in enumerate(carried) if path is None}
+        for net_index in router.ripped_nets:
+            rerouted.update(netlist.connection_indices_of(net_index))
         TdmAssigner(self.system, netlist, self.delay_model, self.config).assign(
-            final,
+            solution,
             prev_incidence=prev_incidence,
             changed_connections=sorted(rerouted),
         )
         analyzer = TimingAnalyzer(self.system, netlist, self.delay_model)
         critical = (
-            analyzer.critical_delay(final) if netlist.num_connections else 0.0
+            analyzer.critical_delay(solution) if netlist.num_connections else 0.0
         )
+        carried_nets = {
+            conn.net_index
+            for conn in netlist.connections
+            if carried[conn.index] is not None
+        }
         return EcoResult(
-            solution=final,
+            solution=solution,
             critical_delay=critical,
-            conflict_count=final.conflict_count(),
+            conflict_count=router.stats.final_overflow,
             rerouted_connections=len(rerouted),
-            disturbed_nets=disturbed,
+            disturbed_nets=router.ripped_nets & carried_nets,
         )

@@ -3,18 +3,25 @@
 The router decomposes every net into connections, orders them by
 Floyd–Warshall routing weight (descending; fewer-fanout nets first on
 ties), and routes each with Dijkstra under the SLL/TDM cost model of
-:mod:`repro.core.cost`.  Because SLL edges have hard capacities, the first
-pass may overflow; negotiation rounds then raise the history cost of the
-overflowed edges, rip up every net crossing them, and reroute until the
-topology is overlap-free (or the round budget is exhausted — the remaining
-overflow is reported, never silently dropped).
+:mod:`repro.core.cost`, searched by the exact
+:class:`~repro.route.kernel.RoutingKernel`.  Because SLL edges have hard
+capacities, the first pass may overflow; negotiation rounds then raise
+the history cost of the overflowed edges, rip up the cheapest-to-move
+nets crossing them (``ceil(ripup_factor * overuse)`` per edge), and
+reroute until the topology is overlap-free (or the round budget is
+exhausted — the remaining overflow is reported, never silently dropped).
+
+One engine serves cold runs, checkpoint resume and ECO: paths restored
+from a checkpoint or carried over from an earlier solution enter the
+negotiation state first, and the first pass routes only the connections
+still without a path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.arch.system import MultiFpgaSystem
 from repro.core.config import RouterConfig
@@ -23,7 +30,7 @@ from repro.core.ordering import estimate_edge_weights, floyd_warshall, order_con
 from repro.core.pathfinder import NegotiationState
 from repro.netlist.netlist import Netlist
 from repro.obs import Tracer, get_logger
-from repro.route.dijkstra import SearchStats, dijkstra_path, extract_path
+from repro.route.dijkstra import SearchStats
 from repro.route.graph import RoutingGraph
 from repro.route.kernel import RoutingKernel
 from repro.route.solution import RoutingSolution
@@ -83,9 +90,11 @@ class InitialRouter:
             (:class:`repro.core.artifacts.RoutingArtifacts`, built for
             *this* case and pricing config).  When given, ``ir.prepare``
             reuses the prebuilt graph/weights/ordering instead of
-            recomputing them, and kernel runs are seeded with the
-            pristine-cost SSSP trees — bit-identical to a cold run,
-            just cheaper.
+            recomputing them — bit-identical to a cold run, just cheaper.
+
+    After :meth:`route`, :attr:`ripped_nets` holds the nets negotiation
+    ripped up (every connection of such a net was rerouted); ECO reports
+    its delta from it.
     """
 
     def __init__(
@@ -107,10 +116,12 @@ class InitialRouter:
         self.stats = InitialRoutingStats()
         self._search = SearchStats()
         self._kernel: Optional[RoutingKernel] = None
+        self.ripped_nets: Set[int] = set()
 
     def route(
         self,
         *,
+        carried: Optional[Sequence[Optional[Sequence[int]]]] = None,
         resume: Optional[Mapping[str, Any]] = None,
         checkpoint: Optional[Any] = None,
         deadline: Optional[float] = None,
@@ -118,6 +129,12 @@ class InitialRouter:
         """Produce an overlap-free (when feasible) routing topology.
 
         Args:
+            carried: per-connection die paths kept from an earlier
+                solution, ``None`` for each connection to route (ECO,
+                :mod:`repro.core.eco`).  They enter the negotiation state
+                before the first pass, which then routes only the
+                connections without one; negotiation may rip them up
+                like any other path.
             resume: a ``phase1.round`` checkpoint payload
                 (docs/resilience.md); the first pass is skipped, the
                 checkpointed paths/history are restored and negotiation
@@ -135,6 +152,8 @@ class InitialRouter:
                 stops with the best-so-far topology and
                 ``stats.degraded`` set.
         """
+        if carried is not None and resume is not None:
+            raise ValueError("pass carried paths or a resume payload, not both")
         netlist = self.netlist
         tracer = self.tracer
         with tracer.span("ir.prepare"):
@@ -177,30 +196,14 @@ class InitialRouter:
                     f"graph has {graph.num_edges} edges"
                 )
             cost_model.history[:] = [float(h) for h in history]
-            for conn_index, path in enumerate(resume["paths"]):
-                if path is not None:
-                    dies = [int(d) for d in path]
-                    paths[conn_index] = dies
-                    state.add_path(
-                        netlist.connections[conn_index].net_index, dies
-                    )
+            self._restore(resume["paths"], state, paths)
             self.stats = InitialRoutingStats.from_dict(resume["stats"])
             start_round = int(resume["round"]) + 1
-        if self.config.use_kernel:
-            # Seed trees are priced at zero demand/history, which only a
-            # fresh run starts from; a resumed run restores state first.
-            seed_trees = (
-                self.artifacts.seed_trees
-                if self.artifacts is not None and resume is None
-                else None
-            )
-            self._kernel = RoutingKernel(
-                graph,
-                cost_model,
-                state,
-                search_stats=self._search,
-                seed_trees=seed_trees,
-            )
+        elif carried is not None:
+            self._restore(carried, state, paths)
+        self._kernel = RoutingKernel(
+            graph, cost_model, state, search_stats=self._search
+        )
 
         if resume is None:
             if checkpoint is not None:
@@ -211,7 +214,11 @@ class InitialRouter:
                         "weight_mode": self.stats.weight_mode,
                     },
                 )
-            self._first_pass(order, graph, state, cost_model, paths)
+            self._first_pass(
+                [conn_index for conn_index in order if paths[conn_index] is None],
+                state,
+                paths,
+            )
 
         net_weight = self._net_routing_weights(dist)
         with tracer.span("ir.negotiation"):
@@ -261,23 +268,14 @@ class InitialRouter:
                 )
                 tracer.add("ir.ripped_nets", len(victim_nets))
                 tracer.add("ir.ripped_connections", len(victim_conns))
+                self.ripped_nets.update(victim_nets)
                 for conn_index in victim_conns:
                     conn = netlist.connections[conn_index]
                     state.remove_path(conn.net_index, paths[conn_index])
                     paths[conn_index] = None
-                if self._kernel is not None and self.config.batched_negotiation:
-                    # Freeze the round's costs once, post-rip-up: victims
-                    # sharing a source die then route off one cached tree.
-                    self._kernel.sync()
-                    for conn_index in victim_conns:
-                        paths[conn_index] = self._route_frozen(conn_index, state)
-                        self.stats.reroutes += 1
-                else:
-                    for conn_index in victim_conns:
-                        paths[conn_index] = self._route_connection(
-                            conn_index, graph, state, cost_model
-                        )
-                        self.stats.reroutes += 1
+                for conn_index in victim_conns:
+                    paths[conn_index] = self._route_connection(conn_index, state)
+                    self.stats.reroutes += 1
                 if checkpoint is not None:
                     checkpoint.save(
                         "phase1.round",
@@ -285,8 +283,7 @@ class InitialRouter:
                     )
 
         self.stats.final_overflow = state.total_overflow()
-        if self._kernel is not None:
-            self._kernel.publish_stats(tracer)
+        self._kernel.publish_stats(tracer)
         tracer.add("ir.connections_routed", self.stats.connections_routed)
         tracer.add("ir.reroutes", self.stats.reroutes)
         tracer.add("dijkstra.searches", self._search.searches)
@@ -333,180 +330,60 @@ class InitialRouter:
         }
 
     # ------------------------------------------------------------------
+    def _restore(
+        self,
+        saved: Sequence[Optional[Sequence[int]]],
+        state: NegotiationState,
+        paths: List[Optional[List[int]]],
+    ) -> None:
+        """Account saved per-connection paths (resumed or carried over)."""
+        if len(saved) != len(paths):
+            raise ValueError(
+                f"{len(saved)} saved paths for {len(paths)} connections"
+            )
+        connections = self.netlist.connections
+        for conn_index, path in enumerate(saved):
+            if path is not None:
+                dies = [int(d) for d in path]
+                paths[conn_index] = dies
+                state.add_path(connections[conn_index].net_index, dies)
+
     def _first_pass(
         self,
         order: List[int],
-        graph: RoutingGraph,
-        state: NegotiationState,
-        cost_model: EdgeCostModel,
-        paths: List[Optional[List[int]]],
-    ) -> None:
-        """Route every connection once (Steiner / batched / per-connection)."""
-        with self.tracer.span("ir.first_pass"):
-            order = self._steiner_first_pass(order, graph, state, cost_model, paths)
-            if self.config.initial_batch_size:
-                self._batched_first_pass(order, graph, state, cost_model, paths)
-            elif self._kernel is not None:
-                self._route_ordered(order, state, paths)
-            else:
-                for conn_index in order:
-                    paths[conn_index] = self._route_connection(
-                        conn_index, graph, state, cost_model
-                    )
-                    self.stats.connections_routed += 1
-
-    def _route_ordered(
-        self,
-        order: List[int],
         state: NegotiationState,
         paths: List[Optional[List[int]]],
     ) -> None:
-        """Kernel-exact per-connection pass over ``order``.
+        """Route each connection of ``order`` once, in that order.
 
         Inlined :meth:`_route_connection`: this loop runs once per
         connection and the call/attribute overhead is measurable at
         case07 scale.
         """
-        kernel = self._kernel
-        sync = kernel.sync
-        search = kernel.route
-        net_edges_view = state.net_edges_view
-        add_path = state.add_path
-        connections = self.netlist.connections
-        for conn_index in order:
-            conn = connections[conn_index]
-            sync()
-            path = search(
-                conn.source_die,
-                conn.sink_die,
-                net_edges_view(conn.net_index),
-            )
-            if path is None:
-                raise RuntimeError(
-                    f"connection {conn_index} (die {conn.source_die} "
-                    f"-> {conn.sink_die}) is unroutable: system "
-                    "graph disconnected"
+        with self.tracer.span("ir.first_pass"):
+            kernel = self._kernel
+            sync = kernel.sync
+            search = kernel.route
+            net_edges_view = state.net_edges_view
+            add_path = state.add_path
+            connections = self.netlist.connections
+            for conn_index in order:
+                conn = connections[conn_index]
+                sync()
+                path = search(
+                    conn.source_die,
+                    conn.sink_die,
+                    net_edges_view(conn.net_index),
                 )
-            add_path(conn.net_index, path)
-            paths[conn_index] = path
-        self.stats.connections_routed += len(order)
-
-    # ------------------------------------------------------------------
-    def _steiner_first_pass(
-        self,
-        order: List[int],
-        graph: RoutingGraph,
-        state: NegotiationState,
-        cost_model: EdgeCostModel,
-        paths: List[Optional[List[int]]],
-    ) -> List[int]:
-        """Route high-fanout nets as whole Steiner trees (optional).
-
-        Nets with at least ``steiner_fanout_threshold`` crossing sinks are
-        routed atomically under the Eq. 2 cost model, in the order their
-        first connection appears; their connections are removed from the
-        per-connection order, which is returned.
-        """
-        threshold = self.config.steiner_fanout_threshold
-        if threshold is None:
-            return order
-        from repro.route.steiner import steiner_tree_paths
-
-        netlist = self.netlist
-        demand = state.demand
-        cost = cost_model.cost
-
-        def edge_cost(edge_index: int, frm: int, to: int) -> float:
-            return cost(edge_index, demand[edge_index], False)
-
-        routed_nets = set()
-        remaining: List[int] = []
-        for conn_index in order:
-            net_index = netlist.connections[conn_index].net_index
-            net = netlist.net(net_index)
-            if len(net.crossing_sink_dies) < threshold:
-                remaining.append(conn_index)
-                continue
-            if net_index in routed_nets:
-                continue
-            routed_nets.add(net_index)
-            tree = steiner_tree_paths(
-                graph.adjacency, net.source_die, net.crossing_sink_dies, edge_cost
-            )
-            for conn in netlist.connections_of(net_index):
-                path = tree[conn.sink_die]
-                paths[conn.index] = path
-                state.add_path(net_index, path)
-                self.stats.connections_routed += 1
-        return remaining
-
-    # ------------------------------------------------------------------
-    def _batched_first_pass(
-        self,
-        order: List[int],
-        graph: RoutingGraph,
-        state: NegotiationState,
-        cost_model: EdgeCostModel,
-        paths: List[Optional[List[int]]],
-    ) -> None:
-        """Wave-based first pass: one Dijkstra per source die per wave.
-
-        Costs are frozen at the start of each wave (µ and the wave's own
-        demand growth are ignored until the next wave), so large batches
-        trade quality for throughput; the negotiation rounds and the
-        timing-driven loop that follow are exact either way.
-
-        With the kernel enabled the wave freeze is simply "don't sync
-        until the wave commits": the epoch-keyed tree cache then shares
-        one SSSP tree per distinct source die per wave.  The closure
-        fallback keeps the same semantics with an explicit demand
-        snapshot (one buffer reused across waves).
-        """
-        from repro.route.dijkstra import dijkstra_all
-
-        netlist = self.netlist
-        batch = self.config.initial_batch_size
-        kernel = self._kernel
-        if kernel is not None:
-            for start in range(0, len(order), batch):
-                kernel.sync()
-                for conn_index in order[start : start + batch]:
-                    conn = netlist.connections[conn_index]
-                    _, prev = kernel.tree(conn.source_die)
-                    path = extract_path(prev, conn.source_die, conn.sink_die)
-                    paths[conn_index] = path
-                    state.add_path(conn.net_index, path)
-                    self.stats.connections_routed += 1
-            return
-
-        cost = cost_model.cost
-        # One snapshot buffer reused across waves: the whole wave prices
-        # edges identically (committing paths mid-wave would skew later
-        # sources), without reallocating a demand copy per wave.
-        snapshot = [0] * graph.num_edges
-
-        def edge_cost(edge_index: int, frm: int, to: int) -> float:
-            return cost(edge_index, snapshot[edge_index], False)
-
-        for start in range(0, len(order), batch):
-            wave = order[start : start + batch]
-            snapshot[:] = state.demand
-            trees = {}
-            for conn_index in wave:
-                source = netlist.connections[conn_index].source_die
-                if source not in trees:
-                    _, prev = dijkstra_all(
-                        graph.adjacency, source, edge_cost, stats=self._search
+                if path is None:
+                    raise RuntimeError(
+                        f"connection {conn_index} (die {conn.source_die} "
+                        f"-> {conn.sink_die}) is unroutable: system "
+                        "graph disconnected"
                     )
-                    trees[source] = prev
-            for conn_index in wave:
-                conn = netlist.connections[conn_index]
-                path = extract_path(
-                    trees[conn.source_die], conn.source_die, conn.sink_die
-                )
+                add_path(conn.net_index, path)
                 paths[conn_index] = path
-                state.add_path(conn.net_index, path)
-                self.stats.connections_routed += 1
+            self.stats.connections_routed += len(order)
 
     # ------------------------------------------------------------------
     def _net_routing_weights(self, dist) -> List[float]:
@@ -547,59 +424,16 @@ class InitialRouter:
         return victims
 
     def _route_connection(
-        self,
-        conn_index: int,
-        graph: RoutingGraph,
-        state: NegotiationState,
-        cost_model: EdgeCostModel,
+        self, conn_index: int, state: NegotiationState
     ) -> List[int]:
         """Dijkstra one connection under the current negotiated costs."""
         conn = self.netlist.connections[conn_index]
         kernel = self._kernel
-        if kernel is not None:
-            kernel.sync()
-            path = kernel.route(
-                conn.source_die,
-                conn.sink_die,
-                state.net_edges_view(conn.net_index),
-            )
-        else:
-            net_edges = state.net_edges(conn.net_index)
-            demand = state.demand
-            cost = cost_model.cost
-
-            def edge_cost(edge_index: int, frm: int, to: int) -> float:
-                return cost(edge_index, demand[edge_index], edge_index in net_edges)
-
-            path = dijkstra_path(
-                graph.adjacency,
-                conn.source_die,
-                conn.sink_die,
-                edge_cost,
-                stats=self._search,
-            )
-        if path is None:
-            raise RuntimeError(
-                f"connection {conn_index} (die {conn.source_die} -> "
-                f"{conn.sink_die}) is unroutable: system graph disconnected"
-            )
-        state.add_path(conn.net_index, path)
-        return path
-
-    def _route_frozen(self, conn_index: int, state: NegotiationState) -> List[int]:
-        """Route one victim under the kernel's frozen round costs.
-
-        Like :meth:`_route_connection` but without the per-connection
-        cost sync: the caller froze the epoch for the whole round, so
-        same-source victims share one cached SSSP tree (the µ overlay,
-        when the net still holds edges, is still applied per net).
-        """
-        conn = self.netlist.connections[conn_index]
-        path = self._kernel.route(
+        kernel.sync()
+        path = kernel.route(
             conn.source_die,
             conn.sink_die,
             state.net_edges_view(conn.net_index),
-            prefer_tree=True,
         )
         if path is None:
             raise RuntimeError(

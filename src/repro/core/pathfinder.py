@@ -155,6 +155,3 @@ class NegotiationState:
             if over > 0:
                 histogram[over] = histogram.get(over, 0) + 1
         return histogram
-
-    def _edge_of(self, frm: int, to: int) -> int:
-        return self.graph.edge_index_between(frm, to)

@@ -278,7 +278,7 @@ class SynergisticRouter:
         artifacts: optional warm per-topology state
             (:class:`repro.core.artifacts.RoutingArtifacts` for this
             case and pricing config) forwarded to phase I; reuses the
-            prebuilt graph/ordering/seed trees, bit-identical to a cold
+            prebuilt graph/weights/ordering, bit-identical to a cold
             run (docs/serving.md).
         executor: optional externally pooled
             :class:`~repro.parallel.ParallelExecutor` serving phase II.

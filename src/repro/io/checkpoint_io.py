@@ -31,8 +31,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Union
 
 CHECKPOINT_KIND = "repro.checkpoint"
-#: v2 dropped three ``RouterConfig`` fields that every v1 document embeds.
-CHECKPOINT_SCHEMA_VERSION = 2
+#: v2 and v3 each dropped ``RouterConfig`` fields (three, then four) that
+#: every document of the version before embeds.
+CHECKPOINT_SCHEMA_VERSION = 3
 
 #: Barriers in the order a full run reaches them.  ``phase1.round`` and
 #: ``phase2.round`` recur (one checkpoint per negotiation/timing round).

@@ -13,8 +13,8 @@ them.  Feed it a JSONL trace file (``repro route --trace-out``), an
   end-to-end wall time;
 * the **critical path** — the chain of heaviest spans from the virtual
   root down through the phase I/II pipeline;
-* **derived cache rates** (SSSP tree cache, incremental incidence
-  rebuilds) computed from the raw ``kernel.*``/``incidence.*`` counters;
+* **derived rates** (incremental incidence rebuilds, reroutes, worker
+  retries, warm-artifact cache hits) computed from the raw counters;
 * **histogram quantiles** re-aggregated from ``observe`` events; and
 * Chrome ``trace_event`` and speedscope JSON exports for flamegraph
   viewing (``chrome://tracing`` / https://www.speedscope.app).
@@ -46,7 +46,6 @@ _EPS = 1e-9
 #: Derived-rate definitions: output name -> (hit keys, miss keys).  The
 #: rate is hits / (hits + misses); emitted only when the denominator > 0.
 RATE_DEFINITIONS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    "kernel.tree_cache_hit_rate": (("kernel.tree_hits",), ("kernel.tree_misses",)),
     "incidence.incremental_build_rate": (
         ("incidence.incremental_builds",),
         ("incidence.cold_builds",),

@@ -136,58 +136,6 @@ def dijkstra_all(
     return dist, prev
 
 
-def dijkstra_all_flat(
-    rows: Sequence[Sequence[Tuple[int, int]]],
-    source: int,
-    edge_costs: Sequence[float],
-    stats: Optional[SearchStats] = None,
-) -> Tuple[List[float], List[int]]:
-    """:func:`dijkstra_all` over adjacency rows and a flat cost array.
-
-    The cost of an edge is a plain array lookup instead of a Python call
-    — this is the kernel's hot search.  The relaxation order follows the
-    row order, which :class:`~repro.route.kernel.RoutingKernel` derives
-    from the graph's CSR arrays (themselves in ``adjacency`` order) — so
-    for equal cost inputs the predecessor tree is identical to the
-    closure-based search, down to tie-breaking.
-
-    Args:
-        rows: per-die list of ``(edge_index, other_die)`` pairs.
-        source: start die.
-        edge_costs: per-edge traversal cost, indexed by edge index.
-        stats: optional counters to accumulate search effort into.
-
-    Returns:
-        ``(dist, prev)`` exactly as :func:`dijkstra_all`.
-    """
-    n = len(rows)
-    dist = [float("inf")] * n
-    prev = [-1] * n
-    dist[source] = 0.0
-    heap: List[Tuple[float, int]] = [(0.0, source)]
-    push = heapq.heappush
-    pop = heapq.heappop
-    pops = 0
-    relaxations = 0
-    while heap:
-        d, die = pop(heap)
-        pops += 1
-        if d > dist[die]:
-            continue
-        for edge_index, other in rows[die]:
-            nd = d + edge_costs[edge_index]
-            if nd < dist[other]:
-                dist[other] = nd
-                prev[other] = die
-                relaxations += 1
-                push(heap, (nd, other))
-    if stats is not None:
-        stats.searches += 1
-        stats.pops += pops
-        stats.relaxations += relaxations
-    return dist, prev
-
-
 def dijkstra_path_flat(
     rows: Sequence[Sequence[Tuple[int, int]]],
     source: int,
@@ -197,9 +145,23 @@ def dijkstra_path_flat(
 ) -> Optional[List[int]]:
     """:func:`dijkstra_path` over adjacency rows and a flat cost array.
 
-    Early-exits once the target settles; for equal cost inputs the path
-    is identical to the closure-based :func:`dijkstra_path` (see
-    :func:`dijkstra_all_flat` on tie-breaking).
+    Early-exits once the target settles.  The cost of an edge is a plain
+    array lookup instead of a Python call — this is the kernel's hot
+    search.  The relaxation order follows the
+    row order, which :class:`~repro.route.kernel.RoutingKernel` derives
+    from the graph's CSR arrays (themselves in ``adjacency`` order) — so
+    for equal cost inputs the path is identical to the closure-based
+    :func:`dijkstra_path`, down to tie-breaking.
+
+    Args:
+        rows: per-die list of ``(edge_index, other_die)`` pairs.
+        source: start die.
+        target: end die.
+        edge_costs: per-edge traversal cost, indexed by edge index.
+        stats: optional counters to accumulate search effort into.
+
+    Returns:
+        The die path including both endpoints, or ``None`` if unreachable.
     """
     if source == target:
         return [source]

@@ -7,7 +7,7 @@ relaxation (the adapter closure plus :meth:`EdgeCostModel.cost`);
 :class:`RoutingKernel` replaces them with a flat per-edge cost vector
 indexed directly from the CSR search loop.
 
-Three pieces make that correct *and* cache-friendly:
+Two pieces keep that exact and cheap:
 
 * **Cost vector** — ``cost_vec[e]`` always equals
   ``EdgeCostModel.cost(e, demand[e], False)`` bit-for-bit.  The vector is
@@ -15,21 +15,13 @@ Three pieces make that correct *and* cache-friendly:
   :class:`~repro.core.pathfinder.NegotiationState` (demand deltas) and
   :class:`~repro.core.cost.EdgeCostModel` (history bumps) maintain, so a
   :meth:`sync` touches only edges that actually changed.
-* **Cost epoch** — a counter bumped by :meth:`sync` only when a refreshed
-  entry's *value* changed.  SLL edges below capacity price independently
-  of demand, so routing over them leaves the epoch (and every cached
-  tree) intact.
-* **SSSP tree cache** — one ``(dist, prev)`` tree per ``(source die,
-  epoch)``.  Any connection whose net holds no µ-discountable edges is a
-  plain array lookup plus path extraction when its source's tree is
-  cached; connections with net-used edges run a single-target search over
-  the vector patched with a small µ overlay.
+* **µ overlay** — a connection whose net already uses some edges searches
+  a copy of the vector patched, by the cost model, for exactly those
+  edges.
 
-The kernel is *exact* when the caller syncs before every search: costs,
-tie-breaking and therefore paths are identical to the closure-based
-reference.  Freezing (skipping :meth:`sync` across a wave or a
-negotiation round) turns the same machinery into the batched modes —
-shared trees amortize one search over many same-source connections.
+The caller syncs before every search, so costs, tie-breaking and
+therefore paths are identical to the closure-based reference
+(``dijkstra_path`` over ``EdgeCostModel.cost``).
 
 A kernel assumes it is the sole consumer of its state's and cost model's
 dirty sets; create at most one per routing run.
@@ -38,14 +30,9 @@ dirty sets; create at most one per routing run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple
 
-from repro.route.dijkstra import (
-    SearchStats,
-    dijkstra_all_flat,
-    dijkstra_path_flat,
-    extract_path,
-)
+from repro.route.dijkstra import SearchStats, dijkstra_path_flat
 from repro.route.graph import RoutingGraph
 
 if TYPE_CHECKING:  # imported for annotations only: repro.core builds on
@@ -56,23 +43,19 @@ if TYPE_CHECKING:  # imported for annotations only: repro.core builds on
 
 @dataclass
 class KernelStats:
-    """Cache-effectiveness counters (fed to the obs layer).
+    """Pricing counters (fed to the obs layer).
 
     Attributes:
-        tree_hits: searches answered from a cached SSSP tree.
-        tree_misses: full-tree searches run (and cached).
         epoch_bumps: syncs that found at least one changed cost value.
         overlay_searches: single-target searches run with a µ overlay.
     """
 
-    tree_hits: int = 0
-    tree_misses: int = 0
     epoch_bumps: int = 0
     overlay_searches: int = 0
 
 
 class RoutingKernel:
-    """Flat-array pricing and epoch-cached SSSP trees for phase I.
+    """Flat-array pricing for phase I.
 
     Args:
         graph: the routing graph (provides the CSR adjacency).
@@ -82,14 +65,6 @@ class RoutingKernel:
         state: the demand bookkeeping whose dirty edges drive refreshes.
         search_stats: optional shared counters the flat searches
             accumulate into (same contract as the closure searches).
-        seed_trees: optional source die → ``(dist, prev)`` SSSP trees
-            built from the *pristine* (zero-demand, zero-history) cost
-            vector (:func:`repro.core.artifacts.build_artifacts`).  They
-            enter the cache at epoch 0 — valid exactly until the first
-            cost value changes — so passing them is only correct for a
-            fresh (non-resumed) run whose initial cost vector is the
-            pristine one.  The shared lists are treated as immutable: a
-            stale tree is replaced wholesale, never patched.
     """
 
     def __init__(
@@ -98,9 +73,6 @@ class RoutingKernel:
         cost_model: "EdgeCostModel",
         state: "NegotiationState",
         search_stats: Optional[SearchStats] = None,
-        seed_trees: Optional[
-            Mapping[int, Tuple[List[float], List[int]]]
-        ] = None,
     ) -> None:
         self.graph = graph
         self.cost_model = cost_model
@@ -125,11 +97,6 @@ class RoutingKernel:
         ]
         self.cost_vec: List[float] = cost_model.cost_vector(state.demand)
         self.epoch = 0
-        #: source die -> (epoch, dist, prev)
-        self._trees: Dict[int, Tuple[int, List[float], List[int]]] = {}
-        if seed_trees:
-            for source, (dist, prev) in seed_trees.items():
-                self._trees[int(source)] = (0, dist, prev)
         # The vector above already reflects the current demand/history;
         # consume any dirtiness accumulated before the kernel existed.
         state.drain_dirty()
@@ -141,13 +108,13 @@ class RoutingKernel:
 
         Returns:
             True when at least one cost *value* changed (the epoch was
-            bumped and cached trees are stale); False when demand/history
-            deltas left every price identical.
+            bumped); False when demand/history deltas left every price
+            identical.
         """
         # The kernel is the dirty sets' sole consumer (class invariant),
         # so it reads and clears them in place rather than paying a
         # replacement-set allocation per drain — this runs once per
-        # routed connection in exact mode.
+        # routed connection.
         demand_dirty = self.state._dirty
         history_dirty = self.cost_model._dirty
         if not demand_dirty and not history_dirty:
@@ -169,29 +136,11 @@ class RoutingKernel:
             return True
         return False
 
-    def tree(self, source: int) -> Tuple[List[float], List[int]]:
-        """``(dist, prev)`` SSSP tree from ``source`` at the current epoch.
-
-        Cached per source; a cached tree is reused as long as the epoch
-        is unchanged.
-        """
-        entry = self._trees.get(source)
-        if entry is not None and entry[0] == self.epoch:
-            self.stats.tree_hits += 1
-            return entry[1], entry[2]
-        dist, prev = dijkstra_all_flat(
-            self._rows, source, self.cost_vec, stats=self.search_stats
-        )
-        self._trees[source] = (self.epoch, dist, prev)
-        self.stats.tree_misses += 1
-        return dist, prev
-
     def route(
         self,
         source: int,
         sink: int,
         net_edges: Optional[Mapping[int, int]] = None,
-        prefer_tree: bool = False,
     ) -> Optional[List[int]]:
         """Min-cost die path under the kernel's current cost vector.
 
@@ -199,15 +148,7 @@ class RoutingKernel:
             source: start die.
             sink: end die.
             net_edges: edges already used by the connection's net (the µ
-                discount applies to exactly these); a non-empty mapping
-                forces a per-net single-target search.
-            prefer_tree: on a cache miss without a µ overlay, build and
-                cache the full SSSP tree instead of running an
-                early-exit single-target search.  Callers that freeze
-                the epoch over many searches (waves, negotiation rounds)
-                set this so same-source connections share the tree;
-                per-connection exact callers leave it off, where a tree
-                would rarely be reused before the next epoch bump.
+                discount applies to exactly these).
 
         Returns:
             The die path including both endpoints, or ``None`` when the
@@ -224,27 +165,12 @@ class RoutingKernel:
             return dijkstra_path_flat(
                 self._rows, source, sink, costs, stats=self.search_stats
             )
-        entry = self._trees.get(source)
-        if entry is not None and entry[0] == self.epoch:
-            self.stats.tree_hits += 1
-            prev = entry[2]
-            if source != sink and prev[sink] < 0:
-                return None
-            return extract_path(prev, source, sink)
-        if prefer_tree:
-            _, prev = self.tree(source)
-            if source != sink and prev[sink] < 0:
-                return None
-            return extract_path(prev, source, sink)
-        self.stats.tree_misses += 1
         return dijkstra_path_flat(
             self._rows, source, sink, self.cost_vec, stats=self.search_stats
         )
 
     def publish_stats(self, tracer) -> None:
-        """Emit the cache counters to an obs tracer (``kernel.*``)."""
+        """Emit the pricing counters to an obs tracer (``kernel.*``)."""
         stats = self.stats
-        tracer.add("kernel.tree_hits", stats.tree_hits)
-        tracer.add("kernel.tree_misses", stats.tree_misses)
         tracer.add("kernel.epoch_bumps", stats.epoch_bumps)
         tracer.add("kernel.overlay_searches", stats.overlay_searches)

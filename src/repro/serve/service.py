@@ -6,8 +6,9 @@
 * an admission queue ordered by ``(priority, arrival)``, drained by a
   fixed pool of worker threads;
 * one shared :class:`repro.api.ArtifactCache`, so requests that repeat a
-  topology skip graph construction, Floyd–Warshall and the seed SSSP
-  trees (the warm path is bit-identical to the cold one);
+  topology skip graph construction, edge weights, Floyd–Warshall and
+  the connection ordering (the warm path is bit-identical to the cold
+  one);
 * one pooled :class:`repro.api.ParallelExecutor` reused by every
   request's phase II stages — thread pools spin up once per service,
   not once per request;

@@ -69,14 +69,7 @@ class TestBuildArtifacts:
         two = build_artifacts(system, netlist, dm)
         assert one.order == two.order
         assert one.weight_mode == two.weight_mode
-        assert sorted(one.seed_trees) == sorted(two.seed_trees)
-
-    def test_seed_trees_cover_every_source_die(self, tiny_case):
-        system, netlist, dm = tiny_case
-        artifacts = build_artifacts(system, netlist, dm)
-        sources = {conn.source_die for conn in netlist.connections}
-        assert set(artifacts.seed_trees) == sources
-        assert artifacts.nbytes > 0
+        assert one.nbytes == two.nbytes > 0
 
 
 # ----------------------------------------------------------------------

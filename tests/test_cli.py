@@ -333,16 +333,19 @@ class TestResumeErrors:
 
         from repro import RouterConfig
 
+        # Each version bump dropped config fields that every document of
+        # the older version embeds.
         path = tmp_path / "ckpt_0000.json"
-        doc = {
-            "kind": "repro.checkpoint",
-            "schema_version": 1,
-            "barrier": "final",
-            "sequence": 0,
-            "case": {},
-            "config": RouterConfig().to_dict(),
-            "rng_state": None,
-            "payload": {},
-        }
-        path.write_text(json.dumps(doc))
-        assert "schema_version" in self._resume_error(path, capsys)
+        for version in (1, 2):
+            doc = {
+                "kind": "repro.checkpoint",
+                "schema_version": version,
+                "barrier": "final",
+                "sequence": 0,
+                "case": {},
+                "config": RouterConfig().to_dict(),
+                "rng_state": None,
+                "payload": {},
+            }
+            path.write_text(json.dumps(doc))
+            assert "schema_version" in self._resume_error(path, capsys)

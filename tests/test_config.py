@@ -73,11 +73,6 @@ config_mappings = st.fixed_dictionaries(
         "weight_mode": st.sampled_from(["auto", "delay", "congestion"]),
         "ripup_factor": st.floats(min_value=0.1, max_value=10.0)
         | st.just(float("inf")),
-        "use_kernel": st.booleans(),
-        "batched_negotiation": st.booleans(),
-        "initial_batch_size": st.none() | st.integers(min_value=1, max_value=1000),
-        "steiner_fanout_threshold": st.none()
-        | st.integers(min_value=2, max_value=50),
         "timing_reroute_rounds": st.integers(min_value=0, max_value=5),
         "lr_max_iterations": st.integers(min_value=1, max_value=500),
         "lr_epsilon": st.floats(min_value=1e-9, max_value=1.0),

@@ -7,9 +7,13 @@ from repro import (
     DesignRuleChecker,
     Net,
     Netlist,
+    RouterConfig,
     SynergisticRouter,
 )
+from repro.benchgen import RevisionSpec, revise_netlist
 from repro.core.eco import EcoRouter
+from repro.core.incidence import TdmIncidence
+from repro.resilience.fingerprint import solution_fingerprint
 from tests.conftest import build_two_fpga_system, random_netlist
 
 
@@ -126,3 +130,61 @@ class TestMigrate:
         )
         outcome = EcoRouter(system).migrate(result.solution, clone)
         assert outcome.critical_delay <= result.critical_delay * 1.25 + 1e-9
+
+
+class TestNegotiation:
+    def test_infinite_ripup_factor(self):
+        """``ripup_factor=inf`` rips every net on an overflowed edge."""
+        system = build_two_fpga_system(sll_capacity=3)
+        netlist = random_netlist(system, 40, seed=0)
+        base = SynergisticRouter(system, netlist).route()
+        # The carried paths overflow, so the ECO must negotiate.
+        assert base.conflict_count > 0
+        config = RouterConfig(ripup_factor=float("inf"))
+        outcome = EcoRouter(system, config=config).reroute_nets(
+            base.solution, [0]
+        )
+        # Only negotiation reroutes carried paths: it ran.
+        assert outcome.disturbed_nets
+        assert outcome.rerouted_connections > len(netlist.connections_of(0))
+        assert outcome.solution.is_complete
+        assert outcome.conflict_count == outcome.solution.conflict_count()
+
+
+class TestGoldenFingerprints:
+    """ECO results pinned bit for bit, on cases where negotiation moves
+    carried nets (``disturbed_nets`` non-empty)."""
+
+    def test_migrate(self):
+        system = build_two_fpga_system(sll_capacity=22, tdm_capacity=8)
+        netlist = random_netlist(system, 40, seed=0)
+        base = SynergisticRouter(system, netlist).route()
+        spec = RevisionSpec(
+            retarget_fraction=0.1, remove_fraction=0.05, add_fraction=0.1, seed=3
+        )
+        revision = revise_netlist(netlist, system.num_dies, spec)
+        outcome = EcoRouter(system).migrate(base.solution, revision)
+        assert sorted(outcome.disturbed_nets) == [10, 13, 20]
+        assert outcome.rerouted_connections == 18
+        assert outcome.preserved_connections == 65
+        assert outcome.conflict_count == 0
+        assert outcome.critical_delay == 14.5
+        assert solution_fingerprint(outcome.solution, DelayModel()) == (
+            "a1258be2b31cba04e9cfe8bb3c2b2e61784db471aab55ab3b3e1d6627394c836"
+        )
+
+    def test_reroute_nets_with_prev_incidence(self):
+        system = build_two_fpga_system(sll_capacity=20, tdm_capacity=8)
+        netlist = random_netlist(system, 40, seed=3)
+        base = SynergisticRouter(system, netlist).route()
+        incidence = TdmIncidence(system, netlist, base.solution, DelayModel())
+        outcome = EcoRouter(system).reroute_nets(
+            base.solution, [12, 13], prev_incidence=incidence
+        )
+        assert sorted(outcome.disturbed_nets) == [18, 31]
+        assert outcome.rerouted_connections == 7
+        assert outcome.conflict_count == 0
+        assert outcome.critical_delay == 14.5
+        assert solution_fingerprint(outcome.solution, DelayModel()) == (
+            "e1af80de08db97f27d07cfddb74dbc6d2f718991be587dd2f2fef3f51c9b86f2"
+        )

@@ -1,8 +1,6 @@
 """Unit tests for the phase I initial router."""
 
-import pytest
-
-from repro import DelayModel, Net, Netlist, RouterConfig
+from repro import Net, Netlist, RouterConfig
 from repro.core.initial_routing import InitialRouter
 from tests.conftest import build_two_fpga_system, random_netlist
 
@@ -104,92 +102,6 @@ class TestWeightModeBehaviour:
         hops0 = dict.fromkeys(e for e, _ in solution.path_hops(0))
         hops1 = dict.fromkeys(e for e, _ in solution.path_hops(1))
         assert tdm34 in hops0 and tdm34 in hops1
-
-
-class TestBatchedFirstPass:
-    def test_routes_everything(self):
-        system = build_two_fpga_system()
-        netlist = random_netlist(system, 60, seed=6)
-        config = RouterConfig(initial_batch_size=16)
-        solution = InitialRouter(system, netlist, config=config).route()
-        assert solution.is_complete
-
-    def test_same_legality_as_exact(self):
-        system = build_two_fpga_system(sll_capacity=60)
-        netlist = random_netlist(system, 80, seed=7)
-        exact = InitialRouter(
-            system, netlist, config=RouterConfig(initial_batch_size=None)
-        ).route()
-        batched = InitialRouter(
-            system, netlist, config=RouterConfig(initial_batch_size=8)
-        ).route()
-        assert exact.conflict_count() == 0
-        assert batched.conflict_count() == 0
-
-    def test_wave_boundaries_refresh_costs(self):
-        # With batch=1 the batched pass equals a per-connection pass
-        # without the µ discount: still complete and legal.
-        system = build_two_fpga_system()
-        netlist = random_netlist(system, 25, seed=8)
-        config = RouterConfig(initial_batch_size=1)
-        solution = InitialRouter(system, netlist, config=config).route()
-        assert solution.is_complete
-
-    def test_bad_batch_size_rejected(self):
-        with pytest.raises(ValueError):
-            RouterConfig(initial_batch_size=0)
-
-    def test_full_router_with_batched_pass_is_legal(self):
-        from repro import DesignRuleChecker, DelayModel, SynergisticRouter
-
-        system = build_two_fpga_system(sll_capacity=100)
-        netlist = random_netlist(system, 70, seed=9)
-        config = RouterConfig(initial_batch_size=32)
-        result = SynergisticRouter(system, netlist, config=config).route()
-        report = DesignRuleChecker(system, netlist, DelayModel()).check(
-            result.solution
-        )
-        assert report.is_clean
-
-
-class TestSteinerFanoutMode:
-    def test_routes_everything(self):
-        system = build_two_fpga_system(sll_capacity=200)
-        netlist = random_netlist(system, 60, seed=10, max_fanout=6)
-        config = RouterConfig(steiner_fanout_threshold=3)
-        solution = InitialRouter(system, netlist, config=config).route()
-        assert solution.is_complete
-        assert solution.conflict_count() == 0
-
-    def test_tree_paths_share_edges(self):
-        # A broadcast net routed in tree mode crosses TDM exactly once
-        # toward its same-FPGA-B sinks.
-        system = build_two_fpga_system(sll_capacity=1000, tdm_capacity=64)
-        netlist = Netlist([Net("bcast", 3, (4, 5, 6))])
-        config = RouterConfig(steiner_fanout_threshold=2)
-        solution = InitialRouter(system, netlist, config=config).route()
-        assert len(solution.net_uses(0)) == 1
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            RouterConfig(steiner_fanout_threshold=1)
-
-    def test_low_fanout_nets_stay_per_connection(self):
-        # With a very high threshold the mode is a no-op.
-        system = build_two_fpga_system()
-        netlist = random_netlist(system, 30, seed=11)
-        base = InitialRouter(system, netlist).route()
-        config = RouterConfig(steiner_fanout_threshold=99)
-        same = InitialRouter(system, netlist, config=config).route()
-        for conn in netlist.connections:
-            assert base.path(conn.index) == same.path(conn.index)
-
-    def test_combines_with_batched_pass(self):
-        system = build_two_fpga_system(sll_capacity=200)
-        netlist = random_netlist(system, 80, seed=12, max_fanout=5)
-        config = RouterConfig(steiner_fanout_threshold=3, initial_batch_size=16)
-        solution = InitialRouter(system, netlist, config=config).route()
-        assert solution.is_complete
 
 
 class TestStats:

@@ -5,7 +5,9 @@ array-driven searches must price every edge bit-identically to the
 closure-based reference (`dijkstra_path` over `EdgeCostModel.cost`), and
 therefore find the same paths at the same total cost.  The property test
 drives random graphs, demands and histories through both and compares;
-the unit tests pin the epoch/caching semantics the batched modes rely on.
+the router-level oracle swaps a closure stand-in for the kernel and
+compares whole phase I runs; the unit tests pin the cost-epoch
+semantics of ``sync()``.
 """
 
 import random
@@ -13,13 +15,14 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.core.initial_routing
 from repro import DelayModel, Net, Netlist, RouterConfig, SystemBuilder
 from repro.core.cost import EdgeCostModel
 from repro.core.initial_routing import InitialRouter
 from repro.core.ordering import estimate_edge_weights
 from repro.core.pathfinder import NegotiationState
 from repro.obs import Tracer
-from repro.route.dijkstra import dijkstra_path, extract_path
+from repro.route.dijkstra import dijkstra_path
 from repro.route.graph import RoutingGraph
 from repro.route.kernel import RoutingKernel
 
@@ -156,45 +159,6 @@ def test_kernel_matches_closure_reference(scenario):
             state.add_path(net_index, kernel_path)
 
 
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(scenario=kernel_scenario())
-def test_kernel_tree_mode_matches_reference(scenario):
-    """Frozen-cost tree extraction equals a fresh single-target search."""
-    (
-        sll_capacity,
-        tdm_capacity,
-        num_tdm_edges,
-        seed,
-        num_paths,
-        history_rounds,
-        mode,
-    ) = scenario
-    system = build_two_fpga_system(
-        sll_capacity=sll_capacity,
-        tdm_capacity=tdm_capacity,
-        num_tdm_edges=num_tdm_edges,
-    )
-    graph, cost_model, state = build_context(system, weight_mode=mode)
-    rng = random.Random(seed)
-    for _ in range(num_paths):
-        source = rng.randrange(system.num_dies)
-        sink = rng.randrange(system.num_dies)
-        if source == sink:
-            continue
-        path = dijkstra_path(graph.adjacency, source, sink, lambda e, a, b: 1.0)
-        state.add_path(rng.randrange(8), path)
-    kernel = RoutingKernel(graph, cost_model, state)
-    kernel.sync()
-    for _ in range(8):
-        source = rng.randrange(system.num_dies)
-        sink = rng.randrange(system.num_dies)
-        tree_path = kernel.route(source, sink, None, prefer_tree=True)
-        reference_path = dijkstra_path(
-            graph.adjacency, source, sink, closure_cost(cost_model, state, None)
-        )
-        assert tree_path == reference_path
-
-
 # ----------------------------------------------------------------------
 # Epoch semantics
 # ----------------------------------------------------------------------
@@ -257,29 +221,6 @@ class TestCostEpoch:
         self.cost_model.add_history([edge])
         assert self.kernel.sync() is True
         assert self.kernel.cost_vec[edge] == self.cost_model.cost(edge, 0, False)
-
-    def test_tree_cache_hits_within_epoch_and_invalidates_across(self):
-        dist1, prev1 = self.kernel.tree(0)
-        assert self.kernel.stats.tree_misses == 1
-        dist2, prev2 = self.kernel.tree(0)
-        assert self.kernel.stats.tree_hits == 1
-        assert dist1 is dist2 and prev1 is prev2
-        # Bump the epoch: the cached tree must be rebuilt.
-        edge = self.tdm_edge()
-        a = int(self.graph.die_a[edge])
-        b = int(self.graph.die_b[edge])
-        self.state.add_path(0, [a, b])
-        assert self.kernel.sync() is True
-        self.kernel.tree(0)
-        assert self.kernel.stats.tree_misses == 2
-
-    def test_route_uses_cached_tree(self):
-        self.kernel.tree(0)
-        misses = self.kernel.stats.tree_misses
-        path = self.kernel.route(0, self.system.num_dies - 1)
-        assert path is not None
-        assert self.kernel.stats.tree_hits >= 1
-        assert self.kernel.stats.tree_misses == misses
 
 
 # ----------------------------------------------------------------------
@@ -353,34 +294,72 @@ def test_refresh_cost_entries_matches_scalar_cost():
 
 
 # ----------------------------------------------------------------------
-# Router integration: kernel on/off and batched negotiation
+# Router integration: the closure search as a whole-run oracle
 # ----------------------------------------------------------------------
-def test_kernel_and_legacy_routers_agree():
-    """use_kernel=False and True produce identical topologies."""
-    system = build_two_fpga_system(sll_capacity=3, tdm_capacity=6)
-    netlist = random_netlist(system, 60, seed=13)
-    paths = {}
-    for use_kernel in (True, False):
-        config = RouterConfig(use_kernel=use_kernel)
-        router = InitialRouter(system, netlist, config=config)
+class ClosureKernel:
+    """Closure-search stand-in for :class:`RoutingKernel`.
+
+    Installed over ``repro.core.initial_routing.RoutingKernel``, it makes
+    phase I search with ``dijkstra_path`` over ``EdgeCostModel.cost``
+    (with the µ flag for the net's own edges) — the reference the kernel
+    must reproduce path for path.
+    """
+
+    def __init__(self, graph, cost_model, state, search_stats=None):
+        self.graph = graph
+        self.cost_model = cost_model
+        self.state = state
+        self.search_stats = search_stats
+
+    def sync(self):
+        # The closure reads demand and history live; only drain the
+        # dirty sets, as the real kernel does.
+        self.state.drain_dirty()
+        self.cost_model.drain_dirty()
+        return False
+
+    def route(self, source, sink, net_edges=None):
+        return dijkstra_path(
+            self.graph.adjacency,
+            source,
+            sink,
+            closure_cost(self.cost_model, self.state, net_edges),
+            stats=self.search_stats,
+        )
+
+    def publish_stats(self, tracer):
+        pass
+
+
+@pytest.mark.parametrize(
+    "sll_capacity, tdm_capacity, num_nets, seed",
+    [
+        # Never converges: every one of the 30 negotiation rounds runs.
+        pytest.param(3, 6, 60, 13, id="unconverged"),
+        # Negotiates to a legal topology in a few rounds.
+        pytest.param(20, 8, 40, 3, id="converged"),
+    ],
+)
+def test_router_matches_closure_oracle(
+    monkeypatch, sll_capacity, tdm_capacity, num_nets, seed
+):
+    """Phase I on the kernel routes exactly as on the closure search."""
+    system = build_two_fpga_system(
+        sll_capacity=sll_capacity, tdm_capacity=tdm_capacity
+    )
+    netlist = random_netlist(system, num_nets, seed=seed)
+    runs = []
+    for kernel_class in (RoutingKernel, ClosureKernel):
+        monkeypatch.setattr(
+            repro.core.initial_routing, "RoutingKernel", kernel_class
+        )
+        router = InitialRouter(system, netlist)
         solution = router.route()
-        paths[use_kernel] = [
-            solution.path(i) for i in range(netlist.num_connections)
-        ]
-    assert paths[True] == paths[False]
-
-
-def test_batched_negotiation_routes_everything():
-    # Mildly congested: converges only after several negotiation rounds.
-    system = build_two_fpga_system(sll_capacity=12, tdm_capacity=8)
-    netlist = random_netlist(system, 24, seed=25)
-    config = RouterConfig(use_kernel=True, batched_negotiation=True)
-    router = InitialRouter(system, netlist, config=config)
-    solution = router.route()
-    assert solution.is_complete
-    assert router.stats.negotiation_rounds > 0
-    # Frozen rounds must still converge to a legal SLL topology here.
-    assert router.stats.final_overflow == 0
+        paths = [solution.path(i) for i in range(netlist.num_connections)]
+        runs.append((paths, router.stats.history, router.stats.reroutes))
+    assert runs[0][1] == runs[1][1]
+    assert runs[0][2] == runs[1][2] > 0
+    assert runs[0][0] == runs[1][0]
 
 
 def test_kernel_counters_reach_the_tracer():
@@ -390,8 +369,6 @@ def test_kernel_counters_reach_the_tracer():
     router = InitialRouter(system, netlist, tracer=tracer)
     router.route()
     counters = tracer.snapshot().counters
-    assert "kernel.tree_hits" in counters
-    assert "kernel.tree_misses" in counters
     assert "kernel.epoch_bumps" in counters
     assert "kernel.overlay_searches" in counters
     assert counters["kernel.epoch_bumps"] >= 1

@@ -37,8 +37,20 @@ HAND_TRACE = [
     _span("ir.prepare", 0.1, 0.2, parent="phase.initial_routing"),
     _span("ir.negotiation", 0.35, 0.5, parent="phase.initial_routing"),
     _span("phase.initial_routing", 0.0, 1.0),
-    {"type": "counter", "name": "kernel.tree_hits", "inc": 3, "total": 3, "t": 1.1},
-    {"type": "counter", "name": "kernel.tree_misses", "inc": 1, "total": 1, "t": 1.15},
+    {
+        "type": "counter",
+        "name": "incidence.incremental_builds",
+        "inc": 3,
+        "total": 3,
+        "t": 1.1,
+    },
+    {
+        "type": "counter",
+        "name": "incidence.cold_builds",
+        "inc": 1,
+        "total": 1,
+        "t": 1.15,
+    },
     {"type": "observe", "name": "legalization.margin", "value": 5.0, "t": 1.2},
     {"type": "observe", "name": "legalization.margin", "value": 7.0, "t": 1.25},
     _span("lr.solve", 1.55, 0.4, parent="phase.tdm_assignment"),
@@ -140,17 +152,17 @@ class TestDerivedRates:
     def test_rates_from_counters(self):
         rates = derive_rates(
             {
-                "kernel.tree_hits": 9,
-                "kernel.tree_misses": 1,
-                "incidence.incremental_builds": 3,
+                "incidence.incremental_builds": 9,
                 "incidence.cold_builds": 1,
+                "serve.artifacts.hits": 3,
+                "serve.artifacts.misses": 1,
             }
         )
-        assert rates["kernel.tree_cache_hit_rate"] == pytest.approx(0.9)
-        assert rates["incidence.incremental_build_rate"] == pytest.approx(0.75)
+        assert rates["incidence.incremental_build_rate"] == pytest.approx(0.9)
+        assert rates["serve.artifact_cache_hit_rate"] == pytest.approx(0.75)
 
     def test_zero_denominator_omitted(self):
-        assert "kernel.tree_cache_hit_rate" not in derive_rates({})
+        assert "incidence.incremental_build_rate" not in derive_rates({})
 
 
 class TestExports:
@@ -218,8 +230,8 @@ class TestLoadProfile:
         doc = TraceProfile(HAND_TRACE).to_dict()
         assert doc["kind"] == "repro.trace_profile"
         assert doc["num_spans"] == 5
-        assert doc["counters"]["kernel.tree_hits"] == 3
-        assert doc["rates"]["kernel.tree_cache_hit_rate"] == pytest.approx(0.75)
+        assert doc["counters"]["incidence.incremental_builds"] == 3
+        assert doc["rates"]["incidence.incremental_build_rate"] == pytest.approx(0.75)
         assert doc["histograms"]["legalization.margin"]["count"] == 2
 
 
