@@ -24,12 +24,11 @@ Liu, Lin).  It contains:
 * :mod:`repro.io` -- text formats for systems, netlists and solutions.
 * :mod:`repro.resilience` -- checkpoint/resume, fault injection and
   wall-clock budgets (docs/resilience.md).
-* :mod:`repro.api` -- the stable facade (:func:`~repro.api.route`,
-  :func:`~repro.api.resume`, :func:`~repro.api.evaluate`,
-  :func:`~repro.api.load_solution`); prefer it over deep submodule
-  imports.
-* :mod:`repro.cli` -- command-line entry points (the unified ``repro``
-  command plus per-task shims).
+* :mod:`repro.api` -- the stable facade (:class:`~repro.api.RouteRequest`,
+  :func:`~repro.api.route_request`, :func:`~repro.api.execute_request`,
+  :func:`~repro.api.evaluate`, :func:`~repro.api.load_solution`); prefer
+  it over deep submodule imports.
+* :mod:`repro.cli` -- the ``repro <command>`` command line.
 
 Quickstart::
 
@@ -75,13 +74,11 @@ from repro.api import (
     evaluate,
     execute_request,
     load_solution,
-    resume,
-    route,
     route_request,
     solution_fingerprint,
 )
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ArtifactCache",
@@ -113,8 +110,6 @@ __all__ = [
     "evaluate",
     "execute_request",
     "load_solution",
-    "resume",
-    "route",
     "route_request",
     "solution_fingerprint",
 ]

@@ -15,10 +15,9 @@ The canonical entry point is the schema-versioned request/response pair:
   :class:`RoutingResult`, raises on failure); what the CLI and
   :mod:`repro.serve` build on.
 
-The historical call forms — :func:`route`, :func:`resume`,
-:func:`evaluate` with positional case arguments — remain as thin shims
-over the request path and emit :class:`DeprecationWarning` (docs/api.md
-has the migration table).  :func:`load_solution` is unchanged.
+A request with ``resume_from`` continues a checkpointed run through the
+same two functions.  :func:`evaluate` re-checks a solution against a
+request's case, and :func:`load_solution` reads a solution file.
 
 Warm-start state is shared through :class:`ArtifactCache`
 (:mod:`repro.core.artifacts`): requests with ``warm_cache=True`` reuse
@@ -26,7 +25,7 @@ per-topology artifacts keyed by ``(case digest, pricing knobs, epoch)``,
 bit-identical to cold runs.
 
 Everything re-exported here (``RouterConfig``, ``FaultPlan``,
-``CheckpointManager``, ``PortfolioRouter``, ``ParallelExecutor``, ...)
+``CheckpointManager``, ``EcoRouter``, ``ParallelExecutor``, ...)
 is part of the same stable surface; ``tests/test_api_surface.py``
 snapshots the signatures so accidental breaks fail CI.
 """
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
@@ -49,7 +47,6 @@ from repro.core.artifacts import (
 )
 from repro.core.config import RouterConfig
 from repro.core.eco import EcoRouter
-from repro.core.portfolio import PortfolioRouter, default_portfolio
 from repro.core.router import (
     RoutingResult,
     SynergisticRouter,
@@ -57,6 +54,11 @@ from repro.core.router import (
     parallel_run_info,
 )
 from repro.drc import DesignRuleChecker
+from repro.io.checkpoint_io import (
+    CheckpointFormatError,
+    read_checkpoint,
+    resolve_checkpoint_path,
+)
 from repro.netlist import Netlist
 from repro.parallel import ParallelExecutor
 from repro.route import RoutingSolution
@@ -69,7 +71,6 @@ from repro.resilience import (
     solution_fingerprint,
     solution_state,
 )
-from repro.resilience import runner as _runner
 
 __all__ = [
     "ArtifactCache",
@@ -80,7 +81,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "ParallelExecutor",
-    "PortfolioRouter",
     "REQUEST_SCHEMA_VERSION",
     "RouteRequest",
     "RouteResponse",
@@ -91,14 +91,11 @@ __all__ = [
     "TdmAssigner",
     "build_artifacts",
     "default_artifact_cache",
-    "default_portfolio",
     "evaluate",
     "execute_request",
     "load_solution",
     "parallel_run_info",
     "resolve_case",
-    "resume",
-    "route",
     "route_request",
     "solution_fingerprint",
     "solution_state",
@@ -348,10 +345,7 @@ def resolve_case(
     skip re-parsing/regenerating the architecture entirely.
     """
     if request.resume_from is not None:
-        doc = _read_resume_doc(request.resume_from)
-        from repro.io.json_format import case_from_dict
-
-        return case_from_dict(doc["case"])
+        return _checkpoint_case(_read_resume_doc(request.resume_from))
     key, builder = _case_builder(request)
     if cache is None and request.warm_cache:
         cache = default_artifact_cache()
@@ -403,9 +397,17 @@ def _case_builder(
 
 
 def _read_resume_doc(resume_from: str) -> Dict[str, Any]:
-    from repro.io.checkpoint_io import read_checkpoint
+    return read_checkpoint(resolve_checkpoint_path(resume_from))
 
-    return read_checkpoint(_runner._resolve_checkpoint_path(resume_from))
+
+def _checkpoint_case(doc: Mapping[str, Any]) -> Tuple[Any, Netlist, DelayModel]:
+    """The case a checkpoint embeds; a malformed one fails as the checkpoint."""
+    from repro.io.json_format import case_from_dict
+
+    try:
+        return case_from_dict(doc["case"])
+    except ValueError as exc:
+        raise CheckpointFormatError(f"case: {exc}") from exc
 
 
 def _effective_config(
@@ -437,6 +439,22 @@ class _Prepared:
     artifacts: Optional[RoutingArtifacts]
     artifacts_state: str
 
+    def run(
+        self, tracer: Optional[Any], executor: Optional[ParallelExecutor]
+    ) -> RoutingResult:
+        """Route (or resume) the prepared case to completion."""
+        router = SynergisticRouter(
+            self.system,
+            self.netlist,
+            self.delay_model,
+            config=self.config,
+            tracer=tracer,
+            checkpoint=self.checkpoint,
+            artifacts=self.artifacts,
+            executor=executor,
+        )
+        return router.route(resume=self.resume_state)
+
 
 def _prepare(
     request: RouteRequest,
@@ -447,10 +465,11 @@ def _prepare(
 ) -> _Prepared:
     if request.resume_from is not None:
         doc = _read_resume_doc(request.resume_from)
-        from repro.io.json_format import case_from_dict
-
-        system, netlist, delay_model = case_from_dict(doc["case"])
-        config = RouterConfig.from_dict(doc["config"])
+        system, netlist, delay_model = _checkpoint_case(doc)
+        try:
+            config = RouterConfig.from_dict(doc["config"])
+        except (TypeError, ValueError) as exc:
+            raise CheckpointFormatError(f"config: {exc}") from exc
         resume_state: Optional[Dict[str, Any]] = {
             "barrier": doc["barrier"],
             "payload": doc["payload"],
@@ -538,17 +557,7 @@ def execute_request(
     prepared = _prepare(
         request, tracer=tracer, cache=cache, checkpoint_factory=checkpoint_factory
     )
-    router = SynergisticRouter(
-        prepared.system,
-        prepared.netlist,
-        prepared.delay_model,
-        config=prepared.config,
-        tracer=tracer,
-        checkpoint=prepared.checkpoint,
-        artifacts=prepared.artifacts,
-        executor=executor,
-    )
-    return router.route(resume=prepared.resume_state)
+    return prepared.run(tracer, executor)
 
 
 def route_request(
@@ -591,17 +600,7 @@ def route_request(
             checkpoint_factory=checkpoint_factory,
         )
         cache_info["artifacts"] = prepared.artifacts_state
-        router = SynergisticRouter(
-            prepared.system,
-            prepared.netlist,
-            prepared.delay_model,
-            config=prepared.config,
-            tracer=tracer,
-            checkpoint=prepared.checkpoint,
-            artifacts=prepared.artifacts,
-            executor=executor,
-        )
-        result = router.route(resume=prepared.resume_state)
+        result = prepared.run(tracer, executor)
     except reraise:
         raise
     except Exception as exc:  # noqa: BLE001 - the response carries it
@@ -634,97 +633,6 @@ def route_request(
     )
 
 
-# ----------------------------------------------------------------------
-# Legacy shims (docs/api.md migration table)
-# ----------------------------------------------------------------------
-def route(
-    request: Union[RouteRequest, Any],
-    netlist: Optional[Netlist] = None,
-    delay_model: Optional[DelayModel] = None,
-    *,
-    config: Optional[RouterConfig] = None,
-    tracer: Optional[Any] = None,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
-) -> Union[RouteResponse, RoutingResult]:
-    """Route a request — or a legacy ``(system, netlist, ...)`` case.
-
-    Canonical form: ``route(RouteRequest(...))`` returns a
-    :class:`RouteResponse`.  The legacy positional form routes the given
-    system/netlist and returns the raw :class:`RoutingResult`; it is
-    deprecated (build a :class:`RouteRequest` instead) but behaves
-    exactly as before.
-    """
-    if isinstance(request, RouteRequest):
-        if netlist is not None or delay_model is not None or config is not None:
-            raise TypeError(
-                "route(RouteRequest) takes no case/config arguments — put "
-                "them in the request"
-            )
-        if checkpoint_dir is not None:
-            request = dataclasses.replace(
-                request, checkpoint_dir=str(checkpoint_dir)
-            )
-        return route_request(request, tracer=tracer)
-    warnings.warn(
-        "route(system, netlist, ...) is deprecated; build a RouteRequest "
-        "and call route(request) or route_request(request) (docs/api.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    system = request
-    if netlist is None:
-        raise TypeError("route(system, netlist, ...) requires a netlist")
-    delay_model = delay_model if delay_model is not None else DelayModel()
-    config = config if config is not None else RouterConfig()
-    checkpoint = None
-    if checkpoint_dir is not None:
-        checkpoint = CheckpointManager(
-            checkpoint_dir, system, netlist, delay_model, config=config
-        )
-    return SynergisticRouter(
-        system,
-        netlist,
-        delay_model,
-        config=config,
-        tracer=tracer,
-        checkpoint=checkpoint,
-    ).route()
-
-
-def resume(
-    checkpoint: Union[RouteRequest, str, Path],
-    *,
-    tracer: Optional[Any] = None,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
-) -> Union[RouteResponse, RoutingResult]:
-    """Continue a checkpointed run.
-
-    Canonical form: ``resume(RouteRequest(resume_from=...))`` returns a
-    :class:`RouteResponse`.  The legacy path form
-    ``resume("runs/ckpt_0003.json")`` returns the raw
-    :class:`RoutingResult` and is deprecated.
-    """
-    if isinstance(checkpoint, RouteRequest):
-        request = checkpoint
-        if request.resume_from is None:
-            raise ValueError("resume(RouteRequest) requires resume_from")
-        if checkpoint_dir is not None:
-            request = dataclasses.replace(
-                request, checkpoint_dir=str(checkpoint_dir)
-            )
-        return route_request(request, tracer=tracer)
-    warnings.warn(
-        "resume(path) is deprecated; build a "
-        "RouteRequest(resume_from=path) and call resume(request) or "
-        "route_request(request) (docs/api.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _runner.resume(
-        checkpoint, tracer=tracer, checkpoint_dir=checkpoint_dir
-    )
-
-
 @dataclass(frozen=True)
 class Evaluation:
     """What :func:`evaluate` reports about a solution.
@@ -746,57 +654,34 @@ class Evaluation:
 
 
 def evaluate(
-    request: Union[RouteRequest, Any],
-    netlist: Optional[Netlist] = None,
-    solution: Optional[Union[RoutingSolution, Mapping[str, Any]]] = None,
-    delay_model: Optional[DelayModel] = None,
+    request: RouteRequest,
     *,
+    solution: Union[RoutingSolution, Mapping[str, Any]],
     cache: Optional[ArtifactCache] = None,
 ) -> Evaluation:
     """Independently re-check a solution: design rules plus timing.
 
-    Canonical form: ``evaluate(RouteRequest(...), solution=solution)`` —
-    the case comes from the request and the resolved case *and* the
+    The case comes from the request, and the resolved case *and* the
     checker/analyzer pair are memoized in the warm cache keyed by
     ``(case digest, epoch)``, so repeated evaluations of one topology
-    skip re-parsing the architecture.  The legacy positional form
-    ``evaluate(system, netlist, solution)`` still works (deprecated) and
-    shares the same cached analyzers.
+    skip re-parsing the architecture.  ``solution`` is a
+    :class:`RoutingSolution` or its JSON dict form.
 
     This never trusts router-reported numbers, recomputing legality and
     the critical delay from the solution alone.
     """
-    if isinstance(request, RouteRequest):
-        if netlist is not None or delay_model is not None:
-            raise TypeError(
-                "evaluate(RouteRequest) takes no netlist/delay_model — the "
-                "request's case provides them"
-            )
-        if solution is None:
-            raise TypeError("evaluate(RouteRequest) requires solution=...")
-        system, netlist, delay_model = resolve_case(request, cache=cache)
-        epoch = request.epoch
-        use_cache = request.warm_cache
-    else:
-        warnings.warn(
-            "evaluate(system, netlist, solution) is deprecated; build a "
-            "RouteRequest and call evaluate(request, solution=solution) "
-            "(docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        system = request
-        if netlist is None or solution is None:
-            raise TypeError("evaluate(system, netlist, solution) requires both")
-        delay_model = delay_model if delay_model is not None else DelayModel()
-        epoch = 0
-        use_cache = True
+    system, netlist, delay_model = resolve_case(request, cache=cache)
     if isinstance(solution, Mapping):
         from repro.io.json_format import solution_from_dict
 
         solution = solution_from_dict(solution, system, netlist)
     checker, analyzer = _evaluators(
-        system, netlist, delay_model, epoch=epoch, cache=cache, use_cache=use_cache
+        system,
+        netlist,
+        delay_model,
+        epoch=request.epoch,
+        cache=cache,
+        use_cache=request.warm_cache,
     )
     report = checker.check(solution)
     critical_delay = None
@@ -880,14 +765,3 @@ def load_solution(
     from repro.io import parse_solution_file
 
     return parse_solution_file(path, system, netlist)
-
-
-def _summary(evaluation: Evaluation) -> Dict[str, Any]:
-    """A JSON-ready summary of an :class:`Evaluation` (CLI helper)."""
-    return {
-        "is_legal": evaluation.is_legal,
-        "conflict_count": evaluation.conflict_count,
-        "critical_delay": evaluation.critical_delay,
-        "num_unrouted": len(evaluation.unrouted),
-        "num_violations": len(evaluation.violations),
-    }

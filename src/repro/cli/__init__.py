@@ -1,16 +1,8 @@
 """Command-line entry points.
 
-The unified ``repro`` command (:mod:`repro.cli.unified`) fronts every
-task as a subcommand — ``repro route``, ``repro evaluate``, ``repro
-generate``, ``repro partition``, ``repro lint``, ``repro resume``.
-
-The historical per-task console scripts remain as shims over the same
-modules:
-
-* ``repro-route`` — route a case file (or a generated contest case) and
-  write the solution.
-* ``repro-eval`` — independently evaluate a solution file: DRC + timing.
-* ``repro-gen`` — generate contest-suite case files.
-* ``repro-partition`` — partition a hypergraph across dies.
-* ``repro-lint`` — run the AST invariant linter (:mod:`repro.lint`).
+The ``repro`` command (:mod:`repro.cli.unified`) fronts every task as a
+subcommand — ``repro route``, ``repro evaluate``, ``repro generate``,
+``repro partition``, ``repro lint``, ``repro resume``, ``repro serve``,
+``repro trace`` and ``repro perf`` — each implemented by one module of
+this package.
 """

@@ -1,4 +1,4 @@
-"""``repro-eval``: independently check a solution file against its case."""
+"""``repro evaluate``: independently check a solution file against its case."""
 
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ from repro import __version__
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``repro-eval`` argument parser."""
+    """The ``repro evaluate`` argument parser."""
     parser = argparse.ArgumentParser(
-        prog="repro-eval",
+        prog="repro evaluate",
         description="Evaluate a die-level routing solution: DRC + timing.",
     )
     parser.add_argument(
@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--json",
         action="store_true",
-        help="the solution file is JSON (repro-route --json output)",
+        help="the solution file is JSON (repro route --json output)",
     )
     return parser
 

@@ -1,4 +1,4 @@
-"""``repro-gen``: generate contest-suite case files."""
+"""``repro generate``: generate contest-suite case files."""
 
 from __future__ import annotations
 
@@ -14,9 +14,9 @@ from repro import __version__
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``repro-gen`` argument parser."""
+    """The ``repro generate`` argument parser."""
     parser = argparse.ArgumentParser(
-        prog="repro-gen",
+        prog="repro generate",
         description=(
             "Generate die-level routing contest cases (Table II statistics)."
         ),

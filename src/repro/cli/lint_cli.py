@@ -1,4 +1,4 @@
-"""``repro-lint``: run the invariant linter over source trees.
+"""``repro lint``: run the invariant linter over source trees.
 
 Front-end for :mod:`repro.lint`.  Exit status: 0 when no active
 findings, 1 when the tree has violations, 2 on usage errors (argparse).
@@ -20,9 +20,9 @@ from repro.lint import LintReport, all_rules, lint_paths, resolve_rules
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``repro-lint`` argument parser."""
+    """The ``repro lint`` argument parser."""
     parser = argparse.ArgumentParser(
-        prog="repro-lint",
+        prog="repro lint",
         description=(
             "AST-based invariant linter for the repro codebase: "
             "determinism, observability discipline and configuration "
@@ -106,7 +106,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         rules = resolve_rules(args.rules.split(",")) if args.rules else None
     except KeyError as exc:
-        print(f"repro-lint: {exc.args[0]}", file=sys.stderr)
+        print(f"repro lint: {exc.args[0]}", file=sys.stderr)
         return 2
     report = lint_paths(args.paths, rules=rules)
     if args.format == "json":

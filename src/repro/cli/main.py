@@ -1,4 +1,4 @@
-"""``repro-route``: route a case and report/emit the solution."""
+"""``repro route``: route a case and report/emit the solution."""
 
 from __future__ import annotations
 
@@ -18,9 +18,9 @@ from repro.io import parse_case_file, write_solution_file
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``repro-route`` argument parser."""
+    """The ``repro route`` argument parser."""
     parser = argparse.ArgumentParser(
-        prog="repro-route",
+        prog="repro route",
         description=(
             "Synergistic die-level router for multi-FPGA systems "
             "(DAC 2025 reproduction)."
@@ -47,8 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--router",
         default="ours",
-        help="router to run: ours, portfolio, winner1, winner2, winner3, "
-        "iseda2024, adapted-fpga-level",
+        help="router to run: ours, winner1, winner2, winner3, iseda2024, "
+        "adapted-fpga-level",
     )
     parser.add_argument(
         "--workers",
@@ -120,13 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_router(name: str):
-    if name in ("ours", "portfolio"):
+    if name == "ours":
         return None  # handled by the main path
     from repro.baselines import all_baseline_routers
 
     routers = all_baseline_routers()
     if name not in routers:
-        choices = ["ours", "portfolio"] + sorted(routers)
+        choices = ["ours"] + sorted(routers)
         raise SystemExit(f"unknown router {name!r}; choose from {choices}")
     return routers[name]
 
@@ -177,17 +177,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 config={"num_workers": args.workers},
                 checkpoint_dir=args.checkpoint_dir,
             )
-        if args.router == "portfolio":
-            from repro.api import PortfolioRouter, default_portfolio
-
-            outcome = PortfolioRouter(
-                system, netlist, delay_model, default_portfolio(request.config)
-            ).route()
-            result = outcome.best
-            if not args.quiet:
-                for row in outcome.table():
-                    print(f"  {row}")
-        elif baseline_cls is None:
             result = execute_request(request, tracer=tracer)
         else:
             result = baseline_cls(system, netlist, delay_model).route()

@@ -1,8 +1,8 @@
-"""``repro-partition``: partition a flat design onto a case's dies.
+"""``repro partition``: partition a flat design onto a case's dies.
 
 Takes a hypergraph (hMETIS ``.hgr``) or generates a synthetic design,
 partitions it onto the dies of a case file's system, and emits a new case
-file whose netlist is the partitioned design — ready for ``repro-route``.
+file whose netlist is the partitioned design — ready for ``repro route``.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from repro import __version__
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``repro-partition`` argument parser."""
+    """The ``repro partition`` argument parser."""
     parser = argparse.ArgumentParser(
-        prog="repro-partition",
+        prog="repro partition",
         description=(
             "Partition a flat design onto the dies of a multi-FPGA system "
             "and emit a routable case file."

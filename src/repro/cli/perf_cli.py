@@ -31,7 +31,7 @@ from repro.obs.sentinel import (
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro perf`` argument parser."""
     parser = argparse.ArgumentParser(
-        prog="repro-perf",
+        prog="repro perf",
         description=(
             "Perf-regression sentinel: compare a fresh benchmark "
             "trajectory or run report against a committed baseline and "

@@ -25,7 +25,7 @@ from repro.obs.profile import TraceProfile
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro trace`` argument parser."""
     parser = argparse.ArgumentParser(
-        prog="repro-trace",
+        prog="repro trace",
         description=(
             "Analyze a JSONL instrumentation trace: span-tree self-time "
             "attribution, critical path, cache rates, histogram quantiles "

@@ -12,9 +12,7 @@ One executable, one subcommand per task::
     repro perf BENCH_phase2.json bench_out/BENCH_phase2.json
 
 Each subcommand delegates to the matching single-purpose module in
-:mod:`repro.cli`; the historical per-task console scripts
-(``repro-route``, ``repro-eval``, ...) remain as shims over the same
-code.
+:mod:`repro.cli`.
 """
 
 from __future__ import annotations

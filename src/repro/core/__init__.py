@@ -28,15 +28,11 @@ from repro.core.legalization import TdmLegalizer
 from repro.core.wire_assignment import WireAssigner
 from repro.core.router import PhaseTimes, RoutingResult, SynergisticRouter, TdmAssigner
 from repro.core.eco import EcoResult, EcoRouter
-from repro.core.portfolio import PortfolioOutcome, PortfolioRouter, default_portfolio
 from repro.core.timing_reroute import TimingDrivenRefiner
 
 __all__ = [
     "EcoResult",
     "EcoRouter",
-    "PortfolioOutcome",
-    "PortfolioRouter",
-    "default_portfolio",
     "IncidenceDelta",
     "InitialRouter",
     "TdmIncidence",

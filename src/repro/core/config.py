@@ -13,7 +13,8 @@ class RouterConfig:
     Construction is keyword-only: every knob must be named, so configs
     survive field reordering and read unambiguously at call sites.
     ``to_dict``/``from_dict`` give an exact round-trip used by
-    checkpoints (:mod:`repro.resilience`) and the CLI's ``--config``.
+    checkpoints (:mod:`repro.resilience`) and ``RouteRequest`` dicts
+    (:mod:`repro.api`).
 
     Phase I (initial routing):
 
@@ -138,7 +139,7 @@ class RouterConfig:
             raise ValueError("worker_retry_backoff_seconds must be non-negative")
 
     # ------------------------------------------------------------------
-    # Exact dict round-trip (checkpoints, CLI --config)
+    # Exact dict round-trip (checkpoints, request dicts)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """Field-name → value mapping; ``from_dict(to_dict())`` is exact.

@@ -314,8 +314,8 @@ class SynergisticRouter:
 
         Args:
             resume: a ``{"barrier": ..., "payload": ...}`` mapping from a
-                checkpoint (use :func:`repro.resilience.resume` rather
-                than building one by hand).  The run restores the
+                checkpoint (``execute_request(RouteRequest(resume_from=...))``
+                reads it from a checkpoint file).  The run restores the
                 barrier's state and falls through into the ordinary
                 control flow, so the result is bit-identical to an
                 uninterrupted run.

@@ -3,8 +3,8 @@
 The contest's exact file format is not public; this package defines a
 simple line-oriented format (documented in :mod:`repro.io.contest_format`)
 that captures the same information, plus a solution format that the
-``repro-eval`` CLI can re-check independently of the router that produced
-it.
+``repro evaluate`` command can re-check independently of the router that
+produced it.
 """
 
 from repro.io.contest_format import (
@@ -20,6 +20,7 @@ from repro.io.solution_io import (
     write_solution_file,
 )
 from repro.io.checkpoint_io import (
+    BARRIER_PAYLOAD_KEYS,
     CHECKPOINT_KIND,
     CHECKPOINT_SCHEMA_VERSION,
     KNOWN_BARRIERS,
@@ -41,6 +42,7 @@ from repro.io.json_format import (
 )
 
 __all__ = [
+    "BARRIER_PAYLOAD_KEYS",
     "CHECKPOINT_KIND",
     "CHECKPOINT_SCHEMA_VERSION",
     "KNOWN_BARRIERS",

@@ -14,7 +14,7 @@ Schema::
 
     {
       "kind": "repro.checkpoint",
-      "schema_version": 2,
+      "schema_version": 3,
       "barrier": "<one of KNOWN_BARRIERS>",
       "sequence": <int, write order within a run>,
       "case": {...},          # case_to_dict
@@ -35,18 +35,22 @@ CHECKPOINT_KIND = "repro.checkpoint"
 #: every document of the version before embeds.
 CHECKPOINT_SCHEMA_VERSION = 3
 
-#: Barriers in the order a full run reaches them.  ``phase1.round`` and
-#: ``phase2.round`` recur (one checkpoint per negotiation/timing round).
-KNOWN_BARRIERS = (
-    "phase1.ordering",
-    "phase1.round",
-    "phase1.done",
-    "phase2.lr",
-    "phase2.legalized",
-    "phase2.assigned",
-    "phase2.round",
-    "final",
-)
+#: Barrier -> the payload keys resuming from it reads, with the barriers
+#: in the order a full run reaches them.  ``phase1.round`` and
+#: ``phase2.round`` recur (one checkpoint per negotiation/timing round);
+#: resume recomputes the ``phase1.ordering`` payload instead of reading it.
+BARRIER_PAYLOAD_KEYS = {
+    "phase1.ordering": (),
+    "phase1.round": ("history", "paths", "round", "stats"),
+    "phase1.done": ("paths", "stats"),
+    "phase2.lr": ("lr_history", "paths", "ratios"),
+    "phase2.legalized": ("legal_ratios", "lr_history", "paths", "wire_budgets"),
+    "phase2.assigned": ("solution",),
+    "phase2.round": ("solution",),
+    "final": ("solution",),
+}
+
+KNOWN_BARRIERS = tuple(BARRIER_PAYLOAD_KEYS)
 
 
 class CheckpointFormatError(ValueError):
@@ -73,6 +77,11 @@ def validate_checkpoint(doc: Any) -> List[str]:
     for key in ("case", "config", "payload"):
         if not isinstance(doc.get(key), dict):
             problems.append(f"{key} must be an object")
+    payload = doc.get("payload")
+    if barrier in BARRIER_PAYLOAD_KEYS and isinstance(payload, dict):
+        missing = [k for k in BARRIER_PAYLOAD_KEYS[barrier] if k not in payload]
+        if missing:
+            problems.append(f"{barrier} payload lacks {', '.join(missing)}")
     if "rng_state" not in doc:
         problems.append("rng_state is required (null for deterministic runs)")
     return problems
@@ -91,6 +100,21 @@ def write_checkpoint(path: Union[str, Path], doc: Dict[str, Any]) -> None:
     # Compact on purpose: ``indent`` switches ``json`` to its pure-Python
     # encoder, several times slower on these documents.
     Path(path).write_text(json.dumps(doc, sort_keys=True))
+
+
+def resolve_checkpoint_path(checkpoint: Union[str, Path]) -> Path:
+    """A checkpoint file, or the latest checkpoint inside a directory.
+
+    Raises:
+        CheckpointFormatError: when the directory holds no checkpoints.
+    """
+    path = Path(checkpoint)
+    if path.is_dir():
+        candidates = sorted(path.glob("ckpt_*.json"))
+        if not candidates:
+            raise CheckpointFormatError(f"no checkpoints in {path}")
+        return candidates[-1]
+    return path
 
 
 def read_checkpoint(path: Union[str, Path]) -> Dict[str, Any]:

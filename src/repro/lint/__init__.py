@@ -13,7 +13,7 @@ corrupt benchmarks.  The pieces:
 * :mod:`repro.lint.finding` — the flat finding/report model shared by
   the text and JSON renderers.
 
-The ``repro-lint`` console script (:mod:`repro.cli.lint_cli`) fronts
+The ``repro lint`` command (:mod:`repro.cli.lint_cli`) fronts
 this package; ``tests/test_lint_rules.py`` gates ``src/repro`` itself on
 a clean run.
 

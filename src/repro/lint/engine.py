@@ -246,7 +246,7 @@ def _parse_suppressions(
                     line=lineno,
                     col=col,
                     message=f"disable comment names unknown rule {unknown!r}",
-                    remedy="fix the rule id (see repro-lint --list-rules)",
+                    remedy="fix the rule id (see repro lint --list-rules)",
                 )
             )
         if match.group("scope"):

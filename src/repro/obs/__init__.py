@@ -11,7 +11,7 @@ Dependency-free instrumentation substrate for the whole routing flow
 * :func:`get_logger` / :func:`configure_logging` (:mod:`repro.obs.log`) —
   stdlib logging namespaced under ``repro``.
 * Run reports (:mod:`repro.obs.report`) — the schema-versioned JSON
-  document ``repro-route --metrics-out`` writes and benchmarks diff.
+  document ``repro route --metrics-out`` writes and benchmarks diff.
 * Quantile sketches (:mod:`repro.obs.quantiles`) — the bounded-memory
   histogram backend behind ``Tracer.observe`` (p50/p90/p99 digests).
 * Trace profiles (:mod:`repro.obs.profile`) — span-tree reconstruction,

@@ -4,7 +4,7 @@ A run report is a single schema-versioned JSON document capturing one
 routing run end to end: the objective and legality, the Fig. 5(b) phase
 breakdown, the per-iteration PathFinder and Lagrangian convergence series,
 the wire-assignment counters and the tracer's aggregate telemetry.
-Benchmarks diff these documents across commits; ``repro-route
+Benchmarks diff these documents across commits; ``repro route
 --metrics-out report.json`` writes one; :func:`validate_run_report` is the
 schema check CI runs (``make trace``).
 

@@ -92,9 +92,9 @@ class TelemetrySnapshot:
 class Span:
     """One timed region; returned by :meth:`Tracer.span`.
 
-    Use as a context manager; spans nest (the tracer tracks the enclosing
-    span per thread of entry — phase-level spans are entered from the main
-    thread only).
+    Use as a context manager; spans nest.  The tracer keeps one stack of
+    open spans per thread, so a span's parent is the innermost span its
+    own thread has open, however many threads share the tracer.
     """
 
     __slots__ = ("tracer", "name", "attrs", "start", "duration", "_parent")
@@ -108,7 +108,7 @@ class Span:
         self._parent: Optional[str] = None
 
     def __enter__(self) -> "Span":
-        stack = self.tracer._stack
+        stack = self.tracer._span_stack()
         self._parent = stack[-1] if stack else None
         stack.append(self.name)
         self.start = time.perf_counter()
@@ -116,7 +116,7 @@ class Span:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.duration = time.perf_counter() - self.start
-        stack = self.tracer._stack
+        stack = self.tracer._span_stack()
         if stack and stack[-1] == self.name:
             stack.pop()
         if exc_type is not None:
@@ -166,7 +166,7 @@ class Tracer:
         self._gauges: Dict[str, float] = {}
         self._timers: Dict[str, float] = {}
         self._histograms: Dict[str, QuantileAccumulator] = {}
-        self._stack: List[str] = []
+        self._local = threading.local()
         self._num_spans = 0
         self._num_events = 0
 
@@ -178,6 +178,13 @@ class Tracer:
         repeated rounds of the same phase total up.
         """
         return Span(self, name, attrs)
+
+    def _span_stack(self) -> List[str]:
+        """The calling thread's stack of open span names."""
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
+        return stack
 
     def _record_span(self, span: Span) -> None:
         with self._lock:

@@ -2,10 +2,11 @@
 
 See docs/resilience.md.  Three pieces:
 
-* **Checkpoint/resume** — :class:`CheckpointManager` writes
-  schema-versioned checkpoints at the router's natural barriers;
-  :func:`resume` continues a run from any of them, bit-identical to an
-  uninterrupted run (:func:`solution_fingerprint`-verified).
+* **Checkpoints** — :class:`CheckpointManager` writes schema-versioned
+  checkpoints at the router's natural barriers; a
+  ``RouteRequest(resume_from=...)`` (:mod:`repro.api`) continues a run
+  from any of them, bit-identical to an uninterrupted run
+  (:func:`solution_fingerprint`-verified).
 * **Fault injection** — :class:`FaultPlan` + :class:`FaultInjectingTracer`
   deterministically raise/delay/kill-worker at the Nth entry of a named
   span or executor task; the executor retries
@@ -24,7 +25,6 @@ from repro.resilience.faults import (
     WorkerKilled,
 )
 from repro.resilience.fingerprint import solution_fingerprint, solution_state
-from repro.resilience.runner import resume
 
 __all__ = [
     "CheckpointManager",
@@ -33,7 +33,6 @@ __all__ = [
     "FaultSpec",
     "InjectedFault",
     "WorkerKilled",
-    "resume",
     "solution_fingerprint",
     "solution_state",
 ]

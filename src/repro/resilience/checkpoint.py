@@ -7,8 +7,8 @@ callable returning the barrier's JSON-ready payload, so a writer that
 decides not to write a barrier pays nothing for it.  Each
 :meth:`CheckpointManager.save` writes one self-contained document via
 :mod:`repro.io.checkpoint_io`, embedding the case and config captured at
-construction, so :func:`repro.resilience.runner.resume` needs nothing but
-the file.
+construction, so resuming (``RouteRequest(resume_from=...)``) needs
+nothing but the file.
 """
 
 from __future__ import annotations

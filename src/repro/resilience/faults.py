@@ -11,8 +11,8 @@ Wiring: :class:`FaultInjectingTracer` is a drop-in
 :class:`repro.obs.Tracer` that fires the plan at every span entry, and
 :class:`repro.parallel.ParallelExecutor` picks the plan off its tracer's
 ``fault_plan`` attribute and fires it once per task attempt — so a single
-tracer handed to :func:`repro.api.route` chaos-tests the whole stack with
-no core-code changes.
+tracer handed to :func:`repro.api.execute_request` chaos-tests the whole
+stack with no core-code changes.
 
 Actions:
 

@@ -4,8 +4,8 @@ A fingerprint digests exactly the surfaces the resume guarantee covers:
 the per-use TDM ratios, the wire packing (wire order, per-wire ratio and
 net order), the routed paths, and the critical delay.  Two runs with
 equal fingerprints are interchangeable for every downstream consumer;
-the resilience tests use this to prove ``resume(checkpoint)`` matches an
-uninterrupted run bit for bit.
+the resilience tests use this to prove a run resumed from a checkpoint
+matches an uninterrupted run bit for bit.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The request/response surface: round-trips, validation, dual paths.
+"""The request/response surface: round-trips, validation, execution.
 
 ``RouteRequest``/``RouteResponse`` are the wire format of the serving
 layer (docs/api.md): ``from_dict(to_dict())`` must be *exact* — property
@@ -189,12 +189,13 @@ class TestRouteRequestExecution:
         assert resumed.fingerprint == origin.fingerprint
 
     def test_legacy_and_canonical_paths_agree(self):
+        """The router called directly, as before requests existed, and
+        a request for the same case give the same solution."""
         from repro.benchgen import load_case
         from repro.timing import DelayModel
 
         case = load_case("case02")
-        with pytest.warns(DeprecationWarning):
-            legacy = api.route(case.system, case.netlist)
+        legacy = api.SynergisticRouter(case.system, case.netlist).route()
         canonical = api.route_request(RouteRequest(contest_case="case02"))
         fingerprint = api.solution_fingerprint(legacy.solution, DelayModel())
         assert fingerprint == canonical.fingerprint

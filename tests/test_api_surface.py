@@ -2,15 +2,14 @@
 
 ``repro.api`` (re-exported from ``repro``) is the stable import surface
 (docs/api.md).  These tests pin the facade's entry-point signatures and
-export list, so any accidental parameter rename/removal — an API break
-for downstream users — fails CI rather than shipping silently.
+both export lists, so any accidental parameter rename/removal — an API
+break for downstream users — fails CI rather than shipping silently.
 Additions are fine: extend the snapshot in the same change.
 
-Two surfaces coexist: the canonical request/response entry points
-(``RouteRequest``/``RouteResponse``/``route_request``/...) and the
-deprecated legacy shims they subsume (``route(system, netlist, ...)``,
-``resume(path)``, ``evaluate(system, netlist, solution)``).  Both are
-pinned: the shims stay callable until a semver-major release drops them.
+There is one way in per job: ``route_request``/``execute_request`` route
+or resume a :class:`~repro.api.RouteRequest`, ``evaluate(request,
+solution=...)`` re-checks a solution and ``load_solution`` reads one.
+Removing or renaming any of them is a semver-major release.
 """
 
 from __future__ import annotations
@@ -25,35 +24,16 @@ import repro.api as api
 #: name -> exact signature string.  Update deliberately, never casually:
 #: loosening/renaming anything here is a semver-major API break.
 SIGNATURES = {
-    # Dual-surface shims: first parameter accepts a RouteRequest
-    # (canonical) or the legacy positional case (deprecated).
-    "route": (
-        "(request: 'Union[RouteRequest, Any]', "
-        "netlist: 'Optional[Netlist]' = None, "
-        "delay_model: 'Optional[DelayModel]' = None, *, "
-        "config: 'Optional[RouterConfig]' = None, "
-        "tracer: 'Optional[Any]' = None, "
-        "checkpoint_dir: 'Optional[Union[str, Path]]' = None) "
-        "-> 'Union[RouteResponse, RoutingResult]'"
-    ),
-    "resume": (
-        "(checkpoint: 'Union[RouteRequest, str, Path]', *, "
-        "tracer: 'Optional[Any]' = None, "
-        "checkpoint_dir: 'Optional[Union[str, Path]]' = None) "
-        "-> 'Union[RouteResponse, RoutingResult]'"
-    ),
     "evaluate": (
-        "(request: 'Union[RouteRequest, Any]', "
-        "netlist: 'Optional[Netlist]' = None, "
-        "solution: 'Optional[Union[RoutingSolution, Mapping[str, Any]]]' = None, "
-        "delay_model: 'Optional[DelayModel]' = None, *, "
+        "(request: 'RouteRequest', *, "
+        "solution: 'Union[RoutingSolution, Mapping[str, Any]]', "
         "cache: 'Optional[ArtifactCache]' = None) -> 'Evaluation'"
     ),
     "load_solution": (
         "(path: 'Union[str, Path]', system: 'Any', netlist: 'Netlist', *, "
         "format: 'str' = 'auto') -> 'RoutingSolution'"
     ),
-    # The canonical request/response entry points.
+    # The request/response entry points.
     "route_request": (
         "(request: 'RouteRequest', *, tracer: 'Optional[Any]' = None, "
         "cache: 'Optional[ArtifactCache]' = None, "
@@ -86,7 +66,6 @@ EXPORTS = [
     "FaultPlan",
     "FaultSpec",
     "ParallelExecutor",
-    "PortfolioRouter",
     "REQUEST_SCHEMA_VERSION",
     "RouteRequest",
     "RouteResponse",
@@ -97,17 +76,48 @@ EXPORTS = [
     "TdmAssigner",
     "build_artifacts",
     "default_artifact_cache",
-    "default_portfolio",
     "evaluate",
     "execute_request",
     "load_solution",
     "parallel_run_info",
     "resolve_case",
-    "resume",
-    "route",
     "route_request",
     "solution_fingerprint",
     "solution_state",
+]
+
+TOP_LEVEL_EXPORTS = [
+    "ArtifactCache",
+    "CheckpointManager",
+    "Connection",
+    "DelayModel",
+    "DesignRuleChecker",
+    "Die",
+    "EdgeKind",
+    "Evaluation",
+    "FaultInjectingTracer",
+    "FaultPlan",
+    "FaultSpec",
+    "Fpga",
+    "MultiFpgaSystem",
+    "Net",
+    "Netlist",
+    "RouteRequest",
+    "RouteResponse",
+    "RouterConfig",
+    "RoutingResult",
+    "RoutingSolution",
+    "SllEdge",
+    "SynergisticRouter",
+    "SystemBuilder",
+    "TdmEdge",
+    "TimingAnalyzer",
+    "__version__",
+    "evaluate",
+    "execute_request",
+    "load_solution",
+    "route_request",
+    "solution_fingerprint",
 ]
 
 
@@ -133,10 +143,23 @@ class TestFacadeSignatures:
 
 
 class TestTopLevelReExports:
+    def test_export_list_is_stable(self):
+        assert repro.__all__ == TOP_LEVEL_EXPORTS
+
+    def test_route_is_the_subpackage(self):
+        """No facade name is bound over ``repro.route``: the routing
+        subpackage and its modules stay importable through it."""
+        import types
+
+        import repro.route.diff
+        import repro.route.dijkstra as dijkstra
+
+        assert isinstance(repro.route, types.ModuleType)
+        assert dijkstra.__name__ == "repro.route.dijkstra"
+        assert callable(repro.route.diff.diff_solutions)
+
     def test_facade_functions_are_the_same_objects(self):
         for name in (
-            "route",
-            "resume",
             "evaluate",
             "load_solution",
             "route_request",
@@ -157,58 +180,6 @@ class TestTopLevelReExports:
             "solution_fingerprint",
         ):
             assert getattr(repro, name) is getattr(api, name)
-
-
-class TestLegacyShimsDeprecate:
-    """The legacy kwarg paths still work but must warn (docs/api.md)."""
-
-    def test_legacy_route_warns(self, tiny_case):
-        system, netlist = tiny_case
-        with pytest.warns(DeprecationWarning, match="RouteRequest"):
-            result = api.route(system, netlist)
-        assert result.conflict_count == 0
-
-    def test_legacy_evaluate_warns(self, tiny_case):
-        system, netlist = tiny_case
-        with pytest.warns(DeprecationWarning):
-            result = api.route(system, netlist)
-        with pytest.warns(DeprecationWarning, match="RouteRequest"):
-            evaluation = api.evaluate(system, netlist, result.solution)
-        assert evaluation.is_legal
-
-    def test_legacy_resume_warns(self, tiny_case, tmp_path):
-        system, netlist = tiny_case
-        from repro.timing import DelayModel
-
-        with pytest.warns(DeprecationWarning):
-            api.route(system, netlist, checkpoint_dir=tmp_path)
-        with pytest.warns(DeprecationWarning, match="RouteRequest"):
-            resumed = api.resume(tmp_path)
-        assert resumed.conflict_count == 0
-        assert isinstance(resumed, api.RoutingResult)
-        assert api.solution_fingerprint(resumed.solution, DelayModel())
-
-    def test_canonical_route_does_not_warn(self, recwarn, tiny_case_request):
-        response = api.route(tiny_case_request)
-        assert isinstance(response, api.RouteResponse)
-        assert response.status == "ok"
-        deprecations = [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
-        assert not deprecations
-
-
-@pytest.fixture()
-def tiny_case():
-    from repro.benchgen import load_case
-
-    case = load_case("case02")
-    return case.system, case.netlist
-
-
-@pytest.fixture()
-def tiny_case_request():
-    return api.RouteRequest(contest_case="case02")
 
 
 class TestRouterConfigContract:

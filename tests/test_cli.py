@@ -1,7 +1,10 @@
-"""In-process tests for the CLI entry points (unified command + shims)."""
+"""In-process tests for the ``repro`` command and its subcommand modules."""
+
+import json
 
 import pytest
 
+from repro import __version__
 from repro.cli.evaluate import main as eval_main
 from repro.cli.generate import main as gen_main
 from repro.cli.main import main as route_main
@@ -226,7 +229,7 @@ class TestVersionFlags:
         with pytest.raises(SystemExit) as excinfo:
             entry(["--version"])
         assert excinfo.value.code == 0
-        assert "1.0.0" in capsys.readouterr().out
+        assert __version__ in capsys.readouterr().out
 
 
 class TestReproEval:
@@ -262,7 +265,7 @@ class TestUnifiedCli:
 
     def test_version(self, capsys):
         assert unified_main(["--version"]) == 0
-        assert "1.0.0" in capsys.readouterr().out
+        assert __version__ in capsys.readouterr().out
 
     def test_route_and_evaluate_delegate(self, case_file, tmp_path, capsys):
         out = tmp_path / "sol.txt"
@@ -303,6 +306,23 @@ class TestUnifiedCli:
         assert "scanned" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def case02_checkpoints(tmp_path_factory):
+    """The last checkpoint of each barrier one case02 run writes."""
+    from repro.api import RouteRequest, execute_request
+
+    directory = tmp_path_factory.mktemp("case02_ckpts")
+    execute_request(
+        RouteRequest(
+            contest_case="case02", warm_cache=False, checkpoint_dir=str(directory)
+        )
+    )
+    return {
+        json.loads(path.read_text())["barrier"]: path
+        for path in sorted(directory.glob("ckpt_*.json"))
+    }
+
+
 class TestResumeErrors:
     """Bad checkpoint inputs fail with one stderr line and exit 2."""
 
@@ -328,9 +348,42 @@ class TestResumeErrors:
     def test_empty_directory(self, tmp_path, capsys):
         assert "no checkpoints" in self._resume_error(tmp_path, capsys)
 
-    def test_old_schema_version(self, tmp_path, capsys):
-        import json
+    def _edited(self, source, tmp_path, **fields):
+        """A copy of checkpoint ``source`` with top-level fields replaced."""
+        doc = json.loads(source.read_text())
+        doc.update(fields)
+        path = tmp_path / source.name
+        path.write_text(json.dumps(doc))
+        return path
 
+    def test_malformed_case(self, case02_checkpoints, tmp_path, capsys):
+        path = self._edited(case02_checkpoints["final"], tmp_path, case={})
+        assert "case: " in self._resume_error(path, capsys)
+
+    def test_malformed_config(self, case02_checkpoints, tmp_path, capsys):
+        path = self._edited(
+            case02_checkpoints["final"], tmp_path, config={"mu": 0.5}
+        )
+        assert "config: " in self._resume_error(path, capsys)
+
+    @pytest.mark.parametrize(
+        "barrier",
+        [
+            "phase1.done",
+            "phase2.lr",
+            "phase2.legalized",
+            "phase2.assigned",
+            "phase2.round",
+            "final",
+        ],
+    )
+    def test_payload_without_resume_state(
+        self, case02_checkpoints, barrier, tmp_path, capsys
+    ):
+        path = self._edited(case02_checkpoints[barrier], tmp_path, payload={})
+        assert f"{barrier} payload lacks" in self._resume_error(path, capsys)
+
+    def test_old_schema_version(self, tmp_path, capsys):
         from repro import RouterConfig
 
         # Each version bump dropped config fields that every document of

@@ -1,4 +1,4 @@
-"""Tests for hMETIS .hgr interchange and the repro-partition CLI."""
+"""Tests for hMETIS .hgr interchange and the ``repro partition`` command."""
 
 import pytest
 

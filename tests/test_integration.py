@@ -79,8 +79,18 @@ class TestFig5aFlow:
 
 class TestRuntimeBreakdownShape:
     def test_initial_routing_dominates_on_mid_case(self):
-        """Fig. 5(b): IR is the largest phase on a non-trivial case."""
+        """Fig. 5(b): IR is the largest phase on a non-trivial case.
+
+        The route is deterministic, so each phase's cost is its minimum
+        time over three routes: a one-off stall on a shared host cannot
+        flip the comparison.
+        """
         case = load_case("case05")
-        result = SynergisticRouter(case.system, case.netlist).route()
-        fractions = result.phase_times.fractions()
-        assert fractions["IR"] >= max(fractions["TA"], fractions["LG & WA"])
+        runs = [
+            SynergisticRouter(case.system, case.netlist).route().phase_times
+            for _ in range(3)
+        ]
+        ir = min(times.initial_routing for times in runs)
+        ta = min(times.tdm_assignment for times in runs)
+        lg_wa = min(times.legalization_wire_assignment for times in runs)
+        assert ir >= max(ta, lg_wa)

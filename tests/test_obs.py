@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import threading
 import time
 
 import pytest
@@ -51,6 +52,36 @@ class TestSpans:
         assert spans[1]["parent"] is None
         # The outer span covers the inner one.
         assert spans[1]["dur"] >= spans[0]["dur"]
+
+    def test_threads_keep_their_own_span_stacks(self):
+        """Spans opened concurrently on one tracer nest per thread."""
+        sink = InMemorySink()
+        tracer = Tracer(sink)
+        start = threading.Barrier(2, timeout=10)
+        leftover = {}
+
+        def nest(label):
+            start.wait()
+            for _ in range(200):
+                with tracer.span(f"outer.{label}"):
+                    time.sleep(0.0005)
+                    with tracer.span(f"inner.{label}"):
+                        time.sleep(0.0005)
+            leftover[label] = list(tracer._span_stack())
+
+        threads = [threading.Thread(target=nest, args=(c,)) for c in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        parents = {}
+        for span in sink.of_type("span"):
+            parents.setdefault(span["name"], []).append(span["parent"])
+        for label in "ab":
+            assert parents[f"outer.{label}"] == [None] * 200
+            assert parents[f"inner.{label}"] == [f"outer.{label}"] * 200
+        assert leftover == {"a": [], "b": []}
 
     def test_same_name_accumulates(self):
         tracer = Tracer()

@@ -7,7 +7,7 @@
 Historically this was a regex grep; it now drives the AST engine in
 :mod:`repro.lint` (rules ``REPRO001``/``REPRO002``), which understands
 strings and comments instead of guessing, honors ``# lint: disable=``
-waivers, and shares rule ids with ``repro-lint``.  The test names are
+waivers, and shares rule ids with ``repro lint``.  The test names are
 unchanged so pass/fail history stays comparable.
 """
 

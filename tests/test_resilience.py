@@ -5,8 +5,8 @@ at *any* barrier and resumed from its checkpoint finishes with exactly
 the solution the uninterrupted run produces — same paths, same TDM
 ratios bit-for-bit, same wire packing, same critical delay.  These tests
 route the contest cases with checkpointing on, then resume from every
-written checkpoint and compare :func:`repro.resilience.solution_fingerprint`
-digests.
+written checkpoint (``RouteRequest(resume_from=...)``) and compare
+:func:`repro.resilience.solution_fingerprint` digests.
 """
 
 from __future__ import annotations
@@ -15,10 +15,17 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import DelayModel, RouterConfig, SynergisticRouter
-from repro.api import CheckpointManager, resume, solution_fingerprint
+from repro import DelayModel
+from repro.api import (
+    ArtifactCache,
+    CheckpointManager,
+    RouteRequest,
+    execute_request,
+    solution_fingerprint,
+)
 from repro.benchgen import load_case
 from repro.io import (
+    BARRIER_PAYLOAD_KEYS,
     CHECKPOINT_KIND,
     CHECKPOINT_SCHEMA_VERSION,
     KNOWN_BARRIERS,
@@ -33,43 +40,56 @@ from repro.io import (
 CASES = ["case02", "case05", "case07"]
 
 
-@pytest.fixture(scope="module", params=CASES)
-def checkpointed_run(request, tmp_path_factory):
-    """One checkpointed routing run per case, shared across the module."""
-    case = load_case(request.param)
-    delay_model = DelayModel()
-    config = RouterConfig()
-    directory = tmp_path_factory.mktemp(f"ckpts_{request.param}")
-    manager = CheckpointManager(
-        directory, case.system, case.netlist, delay_model, config=config
+@pytest.fixture(scope="module")
+def cache():
+    """Parses each case once for the module; no run uses warm artifacts."""
+    return ArtifactCache()
+
+
+def resume(checkpoint):
+    """Continue a run from a checkpoint file or directory."""
+    return execute_request(
+        RouteRequest(resume_from=str(checkpoint), warm_cache=False)
     )
-    result = SynergisticRouter(
-        case.system, case.netlist, delay_model, config=config, checkpoint=manager
-    ).route()
+
+
+@pytest.fixture(scope="module", params=CASES)
+def checkpointed_run(request, tmp_path_factory, cache):
+    """One checkpointed routing run per case, shared across the module."""
+    delay_model = DelayModel()
+    directory = tmp_path_factory.mktemp(f"ckpts_{request.param}")
+    result = execute_request(
+        RouteRequest(
+            contest_case=request.param,
+            warm_cache=False,
+            checkpoint_dir=str(directory),
+        ),
+        cache=cache,
+    )
     return SimpleNamespace(
         name=request.param,
-        case=case,
         delay_model=delay_model,
-        config=config,
-        manager=manager,
+        directory=directory,
+        checkpoints=sorted(directory.glob("ckpt_*.json")),
         result=result,
         fingerprint=solution_fingerprint(result.solution, delay_model),
     )
 
 
 class TestResumeBitEquality:
-    def test_checkpointing_does_not_perturb_the_run(self, checkpointed_run):
+    def test_checkpointing_does_not_perturb_the_run(
+        self, checkpointed_run, cache
+    ):
         run = checkpointed_run
-        plain = SynergisticRouter(
-            run.case.system, run.case.netlist, run.delay_model, config=run.config
-        ).route()
+        plain = execute_request(
+            RouteRequest(contest_case=run.name, warm_cache=False), cache=cache
+        )
         assert solution_fingerprint(plain.solution, run.delay_model) == run.fingerprint
 
     def test_every_barrier_resumes_bit_identical(self, checkpointed_run):
         run = checkpointed_run
-        checkpoints = run.manager.checkpoints()
-        assert checkpoints, "run wrote no checkpoints"
-        for path in checkpoints:
+        assert run.checkpoints, "run wrote no checkpoints"
+        for path in run.checkpoints:
             resumed = resume(path)
             assert (
                 solution_fingerprint(resumed.solution, run.delay_model)
@@ -80,8 +100,7 @@ class TestResumeBitEquality:
 
     def test_barrier_coverage(self, checkpointed_run):
         barriers = {
-            read_checkpoint(p)["barrier"]
-            for p in checkpointed_run.manager.checkpoints()
+            read_checkpoint(p)["barrier"] for p in checkpointed_run.checkpoints
         }
         assert barriers >= {
             "phase1.ordering",
@@ -97,14 +116,13 @@ class TestResumeBitEquality:
         if checkpointed_run.name != "case07":
             pytest.skip("only case07 negotiates for multiple rounds")
         barriers = [
-            read_checkpoint(p)["barrier"]
-            for p in checkpointed_run.manager.checkpoints()
+            read_checkpoint(p)["barrier"] for p in checkpointed_run.checkpoints
         ]
         assert barriers.count("phase1.round") >= 2
 
     def test_resume_from_directory_uses_latest(self, checkpointed_run):
         run = checkpointed_run
-        resumed = resume(run.manager.directory)
+        resumed = resume(run.directory)
         assert (
             solution_fingerprint(resumed.solution, run.delay_model) == run.fingerprint
         )
@@ -128,7 +146,7 @@ class TestCheckpointManager:
 
 class TestCheckpointSchema:
     def test_documents_are_schema_versioned(self, checkpointed_run):
-        for path in checkpointed_run.manager.checkpoints():
+        for path in checkpointed_run.checkpoints:
             doc = read_checkpoint(path)
             assert doc["kind"] == CHECKPOINT_KIND
             assert doc["schema_version"] == CHECKPOINT_SCHEMA_VERSION
@@ -137,13 +155,12 @@ class TestCheckpointSchema:
 
     def test_sequence_numbers_are_dense(self, checkpointed_run):
         sequences = [
-            read_checkpoint(p)["sequence"]
-            for p in checkpointed_run.manager.checkpoints()
+            read_checkpoint(p)["sequence"] for p in checkpointed_run.checkpoints
         ]
         assert sequences == list(range(len(sequences)))
 
     def test_corrupted_checkpoint_is_rejected(self, checkpointed_run, tmp_path):
-        doc = read_checkpoint(checkpointed_run.manager.checkpoints()[0])
+        doc = read_checkpoint(checkpointed_run.checkpoints[0])
         for corruption in (
             {"kind": "something.else"},
             {"schema_version": CHECKPOINT_SCHEMA_VERSION + 1},
@@ -157,6 +174,15 @@ class TestCheckpointSchema:
             path.write_text(path.read_text().replace(CHECKPOINT_KIND, "nope.doc"))
             with pytest.raises(CheckpointFormatError):
                 read_checkpoint(path)
+
+    def test_payload_without_resume_state_is_rejected(self, checkpointed_run):
+        """Every key a barrier's resume reads is required in its payload."""
+        for path in checkpointed_run.checkpoints:
+            doc = read_checkpoint(path)
+            for key in BARRIER_PAYLOAD_KEYS[doc["barrier"]]:
+                payload = {k: v for k, v in doc["payload"].items() if k != key}
+                problems = validate_checkpoint({**doc, "payload": payload})
+                assert problems == [f"{doc['barrier']} payload lacks {key}"]
 
     def test_resume_refuses_empty_directory(self, tmp_path):
         with pytest.raises(CheckpointFormatError):

@@ -9,6 +9,7 @@ against sequential cold-run fingerprints.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -24,7 +25,13 @@ from repro.api import (
     route_request,
 )
 from repro.io import read_checkpoint
-from repro.obs import assert_valid_run_report, build_run_report, validate_run_report
+from repro.obs import (
+    InMemorySink,
+    Tracer,
+    assert_valid_run_report,
+    build_run_report,
+    validate_run_report,
+)
 from repro.serve import LoadSpec, RoutingService, build_requests, run_load
 
 
@@ -73,6 +80,24 @@ class TestConcurrentBitIdentity:
             LoadSpec(cases=())
         with pytest.raises(ValueError):
             LoadSpec(requests=0)
+
+
+class TestTracing:
+    def test_concurrent_requests_trace_like_solo_runs(self):
+        """Two requests in flight on the service's one tracer record the
+        same span tree, (name, parent) pair for pair, as two solo runs."""
+
+        def span_pairs(batches):
+            sink = InMemorySink()
+            with RoutingService(tracer=Tracer(sink)) as service:
+                for batch in batches:
+                    responses = service.route(batch)
+                    assert [r.status for r in responses] == ["ok"] * len(batch)
+            return Counter((e["name"], e["parent"]) for e in sink.of_type("span"))
+
+        request = RouteRequest(contest_case="case05", warm_cache=False)
+        solo = span_pairs([[request], [request]])
+        assert span_pairs([[request, request]]) == solo
 
 
 # ----------------------------------------------------------------------
