@@ -38,7 +38,7 @@ bench-fast:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 examples:
-	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f > /dev/null || exit 1; done
+	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src $(PYTHON) $$f > /dev/null || exit 1; done
 	@echo "all examples ran cleanly"
 
 # Performance gate: runtime budgets plus the phase II pipeline speedup

@@ -33,6 +33,8 @@ snapshots the signatures so accidental breaks fail CI.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -346,27 +348,30 @@ def resolve_case(
     """
     if request.resume_from is not None:
         return _checkpoint_case(_read_resume_doc(request.resume_from))
-    key, builder = _case_builder(request)
     if cache is None and request.warm_cache:
         cache = default_artifact_cache()
+    key, builder = _case_builder(request, keyed=cache is not None)
     if cache is None or key is None:
         return builder()
     return cache.get_or_build(key, builder)
 
 
 def _case_builder(
-    request: RouteRequest,
+    request: RouteRequest, *, keyed: bool
 ) -> Tuple[Optional[str], Callable[[], Tuple[Any, Netlist, DelayModel]]]:
-    """Cache key + builder for a (non-resume) request's case source."""
-    if request.case is not None:
-        import hashlib
-        import json
+    """Cache key + builder for a (non-resume) request's case source.
 
+    An inline case's key digests the whole case, so it is computed only
+    when ``keyed`` (a cache will be consulted); otherwise it is ``None``.
+    """
+    if request.case is not None:
         from repro.io.json_format import case_from_dict
 
-        payload = json.dumps(request.case, sort_keys=True).encode("utf-8")
-        digest = hashlib.sha256(payload).hexdigest()
-        return f"case:dict:{digest}", lambda: case_from_dict(request.case)
+        key = None
+        if keyed:
+            payload = json.dumps(request.case, sort_keys=True).encode("utf-8")
+            key = f"case:dict:{hashlib.sha256(payload).hexdigest()}"
+        return key, lambda: case_from_dict(request.case)
     if request.contest_case is not None:
         name = request.contest_case
 
@@ -624,7 +629,13 @@ def route_request(
         critical_delay=float(result.critical_delay),
         conflict_count=int(result.conflict_count),
         is_legal=bool(result.is_legal),
-        fingerprint=solution_fingerprint(result.solution, prepared.delay_model),
+        # The router's delay is an analysis of the returned solution under
+        # the same delay model, so the fingerprint need not re-time it.
+        fingerprint=solution_fingerprint(
+            result.solution,
+            prepared.delay_model,
+            critical_delay=result.critical_delay,
+        ),
         wall_seconds=time.perf_counter() - start,
         queue_seconds=queue_seconds,
         preemptions=preemptions,

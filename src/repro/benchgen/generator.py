@@ -286,7 +286,7 @@ def _build_netlist(
         source = rng.randrange(num_dies)
         if fanout == 0:
             # Intra-die net: counted as a net but contributes no connection.
-            nets.append(Net(f"net{index}", source, (source,)))
+            nets.append(Net(f"net{index}", source, (source,), index))
             continue
         weights = weights_by_source[source]
         sinks: List[int] = []
@@ -296,7 +296,7 @@ def _build_netlist(
             if sink not in chosen:
                 chosen.add(sink)
                 sinks.append(sink)
-        nets.append(Net(f"net{index}", source, tuple(sinks)))
+        nets.append(Net(f"net{index}", source, tuple(sinks), index))
     return Netlist(nets)
 
 

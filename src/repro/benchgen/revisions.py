@@ -74,9 +74,9 @@ def revise_netlist(
         if net.index in retarget:
             fanout = max(1, net.fanout)
             sinks = tuple(rng.sample(range(num_dies), min(fanout, num_dies)))
-            nets.append(Net(net.name, net.source_die, sinks))
+            nets.append(Net(net.name, net.source_die, sinks, len(nets)))
         else:
-            nets.append(Net(net.name, net.source_die, net.sink_dies))
+            nets.append(Net(net.name, net.source_die, net.sink_dies, len(nets)))
 
     existing = {net.name for net in nets}
     added = 0
@@ -88,7 +88,7 @@ def revise_netlist(
             continue
         source = rng.randrange(num_dies)
         sink = rng.randrange(num_dies)
-        nets.append(Net(name, source, (sink,)))
+        nets.append(Net(name, source, (sink,), len(nets)))
         existing.add(name)
         added += 1
     return Netlist(nets)

@@ -168,15 +168,10 @@ def order_connections(
     with fewer fanouts have priority; remaining ties break on connection
     index for determinism.
     """
-    # Plain-list views: the key function runs once per connection and
-    # numpy scalar indexing would dominate it.
-    dist_rows = dist.tolist()
-    fanouts = [netlist.net(net_index).fanout for net_index in range(netlist.num_nets)]
-    connections = netlist.connections
-
-    def key(conn_index: int):
-        conn = connections[conn_index]
-        weight = dist_rows[conn.source_die][conn.sink_die]
-        return (-weight, fanouts[conn.net_index], conn_index)
-
-    return sorted(range(netlist.num_connections), key=key)
+    sources, sinks = netlist.connection_dies()
+    weights = dist[sources, sinks]
+    fanouts = netlist.net_fanouts()[netlist.connection_net_indices()]
+    # lexsort's last key is the primary one.
+    order = np.lexsort((np.arange(len(weights)), fanouts, -weights))
+    # Python ints: the order is stored in checkpoint payloads.
+    return order.tolist()

@@ -52,6 +52,23 @@ BARRIER_PAYLOAD_KEYS = {
 
 KNOWN_BARRIERS = tuple(BARRIER_PAYLOAD_KEYS)
 
+#: JSON type of each key in :data:`BARRIER_PAYLOAD_KEYS`, checked by
+#: :func:`validate_checkpoint` so a wrong-typed value fails as a format
+#: error instead of deep inside resume.
+_PAYLOAD_KEY_TYPES = {
+    "history": "array",
+    "legal_ratios": "array",
+    "lr_history": "object",
+    "paths": "array",
+    "ratios": "array",
+    "round": "int",
+    "solution": "object",
+    "stats": "object",
+    "wire_budgets": "array",
+}
+
+_JSON_TYPES = {"array": list, "int": int, "object": dict}
+
 
 class CheckpointFormatError(ValueError):
     """Raised on malformed or wrong-version checkpoint documents."""
@@ -82,6 +99,10 @@ def validate_checkpoint(doc: Any) -> List[str]:
         missing = [k for k in BARRIER_PAYLOAD_KEYS[barrier] if k not in payload]
         if missing:
             problems.append(f"{barrier} payload lacks {', '.join(missing)}")
+        for key in BARRIER_PAYLOAD_KEYS[barrier]:
+            kind = _PAYLOAD_KEY_TYPES[key]
+            if key in payload and not isinstance(payload[key], _JSON_TYPES[kind]):
+                problems.append(f"{barrier} payload {key} must be an {kind}")
     if "rng_state" not in doc:
         problems.append("rng_state is required (null for deterministic runs)")
     return problems

@@ -86,7 +86,8 @@ def parse_case(text: str) -> Case:
                     Net(
                         name=fields[1],
                         source_die=int(fields[2]),
-                        sink_dies=tuple(int(f) for f in fields[3:]),
+                        sink_dies=tuple(map(int, fields[3:])),
+                        index=len(nets),
                     )
                 )
             else:

@@ -100,9 +100,10 @@ def case_from_dict(data: Dict[str, Any]):
             Net(
                 name=str(net["name"]),
                 source_die=int(net["source"]),
-                sink_dies=tuple(int(s) for s in net["sinks"]),
+                sink_dies=tuple(map(int, net["sinks"])),
+                index=index,
             )
-            for net in data.get("nets", [])
+            for index, net in enumerate(data.get("nets", []))
         ]
         netlist = Netlist(nets)
         netlist.validate_against(system.num_dies)

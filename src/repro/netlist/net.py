@@ -17,7 +17,8 @@ class Net:
             source die are legal (the net then needs no system routing for
             that pin) and duplicate sink dies are collapsed.
         index: position in the owning :class:`~repro.netlist.Netlist`;
-            assigned by the netlist, ``-1`` for standalone nets.
+            ``-1`` for standalone nets.  A netlist keeps a net built
+            with its final position and copies any other one.
     """
 
     name: str
@@ -26,17 +27,17 @@ class Net:
     index: int = field(default=-1, compare=False)
 
     def __post_init__(self) -> None:
+        sinks = self.sink_dies
         if self.source_die < 0:
             raise ValueError(f"net {self.name!r}: source die must be non-negative")
-        if not self.sink_dies:
+        if not sinks:
             raise ValueError(f"net {self.name!r}: a net needs at least one sink")
-        if any(die < 0 for die in self.sink_dies):
+        if min(sinks) < 0:
             raise ValueError(f"net {self.name!r}: sink dies must be non-negative")
         # Collapse duplicates while preserving order; frozen dataclass needs
         # object.__setattr__.
-        deduped = tuple(dict.fromkeys(self.sink_dies))
-        if deduped != self.sink_dies:
-            object.__setattr__(self, "sink_dies", deduped)
+        if len(set(sinks)) != len(sinks) or type(sinks) is not tuple:
+            object.__setattr__(self, "sink_dies", tuple(dict.fromkeys(sinks)))
 
     @property
     def fanout(self) -> int:

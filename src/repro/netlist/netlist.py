@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -12,9 +12,10 @@ from repro.netlist.net import Connection, Net
 class Netlist:
     """An ordered collection of nets with derived connections.
 
-    Nets are re-indexed on construction so that ``netlist.nets[i].index == i``.
-    The *connections* (Table I's set C) are the (source die, sink die) pairs
-    of every die-crossing sink, indexed contiguously.
+    Nets are re-indexed on construction so that ``netlist.nets[i].index == i``:
+    a net already built with ``index=i`` is kept as is, any other is
+    copied.  The *connections* (Table I's set C) are the (source die, sink
+    die) pairs of every die-crossing sink, indexed contiguously.
 
     Args:
         nets: the nets of the design.  Names must be unique.
@@ -22,27 +23,44 @@ class Netlist:
 
     def __init__(self, nets: Iterable[Net]) -> None:
         self._nets: List[Net] = [
-            net.with_index(i) for i, net in enumerate(nets)
+            net if net.index == i else net.with_index(i)
+            for i, net in enumerate(nets)
         ]
-        names = {net.name for net in self._nets}
-        if len(names) != len(self._nets):
-            raise ValueError("net names must be unique")
         self._by_name: Dict[str, Net] = {net.name: net for net in self._nets}
-        self._connections: List[Connection] = []
-        self._net_connections: List[List[int]] = [[] for _ in self._nets]
+        if len(self._by_name) != len(self._nets):
+            raise ValueError("net names must be unique")
+        # One pass builds the int columns that array consumers read
+        # instead of the Connection objects; net i owns the connections
+        # offsets[i]:offsets[i + 1].
+        conn_net: List[int] = []
+        conn_source: List[int] = []
+        conn_sink: List[int] = []
+        fanouts: List[int] = []
+        offsets = [0]
+        largest = -1
         for net in self._nets:
-            for sink in net.crossing_sink_dies:
-                conn = Connection(
-                    index=len(self._connections),
-                    net_index=net.index,
-                    source_die=net.source_die,
-                    sink_die=sink,
-                )
-                self._net_connections[net.index].append(conn.index)
-                self._connections.append(conn)
-        # Lazy caches; a netlist never changes after construction.
-        self._max_die: Optional[int] = None
-        self._conn_net: Optional[np.ndarray] = None
+            source = net.source_die
+            sinks = net.sink_dies
+            index = net.index
+            fanouts.append(len(sinks))
+            if source > largest:
+                largest = source
+            for die in sinks:
+                if die != source:
+                    conn_net.append(index)
+                    conn_source.append(source)
+                    conn_sink.append(die)
+            offsets.append(len(conn_sink))
+        self._connections: List[Connection] = list(
+            map(Connection, range(len(conn_sink)), conn_net, conn_source, conn_sink)
+        )
+        self._offsets = offsets
+        self._conn_net = _column(conn_net)
+        self._conn_source = _column(conn_source)
+        self._conn_sink = _column(conn_sink)
+        self._fanouts = _column(fanouts)
+        # A sink off its source die is some connection's sink die.
+        self._max_die = max(largest, max(conn_sink, default=-1))
 
     # ------------------------------------------------------------------
     # Accessors
@@ -77,35 +95,32 @@ class Netlist:
 
     def connections_of(self, net_index: int) -> List[Connection]:
         """Return the connections of a net."""
-        return [self._connections[i] for i in self._net_connections[net_index]]
+        offsets = self._offsets
+        return self._connections[offsets[net_index] : offsets[net_index + 1]]
 
     def connection_indices_of(self, net_index: int) -> List[int]:
         """Return the connection indices of a net."""
-        return self._net_connections[net_index]
+        offsets = self._offsets
+        return list(range(offsets[net_index], offsets[net_index + 1]))
 
     def crossing_nets(self) -> Iterator[Net]:
         """Yield the nets that have at least one die-crossing connection."""
         return (net for net in self._nets if net.is_die_crossing)
 
     def connection_net_indices(self) -> np.ndarray:
-        """Per-connection owning net index, as a cached read-only array."""
-        if self._conn_net is None:
-            arr = np.fromiter(
-                (conn.net_index for conn in self._connections),
-                dtype=np.int64,
-                count=len(self._connections),
-            )
-            arr.setflags(write=False)
-            self._conn_net = arr
+        """Per-connection owning net index, as a read-only array."""
         return self._conn_net
+
+    def connection_dies(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-connection ``(source dies, sink dies)``, as read-only arrays."""
+        return self._conn_source, self._conn_sink
+
+    def net_fanouts(self) -> np.ndarray:
+        """Per-net fanout (``Net.fanout``), as a read-only array."""
+        return self._fanouts
 
     def max_die_index(self) -> int:
         """Largest die index referenced by any pin (-1 for an empty netlist)."""
-        if self._max_die is None:
-            largest = -1
-            for net in self._nets:
-                largest = max(largest, net.source_die, *net.sink_dies)
-            self._max_die = largest
         return self._max_die
 
     def validate_against(self, num_dies: int) -> None:
@@ -125,3 +140,9 @@ class Netlist:
 
     def __repr__(self) -> str:
         return f"Netlist(nets={self.num_nets}, connections={self.num_connections})"
+
+
+def _column(values: List[int]) -> np.ndarray:
+    column = np.array(values, dtype=np.int64)
+    column.setflags(write=False)
+    return column

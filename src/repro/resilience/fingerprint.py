@@ -20,26 +20,42 @@ from repro.timing.analysis import TimingAnalyzer
 
 
 def solution_state(
-    solution: RoutingSolution, delay_model: Optional[DelayModel] = None
+    solution: RoutingSolution,
+    delay_model: Optional[DelayModel] = None,
+    *,
+    critical_delay: Optional[float] = None,
 ) -> Dict[str, Any]:
     """The canonical JSON-ready state a fingerprint digests.
 
     Floats are rendered with :func:`repr`, which is injective on
     binary64 — any bit difference in a ratio or delay changes the state.
+
+    Args:
+        solution: a complete solution.
+        delay_model: the model timing the solution (default
+            :class:`DelayModel`).
+        critical_delay: the solution's critical delay under
+            ``delay_model`` when the caller already has it (the router's
+            own analysis); ``None`` re-derives it with a
+            :class:`TimingAnalyzer` pass.
     """
-    model = delay_model if delay_model is not None else DelayModel()
-    timing = TimingAnalyzer(solution.system, solution.netlist, model).analyze(
-        solution
-    )
+    if critical_delay is None:
+        model = delay_model if delay_model is not None else DelayModel()
+        critical_delay = (
+            TimingAnalyzer(solution.system, solution.netlist, model)
+            .analyze(solution)
+            .critical_delay
+        )
+    # Paths are tuples and uses are unique (the sort never compares
+    # ratios); JSON writes tuples as lists.
     return {
-        "critical_delay": repr(timing.critical_delay),
+        "critical_delay": repr(critical_delay),
         "paths": [
-            list(solution.path(i)) if solution.path(i) is not None else None
-            for i in range(solution.netlist.num_connections)
+            solution.path(i) for i in range(solution.netlist.num_connections)
         ],
-        "ratios": sorted(
-            (list(use), repr(ratio)) for use, ratio in solution.ratios.items()
-        ),
+        "ratios": [
+            (use, repr(ratio)) for use, ratio in sorted(solution.ratios.items())
+        ],
         "wires": [
             [
                 [wire.direction, wire.ratio, list(wire.net_indices)]
@@ -51,11 +67,21 @@ def solution_state(
 
 
 def solution_fingerprint(
-    solution: RoutingSolution, delay_model: Optional[DelayModel] = None
+    solution: RoutingSolution,
+    delay_model: Optional[DelayModel] = None,
+    *,
+    critical_delay: Optional[float] = None,
 ) -> str:
-    """SHA-256 over the canonical solution state."""
-    state = solution_state(solution, delay_model)
+    """SHA-256 over the canonical solution state.
+
+    ``critical_delay`` is passed through to :func:`solution_state`: a
+    caller that holds the router's delay for this solution and model
+    skips the timing pass and gets the same digest.
+    """
+    state = solution_state(solution, delay_model, critical_delay=critical_delay)
+    # The state is a fresh acyclic tree, so the encoder's cycle check only
+    # costs time; the bytes are the same without it.
     digest = hashlib.sha256(
-        json.dumps(state, sort_keys=True).encode("utf-8")
+        json.dumps(state, sort_keys=True, check_circular=False).encode("utf-8")
     )
     return digest.hexdigest()

@@ -56,10 +56,13 @@ class RoutingSolution:
         self.wires: Dict[int, List[TdmWire]] = {}
         #: Wire position (within ``wires[edge]``) per net edge use.
         self.net_wire: Dict[NetEdgeUse, int] = {}
-        self._cache_valid = False
-        self._edge_nets: List[Set[int]] = []
-        self._net_uses: Dict[int, List[NetEdgeUse]] = {}
-        self._directed_nets: Dict[Tuple[int, int], List[int]] = {}
+        #: Derived usage maps, rebuilt on first read after a path change:
+        #: per-edge net sets (#CONF, demand) and, separately, the TDM use
+        #: maps that only phase II and the DRC read.
+        self._edge_nets: Optional[List[Set[int]]] = None
+        self._tdm_uses: Optional[
+            Tuple[Dict[int, List[NetEdgeUse]], Dict[Tuple[int, int], List[int]]]
+        ] = None
         #: Per-connection (edge_index, direction) hops, maintained by
         #: :meth:`set_path` so no consumer re-derives them from die paths.
         self._conn_hops: List[Optional[List[Tuple[int, int]]]] = [
@@ -108,13 +111,13 @@ class RoutingSolution:
             self._hops_memo[key] = hops
         self._conn_hops[connection_index] = hops
         self._paths[connection_index] = key
-        self._cache_valid = False
+        self._edge_nets = self._tdm_uses = None
 
     def clear_path(self, connection_index: int) -> None:
         """Remove the routed path of a connection."""
         self._paths[connection_index] = None
         self._conn_hops[connection_index] = None
-        self._cache_valid = False
+        self._edge_nets = self._tdm_uses = None
 
     def path(self, connection_index: int) -> Optional[Tuple[int, ...]]:
         """The routed die path of a connection (``None`` when unrouted)."""
@@ -159,35 +162,55 @@ class RoutingSolution:
     # ------------------------------------------------------------------
     # Derived usage maps
     # ------------------------------------------------------------------
-    def _ensure_cache(self) -> None:
-        if self._cache_valid:
-            return
-        self._edge_nets = [set() for _ in range(self.system.num_edges)]
-        self._net_uses = {}
-        self._directed_nets = {}
-        is_tdm = self._is_tdm
-        seen_uses: Set[NetEdgeUse] = set()
-        for conn in self.netlist.connections:
-            hops = self._conn_hops[conn.index]
-            if hops is None:
-                continue
-            net_index = conn.net_index
-            for edge_index, direction in hops:
-                self._edge_nets[edge_index].add(net_index)
-                if is_tdm[edge_index]:
-                    use = (net_index, edge_index, direction)
-                    if use not in seen_uses:
-                        seen_uses.add(use)
-                        self._net_uses.setdefault(net_index, []).append(use)
-                        self._directed_nets.setdefault(
-                            (edge_index, direction), []
-                        ).append(net_index)
-        self._cache_valid = True
+    def _ensure_edge_nets(self) -> List[Set[int]]:
+        if self._edge_nets is None:
+            # Group nets by die path first: many connections share a
+            # path, so each distinct path's edges are walked once.
+            nets_by_path: Dict[Tuple[int, ...], Set[int]] = {}
+            for path, net_index in zip(
+                self._paths, self.netlist.connection_net_indices().tolist()
+            ):
+                if path is not None:
+                    nets = nets_by_path.get(path)
+                    if nets is None:
+                        nets_by_path[path] = {net_index}
+                    else:
+                        nets.add(net_index)
+            edge_nets: List[Set[int]] = [set() for _ in range(self.system.num_edges)]
+            for path, nets in nets_by_path.items():
+                for edge_index, _ in self._hops_memo[path]:
+                    edge_nets[edge_index].update(nets)
+            self._edge_nets = edge_nets
+        return self._edge_nets
+
+    def _ensure_tdm_uses(
+        self,
+    ) -> Tuple[Dict[int, List[NetEdgeUse]], Dict[Tuple[int, int], List[int]]]:
+        if self._tdm_uses is None:
+            net_uses: Dict[int, List[NetEdgeUse]] = {}
+            directed_nets: Dict[Tuple[int, int], List[int]] = {}
+            is_tdm = self._is_tdm
+            seen_uses: Set[NetEdgeUse] = set()
+            for conn in self.netlist.connections:
+                hops = self._conn_hops[conn.index]
+                if hops is None:
+                    continue
+                net_index = conn.net_index
+                for edge_index, direction in hops:
+                    if is_tdm[edge_index]:
+                        use = (net_index, edge_index, direction)
+                        if use not in seen_uses:
+                            seen_uses.add(use)
+                            net_uses.setdefault(net_index, []).append(use)
+                            directed_nets.setdefault(
+                                (edge_index, direction), []
+                            ).append(net_index)
+            self._tdm_uses = (net_uses, directed_nets)
+        return self._tdm_uses
 
     def edge_nets(self, edge_index: int) -> Set[int]:
         """Set of net indices routed over an edge."""
-        self._ensure_cache()
-        return self._edge_nets[edge_index]
+        return self._ensure_edge_nets()[edge_index]
 
     def edge_demand(self, edge_index: int) -> int:
         """Number of distinct nets routed over an edge (``demand_e``)."""
@@ -195,28 +218,25 @@ class RoutingSolution:
 
     def net_uses(self, net_index: int) -> List[NetEdgeUse]:
         """Directed TDM edge uses of a net (one per edge+direction)."""
-        self._ensure_cache()
-        return self._net_uses.get(net_index, [])
+        return self._ensure_tdm_uses()[0].get(net_index, [])
 
     def all_net_uses(self) -> List[NetEdgeUse]:
         """Every (net, TDM edge, direction) use in the solution."""
-        self._ensure_cache()
         uses: List[NetEdgeUse] = []
-        for net_uses in self._net_uses.values():
+        for net_uses in self._ensure_tdm_uses()[0].values():
             uses.extend(net_uses)
         return uses
 
     def directed_tdm_nets(self, edge_index: int, direction: int) -> List[int]:
         """Nets using a TDM edge in the given direction (in routing order)."""
-        self._ensure_cache()
-        return list(self._directed_nets.get((edge_index, direction), []))
+        return list(self._ensure_tdm_uses()[1].get((edge_index, direction), []))
 
     def sll_overflows(self) -> List[SllOverflow]:
         """SLL edges whose demand exceeds capacity."""
-        self._ensure_cache()
+        edge_nets = self._ensure_edge_nets()
         overflows = []
         for edge in self.system.sll_edges:
-            demand = len(self._edge_nets[edge.index])
+            demand = len(edge_nets[edge.index])
             if demand > edge.capacity:
                 overflows.append(
                     SllOverflow(edge_index=edge.index, demand=demand, capacity=edge.capacity)
@@ -257,7 +277,6 @@ class RoutingSolution:
         # to immutable hop views, so clones can share them.
         clone._hops_memo = self._hops_memo
         clone._hop_arrays_memo = self._hop_arrays_memo
-        clone._cache_valid = False
         return clone
 
     def __repr__(self) -> str:

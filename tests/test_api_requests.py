@@ -213,3 +213,49 @@ class TestEvaluateCaching:
         assert any(key.startswith("eval:") for key in cache.keys())
         assert first.is_legal == second.is_legal
         assert first.critical_delay == second.critical_delay
+
+
+class TestCaseDigest:
+    """An inline case is digested only when a cache will be consulted."""
+
+    @pytest.fixture
+    def case_request(self):
+        from repro.benchgen import load_case
+        from repro.io.json_format import case_to_dict
+        from repro.timing import DelayModel
+
+        case = load_case("case02")
+        return RouteRequest(
+            case=case_to_dict(case.system, case.netlist, DelayModel()),
+            warm_cache=False,
+        )
+
+    @pytest.fixture
+    def digests(self, monkeypatch):
+        import hashlib
+        from types import SimpleNamespace
+
+        calls = []
+
+        def sha256(data):
+            calls.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(api, "hashlib", SimpleNamespace(sha256=sha256))
+        return calls
+
+    def test_cold_request_computes_no_digest(self, case_request, digests):
+        response = api.route_request(case_request)
+        assert response.status == "ok"
+        assert digests == []
+
+    def test_cache_key_is_unchanged(self, case_request, digests):
+        import hashlib
+
+        cache = ArtifactCache()
+        first = api.resolve_case(case_request, cache=cache)
+        second = api.resolve_case(case_request, cache=cache)
+        payload = json.dumps(case_request.case, sort_keys=True).encode("utf-8")
+        assert digests == [payload, payload]
+        assert cache.keys() == [f"case:dict:{hashlib.sha256(payload).hexdigest()}"]
+        assert second is first

@@ -55,6 +55,17 @@ SIGNATURES = {
         "tracer: 'Optional[Any]' = None) "
         "-> 'Tuple[Any, Netlist, DelayModel]'"
     ),
+    # The bit-identity digest; ``critical_delay`` skips its timing pass.
+    "solution_fingerprint": (
+        "(solution: 'RoutingSolution', "
+        "delay_model: 'Optional[DelayModel]' = None, *, "
+        "critical_delay: 'Optional[float]' = None) -> 'str'"
+    ),
+    "solution_state": (
+        "(solution: 'RoutingSolution', "
+        "delay_model: 'Optional[DelayModel]' = None, *, "
+        "critical_delay: 'Optional[float]' = None) -> 'Dict[str, Any]'"
+    ),
 }
 
 EXPORTS = [

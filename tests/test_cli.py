@@ -383,6 +383,19 @@ class TestResumeErrors:
         path = self._edited(case02_checkpoints[barrier], tmp_path, payload={})
         assert f"{barrier} payload lacks" in self._resume_error(path, capsys)
 
+    @pytest.mark.parametrize(
+        "barrier,key,kind",
+        [("final", "solution", "an object"), ("phase1.done", "paths", "an array")],
+    )
+    def test_payload_value_of_wrong_type(
+        self, case02_checkpoints, barrier, key, kind, tmp_path, capsys
+    ):
+        source = case02_checkpoints[barrier]
+        payload = dict(json.loads(source.read_text())["payload"], **{key: 5})
+        path = self._edited(source, tmp_path, payload=payload)
+        line = self._resume_error(path, capsys)
+        assert f"{barrier} payload {key} must be {kind}" in line
+
     def test_old_schema_version(self, tmp_path, capsys):
         from repro import RouterConfig
 

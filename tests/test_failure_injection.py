@@ -15,8 +15,9 @@ from repro import (
     SynergisticRouter,
 )
 from repro.drc import ViolationKind
-from repro.io import parse_case, parse_solution
+from repro.io import case_from_dict, parse_case, parse_case_file, parse_solution
 from repro.io.contest_format import CaseFormatError
+from repro.io.json_format import JsonFormatError
 from repro.io.solution_io import SolutionFormatError
 from repro.timing import TimingAnalyzer
 from tests.conftest import build_two_fpga_system, random_netlist
@@ -93,6 +94,68 @@ class TestCorruptedCaseFiles:
         netlist = Netlist([Net("a", 0, (1,))])
         with pytest.raises(SolutionFormatError):
             parse_solution("PATH a 1 0 1 0 1\n", system, netlist)
+
+
+#: 2 FPGAs x 2 dies; each case's nets follow on line 6 of the text form.
+_SYSTEM_LINES = "FPGA f0 2\nFPGA f1 2\nSLL 0 1 10\nSLL 2 3 10\nTDM 1 2 4\n"
+_SYSTEM_DICT = {
+    "fpgas": [{"name": "f0", "num_dies": 2}, {"name": "f1", "num_dies": 2}],
+    "sll_edges": [[0, 1, 10], [2, 3, 10]],
+    "tdm_edges": [[1, 2, 4]],
+}
+
+
+class TestMalformedNets:
+    """Every intake path rejects a bad net with the same message."""
+
+    CASES = {
+        "negative_source": ([("a", -1, (1,))], "net 'a': source die must be non-negative"),
+        "no_sinks": ([("a", 0, ())], "net 'a': a net needs at least one sink"),
+        "negative_sink": ([("a", 0, (1, -2))], "net 'a': sink dies must be non-negative"),
+        "duplicate_name": ([("a", 0, (1,)), ("a", 1, (0,))], "net names must be unique"),
+        "die_out_of_range": (
+            [("a", 0, (1,)), ("b", 0, (4,))],
+            "netlist references die 4 but the system has only 4 dies",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_netlist(self, name):
+        nets, message = self.CASES[name]
+        with pytest.raises(ValueError) as info:
+            Netlist([Net(*net) for net in nets]).validate_against(4)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_case_from_dict(self, name):
+        nets, message = self.CASES[name]
+        data = dict(
+            _SYSTEM_DICT,
+            nets=[{"name": n, "source": s, "sinks": list(k)} for n, s, k in nets],
+        )
+        with pytest.raises(JsonFormatError) as info:
+            case_from_dict(data)
+        assert str(info.value) == f"malformed JSON case: {message}"
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_parse_case_file(self, name, tmp_path):
+        nets, message = self.CASES[name]
+        path = tmp_path / "bad.case"
+        path.write_text(
+            _SYSTEM_LINES
+            + "".join(f"NET {n} {s} {' '.join(map(str, k))}\n" for n, s, k in nets)
+        )
+        with pytest.raises(ValueError) as info:
+            parse_case_file(path)
+        if name == "no_sinks":
+            # The line parser rejects a sinkless NET before building it.
+            message = "NET needs: name source sink..."
+        if name in ("duplicate_name", "die_out_of_range"):
+            # Whole-netlist checks run after the last line.
+            assert str(info.value) == message
+        else:
+            assert isinstance(info.value, CaseFormatError)
+            assert str(info.value) == f"line 6: {message}"
 
 
 class TestBadArguments:

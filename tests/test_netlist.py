@@ -17,6 +17,10 @@ class TestNet:
         assert net.sink_dies == (1, 2)
         assert net.fanout == 2
 
+    def test_sinks_become_a_tuple(self):
+        net = Net("n0", source_die=0, sink_dies=[1, 2])
+        assert net.sink_dies == (1, 2)
+
     def test_intra_die_net(self):
         net = Net("n0", source_die=3, sink_dies=(3,))
         assert not net.is_die_crossing
@@ -91,6 +95,32 @@ class TestNetlist:
     def test_max_die_index(self):
         assert Netlist([]).max_die_index() == -1
         assert Netlist([Net("a", 2, (5, 1))]).max_die_index() == 5
+        # An intra-die net owns no connection but still names its die.
+        assert Netlist([Net("a", 9, (9,)), Net("b", 0, (1,))]).max_die_index() == 9
+
+    def test_keeps_nets_already_at_their_index(self):
+        kept = Net("a", 0, (1,), index=0)
+        moved = Net("b", 1, (0,), index=5)
+        netlist = Netlist([kept, moved])
+        assert netlist.nets[0] is kept
+        assert netlist.nets[1] is not moved
+        assert netlist.nets[1] == moved and netlist.nets[1].index == 1
+        assert moved.index == 5
+
+    def test_columns_mirror_connections(self):
+        netlist = Netlist(
+            [Net("a", 0, (1, 0, 2)), Net("b", 3, (3,)), Net("c", 2, (0,))]
+        )
+        sources, sinks = netlist.connection_dies()
+        conns = netlist.connections
+        assert sources.tolist() == [c.source_die for c in conns] == [0, 0, 2]
+        assert sinks.tolist() == [c.sink_die for c in conns] == [1, 2, 0]
+        assert netlist.connection_net_indices().tolist() == [0, 0, 2]
+        assert netlist.net_fanouts().tolist() == [3, 1, 1]
+        for column in (sources, sinks, netlist.net_fanouts()):
+            assert not column.flags.writeable
+        empty_sources, empty_sinks = Netlist([]).connection_dies()
+        assert empty_sources.size == empty_sinks.size == 0
 
     def test_len_and_iter(self):
         netlist = Netlist([Net("a", 0, (1,)), Net("b", 1, (0,))])
@@ -98,9 +128,11 @@ class TestNetlist:
         assert [net.name for net in netlist] == ["a", "b"]
 
     def test_connection_indices_of(self):
-        netlist = Netlist([Net("a", 0, (1, 2)), Net("b", 1, (0,))])
+        netlist = Netlist([Net("a", 0, (1, 2)), Net("b", 1, (1,)), Net("c", 1, (0,))])
         assert netlist.connection_indices_of(0) == [0, 1]
-        assert netlist.connection_indices_of(1) == [2]
+        assert netlist.connection_indices_of(1) == []
+        assert netlist.connection_indices_of(2) == [2]
+        assert [c.index for c in netlist.connections_of(2)] == [2]
 
     def test_repr(self):
         text = repr(Netlist([Net("a", 0, (1,))]))

@@ -3,6 +3,7 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.ordering import (
     WeightMode,
@@ -119,3 +120,41 @@ class TestOrderConnections:
         netlist = random_netlist(system, 50, seed=11)
         dist = floyd_warshall(graph, np.ones(graph.num_edges))
         assert order_connections(netlist, dist) == order_connections(netlist, dist)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nets=st.lists(
+            st.tuples(
+                st.integers(0, 7), st.lists(st.integers(0, 7), min_size=1, max_size=4)
+            ),
+            max_size=30,
+        ),
+        weights=st.lists(
+            st.sampled_from([0.0, 1.0, 2.0, np.inf]), min_size=9, max_size=9
+        ),
+    )
+    def test_matches_sorted_key_oracle(self, nets, weights):
+        # Few weight values and small fanouts make ties common; an edge of
+        # weight inf can leave a pair unreachable.
+        graph = RoutingGraph(build_two_fpga_system(num_tdm_edges=3))
+        netlist = Netlist(
+            [Net(f"n{i}", source, tuple(sinks)) for i, (source, sinks) in enumerate(nets)]
+        )
+        dist = floyd_warshall(graph, np.asarray(weights))
+        order = order_connections(netlist, dist)
+        assert order == _sorted_key_order(netlist, dist)
+        assert all(type(index) is int for index in order)
+
+
+def _sorted_key_order(netlist, dist):
+    """The per-connection sort key ``order_connections`` replaced: the oracle."""
+    dist_rows = dist.tolist()
+    fanouts = [net.fanout for net in netlist.nets]
+    connections = netlist.connections
+
+    def key(conn_index):
+        conn = connections[conn_index]
+        weight = dist_rows[conn.source_die][conn.sink_die]
+        return (-weight, fanouts[conn.net_index], conn_index)
+
+    return sorted(range(netlist.num_connections), key=key)

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.drc import DesignRuleChecker, ViolationKind
 from repro.netlist import Net, Netlist
 from repro.route.solution import RoutingSolution
+from repro.timing import DelayModel
 from tests.conftest import build_two_fpga_system
 
 
@@ -105,6 +107,59 @@ class TestOverflow:
         solution = RoutingSolution(system, netlist)
         solution.set_path(0, [0, 1, 2])
         assert solution.conflict_count() == 0
+
+    @pytest.mark.parametrize("tdm_maps_first", [True, False])
+    def test_overflow_counts_agree_with_tdm_maps_and_drc(self, tdm_maps_first):
+        system = build_two_fpga_system(sll_capacity=1)
+        netlist = Netlist([Net("a", 0, (1,)), Net("b", 0, (1,))])
+        solution = RoutingSolution(system, netlist)
+        # Both nets detour over both TDM edges and five SLL edges.
+        detour = [0, 7, 6, 5, 4, 3, 2, 1]
+        solution.set_path(0, detour)
+        solution.set_path(1, detour)
+        tdm07 = system.edge_between(0, 7).index
+        tdm34 = system.edge_between(3, 4).index
+        sll_used = sorted(
+            system.edge_between(a, b).index
+            for a, b in ((7, 6), (6, 5), (5, 4), (3, 2), (2, 1))
+        )
+
+        def counts():
+            return (
+                solution.conflict_count(),
+                sorted((o.edge_index, o.demand) for o in solution.sll_overflows()),
+                [solution.edge_demand(edge.index) for edge in system.edges],
+            )
+
+        if tdm_maps_first:
+            uses = solution.all_net_uses()
+            first = counts()
+        else:
+            first = counts()
+            uses = solution.all_net_uses()
+        assert first[0] == 5
+        assert first[1] == [(edge, 2) for edge in sll_used]
+        assert first[2] == [
+            2 if edge.index in sll_used or edge.index in (tdm07, tdm34) else 0
+            for edge in system.edges
+        ]
+        assert sorted(uses) == sorted(
+            (net, edge, direction)
+            for net in (0, 1)
+            for edge, direction in solution.path_hops(0)
+            if edge in (tdm07, tdm34)
+        )
+        assert solution.directed_tdm_nets(tdm07, solution.path_hops(0)[0][1]) == [0, 1]
+        report = DesignRuleChecker(system, netlist, DelayModel()).check(
+            solution, check_wires=False
+        )
+        assert report.count(ViolationKind.SLL_CAPACITY) == len(first[1])
+
+        # A path change rebuilds both maps.
+        solution.set_path(1, [0, 1])
+        assert solution.conflict_count() == 0
+        assert solution.edge_nets(system.edge_between(0, 1).index) == {1}
+        assert {use[0] for use in solution.all_net_uses()} == {0}
 
 
 class TestRatios:
