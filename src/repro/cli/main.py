@@ -15,6 +15,7 @@ from repro import (
 )
 from repro.benchgen import load_case
 from repro.io import parse_case_file, write_solution_file
+from repro.io.contest_format import CaseFormatError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,7 +150,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     # whatever was traced before the failure durable on disk.
     try:
         if args.case_file:
-            system, netlist, delay_model = parse_case_file(args.case_file)
+            try:
+                system, netlist, delay_model = parse_case_file(args.case_file)
+            except FileNotFoundError as exc:
+                print(f"repro route: no such file: {exc.filename}", file=sys.stderr)
+                return 2
+            except OSError as exc:
+                print(f"repro route: cannot read case file: {exc}", file=sys.stderr)
+                return 2
+            except CaseFormatError as exc:
+                print(f"repro route: invalid case file: {exc}", file=sys.stderr)
+                return 2
         else:
             case = load_case(args.contest_case, scale=args.scale)
             system, netlist = case.system, case.netlist

@@ -108,30 +108,28 @@ class EcoRouter:
         paths.  Everything else is routed incrementally.
         """
         old_netlist = old_solution.netlist
+        old_net_by_name = old_netlist.net_by_name
+        old_offsets = old_netlist.connection_offsets()
+        new_offsets = new_netlist.connection_offsets()
+        old_paths = old_solution.paths()
         carried: List[Optional[Sequence[int]]] = [None] * new_netlist.num_connections
-        preserved = 0
         for net in new_netlist.nets:
-            old_net = old_netlist.net_by_name(net.name)
+            start = new_offsets[net.index]
+            stop = new_offsets[net.index + 1]
+            if start == stop:
+                continue
+            old_net = old_net_by_name(net.name)
             if (
                 old_net is None
                 or old_net.source_die != net.source_die
                 or old_net.sink_dies != net.sink_dies
             ):
                 continue
-            old_conns = {
-                conn.sink_die: conn.index
-                for conn in old_netlist.connections_of(old_net.index)
-            }
-            for conn in new_netlist.connections_of(net.index):
-                old_index = old_conns.get(conn.sink_die)
-                if old_index is None:
-                    continue
-                path = old_solution.path(old_index)
-                if path is not None:
-                    carried[conn.index] = path
-                    preserved += 1
+            # Equal source and sinks give the same connection layout.
+            old_start = old_offsets[old_net.index]
+            carried[start:stop] = old_paths[old_start : old_start + stop - start]
         result = self._route_missing(new_netlist, carried)
-        result.preserved_connections = preserved
+        result.preserved_connections = len(carried) - carried.count(None)
         return result
 
     # ------------------------------------------------------------------
@@ -158,15 +156,19 @@ class EcoRouter:
         critical = (
             analyzer.critical_delay(solution) if netlist.num_connections else 0.0
         )
-        carried_nets = {
-            conn.net_index
-            for conn in netlist.connections
-            if carried[conn.index] is not None
+        offsets = netlist.connection_offsets()
+        disturbed = {
+            net_index
+            for net_index in router.ripped_nets
+            if any(
+                path is not None
+                for path in carried[offsets[net_index] : offsets[net_index + 1]]
+            )
         }
         return EcoResult(
             solution=solution,
             critical_delay=critical,
             conflict_count=router.stats.final_overflow,
             rerouted_connections=len(rerouted),
-            disturbed_nets=router.ripped_nets & carried_nets,
+            disturbed_nets=disturbed,
         )

@@ -19,6 +19,7 @@ still without a path.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set
@@ -131,15 +132,16 @@ class InitialRouter:
         Args:
             carried: per-connection die paths kept from an earlier
                 solution, ``None`` for each connection to route (ECO,
-                :mod:`repro.core.eco`).  They enter the negotiation state
-                before the first pass, which then routes only the
-                connections without one; negotiation may rip them up
-                like any other path.
+                :mod:`repro.core.eco`).  Each is an int tuple as
+                :meth:`RoutingSolution.path` returns it and is accounted
+                as is.  They enter the negotiation state before the first
+                pass, which then routes only the connections without one;
+                negotiation may rip them up like any other path.
             resume: a ``phase1.round`` checkpoint payload
                 (docs/resilience.md); the first pass is skipped, the
-                checkpointed paths/history are restored and negotiation
-                continues at the next round — bit-identical to never
-                having stopped.
+                checkpointed paths (JSON lists, made int tuples here)
+                and history are restored and negotiation continues at
+                the next round — bit-identical to never having stopped.
             checkpoint: duck-typed writer with
                 ``save(barrier, build_payload)``
                 (e.g. :class:`repro.resilience.CheckpointManager`);
@@ -184,7 +186,7 @@ class InitialRouter:
 
         state = NegotiationState(graph)
         cost_model = EdgeCostModel(graph, self.delay_model, self.config, weights)
-        paths: List[Optional[List[int]]] = [None] * netlist.num_connections
+        paths: List[Optional[Sequence[int]]] = [None] * netlist.num_connections
         start_round = 0
         if resume is not None:
             # Restore the post-round snapshot *before* the kernel prices
@@ -196,7 +198,11 @@ class InitialRouter:
                     f"graph has {graph.num_edges} edges"
                 )
             cost_model.history[:] = [float(h) for h in history]
-            self._restore(resume["paths"], state, paths)
+            saved = [
+                None if path is None else tuple(map(int, path))
+                for path in resume["paths"]
+            ]
+            self._restore(saved, state, paths)
             self.stats = InitialRoutingStats.from_dict(resume["stats"])
             start_round = int(resume["round"]) + 1
         elif carried is not None:
@@ -220,7 +226,7 @@ class InitialRouter:
                 paths,
             )
 
-        net_weight = self._net_routing_weights(dist)
+        net_rank: Optional[List[int]] = None
         with tracer.span("ir.negotiation"):
             for round_index in range(start_round, self.config.max_reroute_iterations):
                 if deadline is not None and tracer.elapsed() > deadline:
@@ -247,7 +253,9 @@ class InitialRouter:
                     break
                 self.stats.negotiation_rounds = round_index + 1
                 cost_model.add_history(overflowed)
-                victim_nets = self._select_victims(state, overflowed, net_weight)
+                if net_rank is None:
+                    net_rank = self._net_victim_ranks(dist)
+                victim_nets = self._select_victims(state, overflowed, net_rank)
                 victim_conns = sorted(
                     (
                         conn_index
@@ -318,7 +326,7 @@ class InitialRouter:
     def _round_payload(
         self,
         round_index: int,
-        paths: List[Optional[List[int]]],
+        paths: List[Optional[Sequence[int]]],
         cost_model: EdgeCostModel,
     ) -> Dict[str, Any]:
         """Checkpoint payload capturing the negotiation loop state."""
@@ -334,25 +342,29 @@ class InitialRouter:
         self,
         saved: Sequence[Optional[Sequence[int]]],
         state: NegotiationState,
-        paths: List[Optional[List[int]]],
+        paths: List[Optional[Sequence[int]]],
     ) -> None:
-        """Account saved per-connection paths (resumed or carried over)."""
+        """Account saved per-connection int paths (resumed or carried over).
+
+        The paths are kept as given; a pair of non-adjacent dies raises
+        ``ValueError`` from the edge lookup.
+        """
         if len(saved) != len(paths):
             raise ValueError(
                 f"{len(saved)} saved paths for {len(paths)} connections"
             )
-        connections = self.netlist.connections
+        add_path = state.add_path
+        net_of = self.netlist.connection_net_indices().tolist()
         for conn_index, path in enumerate(saved):
             if path is not None:
-                dies = [int(d) for d in path]
-                paths[conn_index] = dies
-                state.add_path(connections[conn_index].net_index, dies)
+                paths[conn_index] = path
+                add_path(net_of[conn_index], path)
 
     def _first_pass(
         self,
         order: List[int],
         state: NegotiationState,
-        paths: List[Optional[List[int]]],
+        paths: List[Optional[Sequence[int]]],
     ) -> None:
         """Route each connection of ``order`` once, in that order.
 
@@ -396,11 +408,25 @@ class InitialRouter:
                 weights[conn.net_index] = weight
         return weights
 
+    def _net_victim_ranks(self, dist) -> List[int]:
+        """Per-net position in rip-up order: by routing weight, then index.
+
+        The stable sort keeps equal weights in index order, so ranks order
+        nets exactly as the ``(weight, net index)`` pair does.
+        """
+        weights = self._net_routing_weights(dist)
+        ranks = [0] * len(weights)
+        for position, net_index in enumerate(
+            sorted(range(len(weights)), key=weights.__getitem__)
+        ):
+            ranks[net_index] = position
+        return ranks
+
     def _select_victims(
         self,
         state: NegotiationState,
         overflowed: List[int],
-        net_weight: List[float],
+        net_rank: List[int],
     ) -> set:
         """Choose which nets to rip up from the overflowed SLL edges.
 
@@ -411,16 +437,12 @@ class InitialRouter:
         factor = self.config.ripup_factor
         victims = set()
         for edge_index in overflowed:
-            overuse = state.overuse(edge_index)
             nets = state.nets_on_edge(edge_index)
             if factor == float("inf"):
                 victims.update(nets)
                 continue
-            quota = int(math.ceil(factor * overuse))
-            # sorted(), not .sort(): NegotiationState may hand out
-            # references to its internals, which must stay unordered.
-            ranked = sorted(nets, key=lambda n: (net_weight[n], n))
-            victims.update(ranked[:quota])
+            quota = int(math.ceil(factor * state.overuse(edge_index)))
+            victims.update(heapq.nsmallest(quota, nets, key=net_rank.__getitem__))
         return victims
 
     def _route_connection(

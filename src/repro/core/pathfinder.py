@@ -5,6 +5,10 @@ and how many distinct nets each edge carries (``demand_e``).  Demand counts
 *nets*, not connections: two connections of one net sharing an edge consume
 a single SLL wire / TDM slot, which is exactly why the µ discount of the
 cost model pays off.
+
+The reverse map (edge -> nets on it), which rip-up reads, is built on the
+first such read and kept current from then on: the first pass and path
+restores account every (net, edge) pair once and never read it.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ class NegotiationState:
         #: Edge lists memoized per distinct die path (paths repeat
         #: heavily across connections; the lists are never mutated).
         self._path_edges: Dict[Tuple[int, ...], List[int]] = {}
+        #: Per edge: the nets using it (``None`` until first read).
+        self._edge_nets: Optional[List[Set[int]]] = None
         # Plain-int mirrors of the graph's numpy arrays: the per-round
         # overflow scans index these instead of numpy scalars.
         self._sll_edges: List[int] = [int(e) for e in graph.sll_edge_indices]
@@ -59,12 +65,15 @@ class NegotiationState:
     def add_path(self, net_index: int, path: Sequence[int]) -> None:
         """Account a routed die path of one of the net's connections."""
         counts = self._net_edge_count.setdefault(net_index, {})
+        edge_nets = self._edge_nets
         for edge_index in self._edges_of_path(path):
             previous = counts.get(edge_index, 0)
             counts[edge_index] = previous + 1
             if previous == 0:
                 self.demand[edge_index] += 1
                 self._dirty.add(edge_index)
+                if edge_nets is not None:
+                    edge_nets[edge_index].add(net_index)
 
     def add_hops(self, net_index: int, hops: Iterable[Tuple[int, int]]) -> None:
         """Account a routed path given as ``(edge_index, direction)`` hops.
@@ -74,24 +83,30 @@ class NegotiationState:
         :meth:`repro.route.solution.RoutingSolution.path_hops`).
         """
         counts = self._net_edge_count.setdefault(net_index, {})
+        edge_nets = self._edge_nets
         for edge_index, _ in hops:
             previous = counts.get(edge_index, 0)
             counts[edge_index] = previous + 1
             if previous == 0:
                 self.demand[edge_index] += 1
                 self._dirty.add(edge_index)
+                if edge_nets is not None:
+                    edge_nets[edge_index].add(net_index)
 
     def remove_path(self, net_index: int, path: Sequence[int]) -> None:
         """Reverse :meth:`add_path` for a ripped-up connection."""
         counts = self._net_edge_count.get(net_index)
         if counts is None:
             raise KeyError(f"net {net_index} has no routed paths")
+        edge_nets = self._edge_nets
         for edge_index in self._edges_of_path(path):
             remaining = counts[edge_index] - 1
             if remaining == 0:
                 del counts[edge_index]
                 self.demand[edge_index] -= 1
                 self._dirty.add(edge_index)
+                if edge_nets is not None:
+                    edge_nets[edge_index].remove(net_index)
             else:
                 counts[edge_index] = remaining
 
@@ -111,22 +126,24 @@ class NegotiationState:
             if demand[edge_index] > capacity[edge_index]
         ]
 
+    def _ensure_edge_nets(self) -> List[Set[int]]:
+        edge_nets = self._edge_nets
+        if edge_nets is None:
+            edge_nets = [set() for _ in range(self.graph.num_edges)]
+            for net_index, counts in self._net_edge_count.items():
+                for edge_index in counts:
+                    edge_nets[edge_index].add(net_index)
+            self._edge_nets = edge_nets
+        return edge_nets
+
     def nets_on_edges(self, edge_indices: Iterable[int]) -> Set[int]:
         """Nets using any of the given edges."""
-        targets = set(edge_indices)
-        return {
-            net_index
-            for net_index, counts in self._net_edge_count.items()
-            if targets.intersection(counts)
-        }
+        edge_nets = self._ensure_edge_nets()
+        return set().union(*(edge_nets[edge_index] for edge_index in edge_indices))
 
     def nets_on_edge(self, edge_index: int) -> List[int]:
-        """Nets using one edge (unordered)."""
-        return [
-            net_index
-            for net_index, counts in self._net_edge_count.items()
-            if edge_index in counts
-        ]
+        """Nets using one edge (unordered; a new list)."""
+        return list(self._ensure_edge_nets()[edge_index])
 
     def overuse(self, edge_index: int) -> int:
         """Demand beyond capacity on one edge (0 when legal)."""

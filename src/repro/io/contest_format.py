@@ -44,10 +44,12 @@ def parse_case(text: str) -> Case:
         ``(system, netlist, delay_model)``.
 
     Raises:
-        CaseFormatError: on any malformed line.
+        CaseFormatError: on any malformed line, naming the line: also for
+            a repeated net name or a net on a die the system lacks.
     """
     builder = SystemBuilder()
     nets: List[Net] = []
+    net_lines: List[int] = []
     params = {"d_sll": 0.5, "d0": 2.0, "d1": 0.5, "tdm_step": 8}
     saw_edge = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -90,6 +92,7 @@ def parse_case(text: str) -> Case:
                         index=len(nets),
                     )
                 )
+                net_lines.append(line_no)
             else:
                 raise CaseFormatError(f"line {line_no}: unknown keyword {fields[0]!r}")
         except (ValueError, TypeError) as exc:
@@ -98,16 +101,39 @@ def parse_case(text: str) -> Case:
             raise CaseFormatError(f"line {line_no}: {exc}") from exc
     if not saw_edge:
         raise CaseFormatError("case defines no edges")
-    system = builder.build()
-    netlist = Netlist(nets)
-    netlist.validate_against(system.num_dies)
-    model = DelayModel(
-        d_sll=params["d_sll"],
-        d0=params["d0"],
-        d1=params["d1"],
-        tdm_step=int(params["tdm_step"]),
-    )
-    return system, netlist, model
+    try:
+        system = builder.build()
+        model = DelayModel(
+            d_sll=params["d_sll"],
+            d0=params["d0"],
+            d1=params["d1"],
+            tdm_step=int(params["tdm_step"]),
+        )
+    except ValueError as exc:
+        raise CaseFormatError(str(exc)) from exc
+    return system, _netlist(nets, net_lines, system.num_dies), model
+
+
+def _netlist(nets: List[Net], net_lines: List[int], num_dies: int) -> Netlist:
+    """The case's netlist; a whole-netlist error names its ``NET`` line."""
+    try:
+        netlist = Netlist(nets)
+    except ValueError as exc:  # a repeated name: name the repeat
+        seen = set()
+        for net, line_no in zip(nets, net_lines):
+            if net.name in seen:
+                raise CaseFormatError(f"line {line_no}: {exc}") from exc
+            seen.add(net.name)
+        raise
+    try:
+        netlist.validate_against(num_dies)
+    except ValueError as exc:  # name the first net on the largest die
+        worst = netlist.max_die_index()
+        for net, line_no in zip(nets, net_lines):
+            if net.source_die == worst or worst in net.sink_dies:
+                raise CaseFormatError(f"line {line_no}: {exc}") from exc
+        raise
+    return netlist
 
 
 def read_text_maybe_gzip(path: Union[str, Path]) -> str:
@@ -131,7 +157,11 @@ def write_text_maybe_gzip(path: Union[str, Path], text: str) -> None:
 
 def parse_case_file(path: Union[str, Path]) -> Case:
     """Parse a case from a file path (``.gz`` transparently supported)."""
-    return parse_case(read_text_maybe_gzip(path))
+    try:
+        text = read_text_maybe_gzip(path)
+    except UnicodeDecodeError as exc:
+        raise CaseFormatError(f"not a text case file: {exc}") from exc
+    return parse_case(text)
 
 
 def write_case(

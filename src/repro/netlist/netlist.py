@@ -54,7 +54,7 @@ class Netlist:
         self._connections: List[Connection] = list(
             map(Connection, range(len(conn_sink)), conn_net, conn_source, conn_sink)
         )
-        self._offsets = offsets
+        self._offsets: Tuple[int, ...] = tuple(offsets)
         self._conn_net = _column(conn_net)
         self._conn_source = _column(conn_source)
         self._conn_sink = _column(conn_sink)
@@ -102,6 +102,11 @@ class Netlist:
         """Return the connection indices of a net."""
         offsets = self._offsets
         return list(range(offsets[net_index], offsets[net_index + 1]))
+
+    def connection_offsets(self) -> Tuple[int, ...]:
+        """Per-net connection offsets: net ``i`` owns the connections
+        ``offsets[i]:offsets[i + 1]`` (``num_nets + 1`` entries)."""
+        return self._offsets
 
     def crossing_nets(self) -> Iterator[Net]:
         """Yield the nets that have at least one die-crossing connection."""

@@ -123,6 +123,10 @@ class RoutingSolution:
         """The routed die path of a connection (``None`` when unrouted)."""
         return self._paths[connection_index]
 
+    def paths(self) -> List[Optional[Tuple[int, ...]]]:
+        """Every connection's die path by connection index (a new list)."""
+        return list(self._paths)
+
     def path_hops(self, connection_index: int) -> List[Tuple[int, int]]:
         """``(edge_index, direction)`` hops of a connection's path."""
         hops = self._conn_hops[connection_index]

@@ -323,6 +323,58 @@ def case02_checkpoints(tmp_path_factory):
     }
 
 
+class TestRouteErrors:
+    """A bad ``--case-file`` fails with one stderr line and exit 2."""
+
+    SYSTEM = "FPGA f 2\nFPGA g 2\nSLL 0 1 4\nSLL 2 3 4\nTDM 1 2 4\n"
+
+    def _route_error(self, path, capsys):
+        code = unified_main(["route", "--case-file", str(path), "--quiet"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        return lines[0]
+
+    def test_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "nope.case"
+        assert self._route_error(path, capsys) == (
+            f"repro route: no such file: {path}"
+        )
+
+    def test_unreadable_file(self, tmp_path, capsys):
+        line = self._route_error(tmp_path, capsys)
+        assert line.startswith("repro route: cannot read case file: ")
+
+    def test_binary_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.case"
+        path.write_bytes(b"\x9a\xff\x00NET")
+        line = self._route_error(path, capsys)
+        assert line.startswith("repro route: invalid case file: not a text case file: ")
+
+    @pytest.mark.parametrize(
+        "nets,message",
+        [
+            ("NET a -1 1\n", "line 6: net 'a': source die must be non-negative"),
+            ("NET a 0 1\nNET a 1 0\n", "line 7: net names must be unique"),
+            (
+                "NET a 0 1\nNET b 0 4\n",
+                "line 7: netlist references die 4 but the system has only 4 dies",
+            ),
+            ("SLL 0 9 4\nNET a 0 1\n", "edge 2 references unknown die 9"),
+        ],
+        ids=["negative_source", "duplicate_name", "die_out_of_range", "edge_off_system"],
+    )
+    def test_malformed_case(self, nets, message, tmp_path, capsys):
+        path = tmp_path / "bad.case"
+        path.write_text(self.SYSTEM + nets)
+        assert self._route_error(path, capsys) == (
+            f"repro route: invalid case file: {message}"
+        )
+
+
 class TestResumeErrors:
     """Bad checkpoint inputs fail with one stderr line and exit 2."""
 

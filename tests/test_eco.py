@@ -188,3 +188,88 @@ class TestGoldenFingerprints:
         assert solution_fingerprint(outcome.solution, DelayModel()) == (
             "e1af80de08db97f27d07cfddb74dbc6d2f718991be587dd2f2fef3f51c9b86f2"
         )
+
+
+def sink_die_carried(old_solution, new_netlist):
+    """Oracle: the per-net ``{sink_die: index}`` carry-over that the
+    connection-slice copy replaced."""
+    old_netlist = old_solution.netlist
+    carried = [None] * new_netlist.num_connections
+    for net in new_netlist.nets:
+        old_net = old_netlist.net_by_name(net.name)
+        if (
+            old_net is None
+            or old_net.source_die != net.source_die
+            or old_net.sink_dies != net.sink_dies
+        ):
+            continue
+        old_conns = {
+            conn.sink_die: conn.index
+            for conn in old_netlist.connections_of(old_net.index)
+        }
+        for conn in new_netlist.connections_of(net.index):
+            old_index = old_conns.get(conn.sink_die)
+            if old_index is not None:
+                carried[conn.index] = old_solution.path(old_index)
+    return carried
+
+
+class TestCarryOver:
+    @staticmethod
+    def _migrate(monkeypatch, system, old_solution, new_netlist):
+        """``migrate``'s outcome and the carried paths it handed phase I."""
+        seen = []
+        original = EcoRouter._route_missing
+
+        def spy(self, netlist, carried, prev_incidence=None):
+            seen.append(list(carried))
+            return original(self, netlist, carried, prev_incidence)
+
+        monkeypatch.setattr(EcoRouter, "_route_missing", spy)
+        outcome = EcoRouter(system).migrate(old_solution, new_netlist)
+        return outcome, seen[0]
+
+    @staticmethod
+    def _with_changed_pins(revision, system):
+        """The revision with three surviving names changed in place: one
+        gets a new source die, one its sinks reversed, one an extra sink."""
+        nets = list(revision.nets)
+        moved, grown = nets[0], nets[1]
+        reversed_ = next(n for n in nets[2:] if len(n.sink_dies) >= 2)
+        source = (moved.source_die + 1) % system.num_dies
+        nets[moved.index] = Net(moved.name, source, moved.sink_dies)
+        nets[reversed_.index] = Net(
+            reversed_.name, reversed_.source_die, reversed_.sink_dies[::-1]
+        )
+        extra = next(d for d in range(system.num_dies) if d not in grown.sink_dies)
+        nets[grown.index] = Net(grown.name, grown.source_die, grown.sink_dies + (extra,))
+        return Netlist(nets), (moved.name, reversed_.name, grown.name)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_slices_match_sink_die_mapping(self, seed, monkeypatch):
+        system = build_two_fpga_system(sll_capacity=150, tdm_capacity=16)
+        netlist = random_netlist(system, 60, seed=seed)
+        base = SynergisticRouter(system, netlist).route().solution
+        # An old solution with a few unrouted connections.
+        old = base.copy_topology()
+        for conn_index in (0, 5, 11):
+            old.clear_path(conn_index)
+        spec = RevisionSpec(
+            retarget_fraction=0.1, remove_fraction=0.1, add_fraction=0.1, seed=seed
+        )
+        revision, changed = self._with_changed_pins(
+            revise_netlist(netlist, system.num_dies, spec), system
+        )
+        outcome, carried = self._migrate(monkeypatch, system, old, revision)
+        expected = sink_die_carried(old, revision)
+        assert carried == expected
+        assert outcome.preserved_connections == sum(p is not None for p in expected)
+        for name in changed:
+            net = revision.net_by_name(name)
+            assert netlist.net_by_name(name) is not None
+            assert all(
+                carried[index] is None
+                for index in revision.connection_indices_of(net.index)
+            )
+        assert outcome.solution.is_complete
+        assert outcome.conflict_count == 0

@@ -150,12 +150,11 @@ class TestMalformedNets:
         if name == "no_sinks":
             # The line parser rejects a sinkless NET before building it.
             message = "NET needs: name source sink..."
-        if name in ("duplicate_name", "die_out_of_range"):
-            # Whole-netlist checks run after the last line.
-            assert str(info.value) == message
-        else:
-            assert isinstance(info.value, CaseFormatError)
-            assert str(info.value) == f"line 6: {message}"
+        # Whole-netlist checks name the second NET line: it repeats the
+        # name or leaves the system.
+        line = 7 if name in ("duplicate_name", "die_out_of_range") else 6
+        assert isinstance(info.value, CaseFormatError)
+        assert str(info.value) == f"line {line}: {message}"
 
 
 class TestBadArguments:

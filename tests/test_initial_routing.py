@@ -1,7 +1,15 @@
 """Unit tests for the phase I initial router."""
 
+import math
+import random
+
+import numpy as np
+import pytest
+
 from repro import Net, Netlist, RouterConfig
-from repro.core.initial_routing import InitialRouter
+from repro.core.initial_routing import InitialRouter, InitialRoutingStats
+from repro.core.pathfinder import NegotiationState
+from repro.route.graph import RoutingGraph
 from tests.conftest import build_two_fpga_system, random_netlist
 
 
@@ -111,3 +119,173 @@ class TestStats:
         router = InitialRouter(system, netlist)
         router.route()
         assert router.stats.connections_routed == netlist.num_connections
+
+
+# ----------------------------------------------------------------------
+# Victim ranking against the per-edge sort it replaced
+# ----------------------------------------------------------------------
+def sorted_victims(state, overflowed, net_weight, factor):
+    """Oracle: per overflowed edge, a full scan for its nets and a
+    ``(weight, net)`` sort (the selection before the per-route ranking)."""
+    victims = set()
+    for edge_index in overflowed:
+        nets = [
+            net_index
+            for net_index in range(len(net_weight))
+            if edge_index in (state.net_edges_view(net_index) or {})
+        ]
+        if factor == float("inf"):
+            victims.update(nets)
+            continue
+        quota = int(math.ceil(factor * state.overuse(edge_index)))
+        ranked = sorted(nets, key=lambda n: (net_weight[n], n))
+        victims.update(ranked[:quota])
+    return victims
+
+
+class SortedVictimRouter(InitialRouter):
+    """Phase I that picks its rip-up victims with the oracle."""
+
+    def _net_victim_ranks(self, dist):
+        self.oracle_weights = self._net_routing_weights(dist)
+        return super()._net_victim_ranks(dist)
+
+    def _select_victims(self, state, overflowed, net_rank):
+        return sorted_victims(
+            state, overflowed, self.oracle_weights, self.config.ripup_factor
+        )
+
+
+def tied_dist(system, rng):
+    """A distance matrix of three values: many nets tie on weight."""
+    size = system.num_dies
+    return np.array(
+        [[float(rng.choice((1, 2, 3))) for _ in range(size)] for _ in range(size)]
+    )
+
+
+class TestVictimRanking:
+    FACTORS = [0.5, 1.0, 2.0, float("inf")]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ranks_order_nets_by_weight_then_index(self, seed):
+        system = build_two_fpga_system()
+        netlist = random_netlist(system, 40, seed=seed)
+        router = InitialRouter(system, netlist)
+        dist = tied_dist(system, random.Random(seed))
+        weights = router._net_routing_weights(dist)
+        ranks = router._net_victim_ranks(dist)
+        assert len(set(weights)) < len(weights)
+        assert sorted(ranks) == list(range(netlist.num_nets))
+        assert sorted(range(netlist.num_nets), key=ranks.__getitem__) == sorted(
+            range(netlist.num_nets), key=lambda n: (weights[n], n)
+        )
+
+    @pytest.mark.parametrize("factor", FACTORS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_selection_matches_oracle_through_rip_ups(self, factor, seed):
+        """Random overflowed states, then the same states after random
+        rip-ups and re-adds (the index kept current in between)."""
+        rng = random.Random(seed)
+        wide = build_two_fpga_system(sll_capacity=100)
+        narrow = build_two_fpga_system(sll_capacity=2)
+        netlist = random_netlist(wide, 40, seed=seed)
+        routed = InitialRouter(wide, netlist).route()
+        router = InitialRouter(
+            narrow, netlist, config=RouterConfig(ripup_factor=factor)
+        )
+        dist = tied_dist(narrow, rng)
+        ranks = router._net_victim_ranks(dist)
+        weights = router._net_routing_weights(dist)
+        state = NegotiationState(RoutingGraph(narrow))
+        live = []
+        for conn in netlist.connections:
+            state.add_path(conn.net_index, routed.path(conn.index))
+            live.append((conn.net_index, routed.path(conn.index)))
+        for _ in range(5):
+            overflowed = state.overflowed_sll_edges()
+            assert overflowed
+            assert router._select_victims(
+                state, overflowed, ranks
+            ) == sorted_victims(state, overflowed, weights, factor)
+            for _ in range(6):
+                net, path = live.pop(rng.randrange(len(live)))
+                state.remove_path(net, path)
+            for net, path in rng.sample(live, 3):
+                state.add_path(net, path)
+                live.append((net, path))
+
+    @pytest.mark.parametrize("factor", FACTORS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_routes_match_oracle_router(self, factor, seed):
+        """Whole negotiated routes equal those of the oracle's selection."""
+        system = build_two_fpga_system(sll_capacity=3, tdm_capacity=16)
+        netlist = random_netlist(system, 40, seed=seed)
+        config = RouterConfig(ripup_factor=factor)
+        router = InitialRouter(system, netlist, config=config)
+        oracle = SortedVictimRouter(system, netlist, config=config)
+        solution = router.route()
+        expected = oracle.route()
+        assert router.stats.negotiation_rounds >= 1
+        assert router.stats.to_dict() == oracle.stats.to_dict()
+        assert router.ripped_nets == oracle.ripped_nets
+        assert solution.paths() == expected.paths()
+
+
+# ----------------------------------------------------------------------
+# Restoring carried and resumed paths
+# ----------------------------------------------------------------------
+class TestRestore:
+    @pytest.fixture
+    def case(self):
+        system = build_two_fpga_system()
+        assert system.edge_between(0, 2) is None
+        return system, Netlist([Net("a", 0, (2,)), Net("b", 1, (3,))])
+
+    @staticmethod
+    def _payload(system, paths):
+        return {
+            "round": 0,
+            "paths": paths,
+            "history": [0.0] * RoutingGraph(system).num_edges,
+            "stats": InitialRoutingStats().to_dict(),
+        }
+
+    def test_carried_paths_are_kept(self, case):
+        system, netlist = case
+        routed = InitialRouter(system, netlist).route()
+        router = InitialRouter(system, netlist)
+        solution = router.route(carried=routed.paths())
+        assert solution.paths() == routed.paths()
+        assert router.stats.connections_routed == 0
+
+    def test_resumed_json_lists_match_carried_tuples(self, case):
+        system, netlist = case
+        routed = InitialRouter(system, netlist).route()
+        lists = [list(path) for path in routed.paths()]
+        solution = InitialRouter(system, netlist).route(
+            resume=self._payload(system, lists)
+        )
+        assert solution.paths() == routed.paths()
+
+    def test_carried_non_adjacent_path_rejected(self, case):
+        system, netlist = case
+        with pytest.raises(ValueError, match="not adjacent"):
+            InitialRouter(system, netlist).route(carried=[(0, 2), None])
+
+    def test_resumed_non_adjacent_path_rejected(self, case):
+        system, netlist = case
+        with pytest.raises(ValueError, match="not adjacent"):
+            InitialRouter(system, netlist).route(
+                resume=self._payload(system, [[0, 2], None])
+            )
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_wrong_number_of_saved_paths_rejected(self, case, count):
+        system, netlist = case
+        with pytest.raises(ValueError, match="saved paths for 2 connections"):
+            InitialRouter(system, netlist).route(carried=[None] * count)
+        with pytest.raises(ValueError, match="saved paths for 2 connections"):
+            InitialRouter(system, netlist).route(
+                resume=self._payload(system, [None] * count)
+            )

@@ -133,6 +133,7 @@ class TestNetlist:
         assert netlist.connection_indices_of(1) == []
         assert netlist.connection_indices_of(2) == [2]
         assert [c.index for c in netlist.connections_of(2)] == [2]
+        assert netlist.connection_offsets() == (0, 2, 2, 3)
 
     def test_repr(self):
         text = repr(Netlist([Net("a", 0, (1,))]))
