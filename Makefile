@@ -16,8 +16,8 @@ lint:
 		--output lint_findings.json
 
 # Resilience suite (docs/resilience.md): checkpoint/resume bit-equality
-# plus the fault-injection chaos tests (worker kills, induced
-# exceptions, wall-clock budget exhaustion) with 1 and 4 workers.
+# plus the fault-injection chaos tests (induced exceptions with resume,
+# delays, wall-clock budget exhaustion).
 chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_resilience.py tests/test_chaos.py -q
 

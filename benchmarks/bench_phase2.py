@@ -35,7 +35,6 @@ from repro.core.initial_routing import InitialRouter
 from repro.core.lagrangian import LagrangianTdmAssigner
 from repro.core.legalization import TdmLegalizer
 from repro.core.wire_assignment import WireAssigner
-from repro.parallel import ParallelExecutor
 from repro.timing import TimingAnalyzer
 
 #: Cases run by this benchmark (the contest trio the guards watch).
@@ -62,7 +61,7 @@ PRE_PR_BASELINE_S = {"case05": 0.0279, "case06": 0.1447, "case07": 0.1024}
 INCREMENTAL_PATCH = 64
 
 
-def run_pipeline(case, sol, executor, fast: bool) -> Tuple[object, object, object]:
+def run_pipeline(case, sol, fast: bool) -> Tuple[object, object, object]:
     """One full phase II pass over ``sol``; returns ``(lr, legal, stats)``."""
     model = DelayModel()
     config = RouterConfig()
@@ -71,9 +70,9 @@ def run_pipeline(case, sol, executor, fast: bool) -> Tuple[object, object, objec
     else:
         inc = build_reference(case.system, case.netlist, sol, model)
     lr = LagrangianTdmAssigner(inc, config, buffered=fast).solve()
-    legal = TdmLegalizer(inc, config, executor).legalize(lr.ratios)
+    legal = TdmLegalizer(inc, config).legalize(lr.ratios)
     inc.write_ratios(sol, legal.ratios)
-    stats = WireAssigner(inc, config, executor).assign(
+    stats = WireAssigner(inc, config).assign(
         sol, legal.ratios, legal.wire_budgets, legal.criticality
     )
     return lr, legal, stats
@@ -87,18 +86,16 @@ def test_phase2_pipeline_speedup(benchmark, case_name):
     results = {}
 
     def run():
-        # One persistent executor across every round, as in the router;
-        # interleave the two configurations so machine noise hits both.
+        # Interleave the two configurations so machine noise hits both.
         # The timed window covers the pipeline stages only — the topology
         # copy each round feeds the pipeline but is not part of it.
-        with ParallelExecutor(RouterConfig().num_workers) as executor:
-            for _ in range(ROUNDS):
-                for fast in (False, True):
-                    sol = solution.copy_topology()
-                    start = time.perf_counter()
-                    outputs = run_pipeline(case, sol, executor, fast)
-                    best[fast] = min(best[fast], time.perf_counter() - start)
-                    results[fast] = (sol, outputs)
+        for _ in range(ROUNDS):
+            for fast in (False, True):
+                sol = solution.copy_topology()
+                start = time.perf_counter()
+                outputs = run_pipeline(case, sol, fast)
+                best[fast] = min(best[fast], time.perf_counter() - start)
+                results[fast] = (sol, outputs)
         return results
 
     benchmark.pedantic(run, rounds=1, iterations=1)

@@ -25,9 +25,9 @@ per-topology artifacts keyed by ``(case digest, pricing knobs, epoch)``,
 bit-identical to cold runs.
 
 Everything re-exported here (``RouterConfig``, ``FaultPlan``,
-``CheckpointManager``, ``EcoRouter``, ``ParallelExecutor``, ...)
-is part of the same stable surface; ``tests/test_api_surface.py``
-snapshots the signatures so accidental breaks fail CI.
+``CheckpointManager``, ``EcoRouter``, ...) is part of the same stable
+surface; ``tests/test_api_surface.py`` snapshots the signatures so
+accidental breaks fail CI.
 """
 
 from __future__ import annotations
@@ -49,12 +49,7 @@ from repro.core.artifacts import (
 )
 from repro.core.config import RouterConfig
 from repro.core.eco import EcoRouter
-from repro.core.router import (
-    RoutingResult,
-    SynergisticRouter,
-    TdmAssigner,
-    parallel_run_info,
-)
+from repro.core.router import RoutingResult, SynergisticRouter, TdmAssigner
 from repro.drc import DesignRuleChecker
 from repro.io.checkpoint_io import (
     CheckpointFormatError,
@@ -62,7 +57,6 @@ from repro.io.checkpoint_io import (
     resolve_checkpoint_path,
 )
 from repro.netlist import Netlist
-from repro.parallel import ParallelExecutor
 from repro.route import RoutingSolution
 from repro.timing import DelayModel, TimingAnalyzer
 from repro.resilience import (
@@ -82,7 +76,6 @@ __all__ = [
     "FaultInjectingTracer",
     "FaultPlan",
     "FaultSpec",
-    "ParallelExecutor",
     "REQUEST_SCHEMA_VERSION",
     "RouteRequest",
     "RouteResponse",
@@ -96,7 +89,6 @@ __all__ = [
     "evaluate",
     "execute_request",
     "load_solution",
-    "parallel_run_info",
     "resolve_case",
     "route_request",
     "solution_fingerprint",
@@ -444,9 +436,7 @@ class _Prepared:
     artifacts: Optional[RoutingArtifacts]
     artifacts_state: str
 
-    def run(
-        self, tracer: Optional[Any], executor: Optional[ParallelExecutor]
-    ) -> RoutingResult:
+    def run(self, tracer: Optional[Any]) -> RoutingResult:
         """Route (or resume) the prepared case to completion."""
         router = SynergisticRouter(
             self.system,
@@ -456,7 +446,6 @@ class _Prepared:
             tracer=tracer,
             checkpoint=self.checkpoint,
             artifacts=self.artifacts,
-            executor=executor,
         )
         return router.route(resume=self.resume_state)
 
@@ -535,7 +524,6 @@ def execute_request(
     *,
     tracer: Optional[Any] = None,
     cache: Optional[ArtifactCache] = None,
-    executor: Optional[ParallelExecutor] = None,
     checkpoint_factory: Optional[Callable[..., Any]] = None,
 ) -> RoutingResult:
     """Run one request and return the live :class:`RoutingResult`.
@@ -550,8 +538,6 @@ def execute_request(
         tracer: optional :class:`repro.obs.Tracer` instrumenting the run.
         cache: warm-artifact cache to consult/populate; defaults to the
             process-wide one when ``request.warm_cache``.
-        executor: externally pooled phase II executor (never closed
-            here); ``None`` lets the router manage its own.
         checkpoint_factory: ``(system, netlist, delay_model, config,
             rng_state=None) ->`` duck-typed checkpoint writer, overriding
             the default :class:`CheckpointManager` built from
@@ -562,7 +548,7 @@ def execute_request(
     prepared = _prepare(
         request, tracer=tracer, cache=cache, checkpoint_factory=checkpoint_factory
     )
-    return prepared.run(tracer, executor)
+    return prepared.run(tracer)
 
 
 def route_request(
@@ -570,7 +556,6 @@ def route_request(
     *,
     tracer: Optional[Any] = None,
     cache: Optional[ArtifactCache] = None,
-    executor: Optional[ParallelExecutor] = None,
     checkpoint_factory: Optional[Callable[..., Any]] = None,
     queue_seconds: float = 0.0,
     preemptions: int = 0,
@@ -587,7 +572,6 @@ def route_request(
         tracer: optional tracer instrumenting the run.
         cache: warm-artifact cache (defaults to the process-wide one
             when ``request.warm_cache``).
-        executor: externally pooled phase II executor (never closed).
         checkpoint_factory: see :func:`execute_request`.
         queue_seconds: queue wait to record in the response (service
             bookkeeping; 0 for direct calls).
@@ -605,7 +589,7 @@ def route_request(
             checkpoint_factory=checkpoint_factory,
         )
         cache_info["artifacts"] = prepared.artifacts_state
-        result = prepared.run(tracer, executor)
+        result = prepared.run(tracer)
     except reraise:
         raise
     except Exception as exc:  # noqa: BLE001 - the response carries it

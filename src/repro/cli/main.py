@@ -52,14 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
         "adapted-fpga-level",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="workers for the parallel stages (paper uses 10 above 200k "
-        "nets); the REPRO_WORKERS env var applies only when the config "
-        "leaves the count unset",
-    )
-    parser.add_argument(
         "--drc", action="store_true", help="run the design-rule checker afterwards"
     )
     parser.add_argument(
@@ -178,14 +170,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 2
 
         baseline_cls = _resolve_router(args.router)
-        # The facade owns RouterConfig normalization (REPRO014): knobs
-        # travel as a plain mapping on the request.
         if baseline_cls is None:
             from repro.io import case_to_dict
 
             request = RouteRequest(
                 case=case_to_dict(system, netlist, delay_model),
-                config={"num_workers": args.workers},
                 checkpoint_dir=args.checkpoint_dir,
             )
             result = execute_request(request, tracer=tracer)

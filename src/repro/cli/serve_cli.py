@@ -65,12 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="warm-artifact cache LRU bound",
     )
     parser.add_argument(
-        "--executor-workers",
-        type=int,
-        default=1,
-        help="threads of the shared phase II executor pool",
-    )
-    parser.add_argument(
         "--report",
         metavar="PATH",
         help="write the JSON load report to this file",
@@ -117,7 +111,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
         slo_seconds=args.slo,
         cache_entries=args.cache_entries,
-        executor_workers=args.executor_workers,
     )
     sink = JsonlSink(args.trace_out) if args.trace_out else None
     tracer = Tracer(sink)

@@ -56,11 +56,6 @@ class RouterConfig:
         lr_epsilon: relative primal-dual gap threshold (Algorithm 1's ε).
         refine_margin_epsilon: Algorithm 2 stops once the margin between a
             directed edge's wire budget and its demand drops below this.
-        num_workers: worker threads for the per-edge phase II work; the
-            paper uses 10 threads for designs above 200k nets and 1
-            otherwise — ``None`` selects by that rule.
-        parallel_net_threshold: net count above which ``None`` workers
-            resolves to the multi-threaded executor.
         incremental_rebuild_fraction: when a timing-reroute/ECO round
             changed strictly fewer than this fraction of the connections,
             phase II patches the previous
@@ -77,13 +72,6 @@ class RouterConfig:
             iteration and between timing-reroute rounds, and exits early
             with the best-so-far legal solution, flagging the result (and
             run report) ``degraded``.  ``None`` (default) never degrades.
-        worker_max_retries: bounded retries for *transient* worker-task
-            failures (:class:`repro.parallel.TransientWorkerError`, e.g.
-            a killed worker) in the phase II executor.  Tasks are pure
-            per-edge computations, so re-running one is idempotent; any
-            other exception still fails fast.
-        worker_retry_backoff_seconds: base sleep before a retry; doubles
-            per attempt.
     """
 
     mu_shared: float = 0.5
@@ -97,13 +85,9 @@ class RouterConfig:
     lr_max_iterations: int = 100
     lr_epsilon: float = 1e-3
     refine_margin_epsilon: float = 1e-6
-    num_workers: int = 1
-    parallel_net_threshold: int = 200_000
     incremental_rebuild_fraction: float = 0.2
 
     wall_clock_budget_seconds: Optional[float] = None
-    worker_max_retries: int = 2
-    worker_retry_backoff_seconds: float = 0.01
 
     def __post_init__(self) -> None:
         if not 0.0 < self.mu_shared <= 1.0:
@@ -133,10 +117,6 @@ class RouterConfig:
             and self.wall_clock_budget_seconds < 0
         ):
             raise ValueError("wall_clock_budget_seconds must be non-negative")
-        if self.worker_max_retries < 0:
-            raise ValueError("worker_max_retries must be non-negative")
-        if self.worker_retry_backoff_seconds < 0:
-            raise ValueError("worker_retry_backoff_seconds must be non-negative")
 
     # ------------------------------------------------------------------
     # Exact dict round-trip (checkpoints, request dicts)

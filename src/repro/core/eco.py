@@ -29,6 +29,7 @@ from repro.core.incidence import TdmIncidence
 from repro.core.initial_routing import InitialRouter
 from repro.core.router import TdmAssigner
 from repro.netlist.netlist import Netlist
+from repro.obs import Tracer
 from repro.route.solution import RoutingSolution
 from repro.timing.analysis import TimingAnalyzer
 from repro.timing.delay import DelayModel
@@ -56,17 +57,27 @@ class EcoResult:
 
 
 class EcoRouter:
-    """Incremental router over an existing solution."""
+    """Incremental router over an existing solution.
+
+    Args:
+        system: the multi-FPGA system.
+        delay_model: delay constants (defaults match DESIGN.md).
+        config: tuning knobs for both phases.
+        tracer: obs tracer receiving the phase I and phase II spans and
+            counters; defaults to a fresh null-sink tracer.
+    """
 
     def __init__(
         self,
         system: MultiFpgaSystem,
         delay_model: Optional[DelayModel] = None,
         config: Optional[RouterConfig] = None,
+        tracer: Optional[Tracer] = None,
     ) -> None:
         self.system = system
         self.delay_model = delay_model if delay_model is not None else DelayModel()
         self.config = config if config is not None else RouterConfig()
+        self.tracer = tracer if tracer is not None else Tracer()
 
     # ------------------------------------------------------------------
     def reroute_nets(
@@ -140,14 +151,24 @@ class EcoRouter:
         prev_incidence: Optional["TdmIncidence"] = None,
     ) -> EcoResult:
         """Route every connection without a carried path, re-run phase II."""
-        router = InitialRouter(self.system, netlist, self.delay_model, self.config)
-        solution = router.route(carried=carried)
+        # The router's phase I span, so traced ECO runs share its rows.
+        with self.tracer.span("phase.initial_routing"):
+            router = InitialRouter(
+                self.system,
+                netlist,
+                self.delay_model,
+                self.config,
+                tracer=self.tracer,
+            )
+            solution = router.route(carried=carried)
         # Phase I routed the connections without a carried path, then
         # every connection of each net negotiation ripped up.
         rerouted = {i for i, path in enumerate(carried) if path is None}
         for net_index in router.ripped_nets:
             rerouted.update(netlist.connection_indices_of(net_index))
-        TdmAssigner(self.system, netlist, self.delay_model, self.config).assign(
+        TdmAssigner(
+            self.system, netlist, self.delay_model, self.config, tracer=self.tracer
+        ).assign(
             solution,
             prev_incidence=prev_incidence,
             changed_connections=sorted(rerouted),

@@ -13,8 +13,9 @@ Legalization turns the continuous LR ratios into legal ones:
    a connection of the net crossing the edge) and lowers its ratio by one
    step while the margin affords it.
 
-Each directed edge is independent, so edges can be processed in parallel
-(the paper's OpenMP loop; our :class:`~repro.parallel.ParallelExecutor`).
+Each directed edge is independent (the paper refines them in an OpenMP
+loop); this implementation visits them in CSR group order on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 from repro.core.config import RouterConfig
 from repro.core.incidence import TdmIncidence
 from repro.obs import Tracer, get_logger
-from repro.parallel import ParallelExecutor
 
 logger = get_logger(__name__)
 
@@ -60,12 +60,10 @@ class TdmLegalizer:
         self,
         incidence: TdmIncidence,
         config: Optional[RouterConfig] = None,
-        executor: Optional[ParallelExecutor] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.incidence = incidence
         self.config = config if config is not None else RouterConfig()
-        self.executor = executor if executor is not None else ParallelExecutor(1)
         self.tracer = tracer if tracer is not None else Tracer()
 
     # ------------------------------------------------------------------
@@ -89,12 +87,8 @@ class TdmLegalizer:
             for edge_index, direction, pairs in inc.directed_edge_groups()
         ]
         steps = sum(
-            self.executor.map(
-                lambda task: self._refine_directed_edge(
-                    task[0], task[1], ratios, criticality
-                ),
-                tasks,
-            )
+            self._refine_directed_edge(pairs, budget, ratios, criticality)
+            for pairs, budget in tasks
         )
         tracer = self.tracer
         tracer.add("legalization.refinement_steps", steps)
@@ -168,7 +162,7 @@ class TdmLegalizer:
         """Algorithm 2 on one directed TDM edge.
 
         Mutates ``ratios`` and ``criticality`` in place for the given pairs
-        (disjoint across directed edges, so parallel calls never conflict).
+        (disjoint across directed edges).
 
         Returns:
             Number of single-step ratio decreases applied.

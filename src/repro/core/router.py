@@ -17,7 +17,6 @@ from repro.core.wire_assignment import WireAssigner, WireAssignmentStats
 from repro.arch.system import MultiFpgaSystem
 from repro.netlist.netlist import Netlist
 from repro.obs import TelemetrySnapshot, Tracer, get_logger
-from repro.parallel import ParallelExecutor, resolve_workers
 from repro.route.solution import RoutingSolution
 from repro.timing.analysis import TimingAnalyzer, TimingReport
 from repro.timing.delay import DelayModel
@@ -33,23 +32,6 @@ PHASE_LGWA = "phase.legalization_wire_assignment"
 #: Not part of the Fig. 5(b) phase accounting, but without it the trace
 #: profiler would attribute analysis time to ``(untracked)``.
 SPAN_TIMING = "timing.analysis"
-
-
-def parallel_run_info(config: RouterConfig) -> Dict[str, Any]:
-    """How a run's worker pools will be sized under ``config``.
-
-    The resolved count is what :class:`~repro.parallel.ParallelExecutor`
-    would use (an explicit ``num_workers`` verbatim; ``None`` via the
-    ``REPRO_WORKERS`` env var, else the paper default) — recorded in run
-    reports and bench rows so perf comparisons can see the actual
-    parallelism, not just the request.
-    """
-    workers, from_env = resolve_workers(config.num_workers)
-    return {
-        "requested_workers": config.num_workers,
-        "resolved_workers": workers,
-        "workers_from_env": from_env,
-    }
 
 
 @dataclass
@@ -133,11 +115,6 @@ class RoutingResult:
             (``RouterConfig.wall_clock_budget_seconds``) cut the run
             short; the solution is the best-so-far legal state and the
             run report carries the same flag (docs/resilience.md).
-        parallel_info: how the run's worker pool was sized — requested
-            vs resolved worker count and whether ``REPRO_WORKERS``
-            supplied it.  Recorded in run reports and ``BENCH_*.json``
-            so perf-sentinel comparisons are apples-to-apples
-            (docs/performance.md).
     """
 
     solution: RoutingSolution
@@ -151,7 +128,6 @@ class RoutingResult:
     timing_reroute_moves: int = 0
     telemetry: Optional[TelemetrySnapshot] = None
     degraded: bool = False
-    parallel_info: Optional[Dict[str, Any]] = None
 
     @property
     def is_legal(self) -> bool:
@@ -179,23 +155,6 @@ class TdmAssigner:
         self.delay_model = delay_model if delay_model is not None else DelayModel()
         self.config = config if config is not None else RouterConfig()
         self.tracer = tracer if tracer is not None else Tracer()
-
-    def _executor(self) -> ParallelExecutor:
-        workers = self.config.num_workers
-        # The paper's rule: auto-size only above 200k nets, 1 below.
-        # ``None`` is forwarded so the executor resolves it (REPRO_WORKERS
-        # env override, else the paper's min(10, cpu_count) default).
-        if (
-            workers is None
-            and self.netlist.num_nets <= self.config.parallel_net_threshold
-        ):
-            workers = 1
-        return ParallelExecutor(
-            workers,
-            tracer=self.tracer,
-            max_retries=self.config.worker_max_retries,
-            retry_backoff=self.config.worker_retry_backoff_seconds,
-        )
 
     def assign(
         self,
@@ -240,20 +199,17 @@ class TdmAssigner:
         )
         if incidence.num_pairs == 0:
             return None, None
-        with self._executor() as executor:
-            with tracer.span(PHASE_TA):
-                lr = LagrangianTdmAssigner(incidence, self.config, tracer=tracer)
-                lr_result = lr.solve()
-            with tracer.span(PHASE_LGWA):
-                legalizer = TdmLegalizer(
-                    incidence, self.config, executor, tracer=tracer
-                )
-                legal = legalizer.legalize(lr_result.ratios)
-                incidence.write_ratios(solution, legal.ratios)
-                assigner = WireAssigner(incidence, self.config, executor, tracer=tracer)
-                stats = assigner.assign(
-                    solution, legal.ratios, legal.wire_budgets, legal.criticality
-                )
+        with tracer.span(PHASE_TA):
+            lr = LagrangianTdmAssigner(incidence, self.config, tracer=tracer)
+            lr_result = lr.solve()
+        with tracer.span(PHASE_LGWA):
+            legal = TdmLegalizer(incidence, self.config, tracer=tracer).legalize(
+                lr_result.ratios
+            )
+            incidence.write_ratios(solution, legal.ratios)
+            stats = WireAssigner(incidence, self.config, tracer=tracer).assign(
+                solution, legal.ratios, legal.wire_budgets, legal.criticality
+            )
         return lr_result.history, stats
 
 
@@ -280,12 +236,6 @@ class SynergisticRouter:
             case and pricing config) forwarded to phase I; reuses the
             prebuilt graph/weights/ordering, bit-identical to a cold
             run (docs/serving.md).
-        executor: optional externally pooled
-            :class:`~repro.parallel.ParallelExecutor` serving phase II.
-            The router never closes an external executor — the owner
-            (e.g. :class:`repro.serve.RoutingService`, which shares one
-            pool across requests) does; when absent the router creates
-            and closes its own.
     """
 
     def __init__(
@@ -297,7 +247,6 @@ class SynergisticRouter:
         tracer: Optional[Tracer] = None,
         checkpoint: Optional[Any] = None,
         artifacts: Optional[Any] = None,
-        executor: Optional[ParallelExecutor] = None,
     ) -> None:
         netlist.validate_against(system.num_dies)
         self.system = system
@@ -307,7 +256,6 @@ class SynergisticRouter:
         self.tracer = tracer if tracer is not None else Tracer()
         self.checkpoint = checkpoint
         self.artifacts = artifacts
-        self.executor = executor
 
     def route(self, resume: Optional[Mapping[str, Any]] = None) -> RoutingResult:
         """Run both phases (plus the timing-driven outer loop).
@@ -342,22 +290,10 @@ class SynergisticRouter:
         moves = 0
         start_round = 0
         phase2_state = "run"
-        if barrier is None or barrier == "phase1.ordering":
+        if barrier in (None, "phase1.ordering", "phase1.round"):
             # phase1.ordering carries no loop state: the ordering is
             # recomputed deterministically, so resume == fresh run.
-            with tracer.span(PHASE_IR):
-                initial = InitialRouter(
-                    self.system,
-                    self.netlist,
-                    self.delay_model,
-                    self.config,
-                    tracer=tracer,
-                    artifacts=self.artifacts,
-                )
-                solution = initial.route(checkpoint=checkpoint, deadline=deadline)
-            initial_stats = initial.stats
-            degraded |= initial.stats.degraded
-        elif barrier == "phase1.round":
+            # phase1.round continues negotiation from its payload.
             with tracer.span(PHASE_IR):
                 initial = InitialRouter(
                     self.system,
@@ -368,14 +304,14 @@ class SynergisticRouter:
                     artifacts=self.artifacts,
                 )
                 solution = initial.route(
-                    resume=payload, checkpoint=checkpoint, deadline=deadline
+                    resume=payload if barrier == "phase1.round" else None,
+                    checkpoint=checkpoint,
+                    deadline=deadline,
                 )
             initial_stats = initial.stats
-            degraded |= initial.stats.degraded
         elif barrier == "phase1.done":
             solution = self._restore_topology(payload["paths"])
             initial_stats = InitialRoutingStats.from_dict(payload["stats"])
-            degraded |= initial_stats.degraded
         elif barrier in ("phase2.lr", "phase2.legalized"):
             solution = self._restore_topology(payload["paths"])
             initial_stats = self._initial_stats_from(payload)
@@ -407,148 +343,130 @@ class SynergisticRouter:
         if initial_stats is not None:
             degraded |= initial_stats.degraded
 
-        # One executor serves every phase II stage of every round; its
-        # thread pool (when parallel) is spawned once and reused.  An
-        # external executor (the serving layer's shared pool) outlives
-        # the run and is never closed here.
-        owns_executor = self.executor is None
-        executor = (
-            self.executor
-            if self.executor is not None
-            else TdmAssigner(
-                self.system, self.netlist, self.delay_model, self.config, tracer=tracer
-            )._executor()
-        )
-        try:
-            analyzer = TimingAnalyzer(self.system, self.netlist, self.delay_model)
-            if phase2_state == "run":
-                lr_history, wire_stats, multipliers, incidence = self._run_phase2(
+        analyzer = TimingAnalyzer(self.system, self.netlist, self.delay_model)
+        if phase2_state == "run":
+            lr_history, wire_stats, multipliers, incidence = self._run_phase2(
+                solution,
+                checkpoint=checkpoint,
+                deadline=deadline,
+                initial_stats=initial_stats,
+            )
+        elif isinstance(phase2_state, tuple):
+            _, p2_barrier, p2_payload = phase2_state
+            lr_history, wire_stats, multipliers, incidence = (
+                self._resume_phase2(solution, p2_barrier, p2_payload)
+            )
+        if lr_history is not None and lr_history.budget_stopped:
+            degraded = True
+        phase2_ran = phase2_state == "run" or isinstance(phase2_state, tuple)
+        if checkpoint is not None and phase2_ran and lr_history is not None:
+            checkpoint.save(
+                "phase2.assigned",
+                lambda: self._phase2_payload(
                     solution,
-                    executor=executor,
-                    checkpoint=checkpoint,
-                    deadline=deadline,
-                    initial_stats=initial_stats,
-                )
-            elif isinstance(phase2_state, tuple):
-                _, p2_barrier, p2_payload = phase2_state
-                lr_history, wire_stats, multipliers, incidence = (
-                    self._resume_phase2(solution, p2_barrier, p2_payload, executor)
-                )
-            if lr_history is not None and lr_history.budget_stopped:
-                degraded = True
-            phase2_ran = phase2_state == "run" or isinstance(phase2_state, tuple)
-            if checkpoint is not None and phase2_ran and lr_history is not None:
-                checkpoint.save(
-                    "phase2.assigned",
-                    lambda: self._phase2_payload(
-                        solution,
-                        multipliers,
-                        lr_history,
-                        wire_stats,
-                        initial_stats,
-                        timing_round=-1,
-                        moves=0,
-                        degraded=degraded,
-                    ),
-                )
-            with tracer.span(SPAN_TIMING):
-                timing = analyzer.analyze(solution)
+                    multipliers,
+                    lr_history,
+                    wire_stats,
+                    initial_stats,
+                    timing_round=-1,
+                    moves=0,
+                    degraded=degraded,
+                ),
+            )
+        with tracer.span(SPAN_TIMING):
+            timing = analyzer.analyze(solution)
 
-            # Timing-driven outer loop: reroute measured-critical
-            # connections, re-assign ratios, keep only strict improvements.
-            if (
-                phase2_state != "done"
-                and timing.critical_connection >= 0
-                and self.config.timing_reroute_rounds
+        # Timing-driven outer loop: reroute measured-critical
+        # connections, re-assign ratios, keep only strict improvements.
+        if (
+            phase2_state != "done"
+            and timing.critical_connection >= 0
+            and self.config.timing_reroute_rounds
+        ):
+            from repro.core.timing_reroute import TimingDrivenRefiner
+
+            refiner = TimingDrivenRefiner(
+                self.system, self.netlist, self.delay_model, self.config
+            )
+            for round_index in range(
+                start_round, self.config.timing_reroute_rounds
             ):
-                from repro.core.timing_reroute import TimingDrivenRefiner
-
-                refiner = TimingDrivenRefiner(
-                    self.system, self.netlist, self.delay_model, self.config
+                if deadline is not None and tracer.elapsed() > deadline:
+                    degraded = True
+                    logger.warning(
+                        "budget exhausted before timing-reroute round "
+                        "%d; keeping best-so-far solution",
+                        round_index,
+                    )
+                    break
+                # The refinement search counts as initial-routing work,
+                # so it accumulates into the same phase timer.
+                with tracer.span(PHASE_IR, kind="timing_reroute"):
+                    # ``timing`` is always an analysis of the current
+                    # ``solution``, so the refiner need not re-run one.
+                    outcome = refiner.refine(solution, report=timing)
+                if outcome.solution is None:
+                    break
+                candidate = outcome.solution
+                # The previous round's multipliers warm-start the
+                # re-solve (the topology barely changed, so λ is nearly
+                # right already), and the round's changed-connection
+                # set lets the incidence rebuild incrementally.
+                cand_lr, cand_wires, cand_multipliers, cand_incidence = (
+                    self._run_phase2(
+                        candidate,
+                        warm_start=multipliers,
+                        prev_incidence=incidence,
+                        changed_connections=outcome.changed_connections,
+                        deadline=deadline,
+                    )
                 )
-                for round_index in range(
-                    start_round, self.config.timing_reroute_rounds
-                ):
-                    if deadline is not None and tracer.elapsed() > deadline:
-                        degraded = True
-                        logger.warning(
-                            "budget exhausted before timing-reroute round "
-                            "%d; keeping best-so-far solution",
-                            round_index,
-                        )
-                        break
-                    # The refinement search counts as initial-routing work,
-                    # so it accumulates into the same phase timer.
-                    with tracer.span(PHASE_IR, kind="timing_reroute"):
-                        # ``timing`` is always an analysis of the current
-                        # ``solution``, so the refiner need not re-run one.
-                        outcome = refiner.refine(solution, report=timing)
-                    if outcome.solution is None:
-                        break
-                    candidate = outcome.solution
-                    # The previous round's multipliers warm-start the
-                    # re-solve (the topology barely changed, so λ is nearly
-                    # right already), and the round's changed-connection
-                    # set lets the incidence rebuild incrementally.
-                    cand_lr, cand_wires, cand_multipliers, cand_incidence = (
-                        self._run_phase2(
-                            candidate,
-                            warm_start=multipliers,
-                            executor=executor,
-                            prev_incidence=incidence,
-                            changed_connections=outcome.changed_connections,
-                            deadline=deadline,
-                        )
+                if cand_lr is not None and cand_lr.budget_stopped:
+                    degraded = True
+                with tracer.span(SPAN_TIMING):
+                    cand_timing = analyzer.analyze(candidate)
+                improved = (
+                    cand_timing.critical_delay < timing.critical_delay - 1e-9
+                )
+                if tracer.enabled:
+                    tracer.event(
+                        "timing_reroute.round",
+                        round=round_index,
+                        moves=outcome.moves,
+                        candidate_delay=cand_timing.critical_delay,
+                        incumbent_delay=timing.critical_delay,
+                        accepted=improved,
                     )
-                    if cand_lr is not None and cand_lr.budget_stopped:
-                        degraded = True
-                    with tracer.span(SPAN_TIMING):
-                        cand_timing = analyzer.analyze(candidate)
-                    improved = (
-                        cand_timing.critical_delay < timing.critical_delay - 1e-9
+                if improved:
+                    solution = candidate
+                    timing = cand_timing
+                    incidence = cand_incidence
+                    lr_history = cand_lr if cand_lr is not None else lr_history
+                    wire_stats = (
+                        cand_wires if cand_wires is not None else wire_stats
                     )
-                    if tracer.enabled:
-                        tracer.event(
-                            "timing_reroute.round",
-                            round=round_index,
-                            moves=outcome.moves,
-                            candidate_delay=cand_timing.critical_delay,
-                            incumbent_delay=timing.critical_delay,
-                            accepted=improved,
+                    multipliers = (
+                        cand_multipliers
+                        if cand_multipliers is not None
+                        else multipliers
+                    )
+                    moves += outcome.moves
+                    if checkpoint is not None:
+                        checkpoint.save(
+                            "phase2.round",
+                            lambda: self._phase2_payload(
+                                solution,
+                                multipliers,
+                                lr_history,
+                                wire_stats,
+                                initial_stats,
+                                timing_round=round_index,
+                                moves=moves,
+                                degraded=degraded,
+                            ),
                         )
-                    if improved:
-                        solution = candidate
-                        timing = cand_timing
-                        incidence = cand_incidence
-                        lr_history = cand_lr if cand_lr is not None else lr_history
-                        wire_stats = (
-                            cand_wires if cand_wires is not None else wire_stats
-                        )
-                        multipliers = (
-                            cand_multipliers
-                            if cand_multipliers is not None
-                            else multipliers
-                        )
-                        moves += outcome.moves
-                        if checkpoint is not None:
-                            checkpoint.save(
-                                "phase2.round",
-                                lambda: self._phase2_payload(
-                                    solution,
-                                    multipliers,
-                                    lr_history,
-                                    wire_stats,
-                                    initial_stats,
-                                    timing_round=round_index,
-                                    moves=moves,
-                                    degraded=degraded,
-                                ),
-                            )
-                    else:
-                        break
-        finally:
-            if owns_executor:
-                executor.close()
+                else:
+                    break
         tracer.add("timing_reroute.moves", moves)
 
         times = PhaseTimes.from_tracer(tracer, baseline)
@@ -578,7 +496,6 @@ class SynergisticRouter:
             timing_reroute_moves=moves,
             telemetry=tracer.snapshot(),
             degraded=degraded,
-            parallel_info=parallel_run_info(self.config),
         )
         if checkpoint is not None:
             checkpoint.save(
@@ -680,7 +597,6 @@ class SynergisticRouter:
         solution: RoutingSolution,
         barrier: str,
         payload: Mapping[str, Any],
-        executor: ParallelExecutor,
     ) -> "tuple[Optional[LrHistory], Optional[WireAssignmentStats], object, TdmIncidence]":
         """Finish phase II from a ``phase2.lr``/``phase2.legalized`` payload.
 
@@ -698,9 +614,9 @@ class SynergisticRouter:
         with tracer.span(PHASE_LGWA):
             if barrier == "phase2.lr":
                 ratios = np.asarray(payload["ratios"], dtype=np.float64)
-                legal = TdmLegalizer(
-                    incidence, self.config, executor, tracer=tracer
-                ).legalize(ratios)
+                legal = TdmLegalizer(incidence, self.config, tracer=tracer).legalize(
+                    ratios
+                )
                 legal_ratios = legal.ratios
                 wire_budgets = legal.wire_budgets
                 criticality = legal.criticality
@@ -718,16 +634,15 @@ class SynergisticRouter:
                     else None
                 )
             incidence.write_ratios(solution, legal_ratios)
-            wire_stats = WireAssigner(
-                incidence, self.config, executor, tracer=tracer
-            ).assign(solution, legal_ratios, wire_budgets, criticality)
+            wire_stats = WireAssigner(incidence, self.config, tracer=tracer).assign(
+                solution, legal_ratios, wire_budgets, criticality
+            )
         return lr_history, wire_stats, multipliers, incidence
 
     def _run_phase2(
         self,
         solution: RoutingSolution,
         warm_start=None,
-        executor: Optional[ParallelExecutor] = None,
         prev_incidence: Optional[TdmIncidence] = None,
         changed_connections=None,
         checkpoint: Optional[Any] = None,
@@ -743,8 +658,6 @@ class SynergisticRouter:
         Args:
             solution: the topology to assign ratios and wires for.
             warm_start: multipliers from the previous round's solve.
-            executor: a shared phase II executor (one is created — and
-                closed — here when absent).
             prev_incidence: the previous round's incidence; together with
                 ``changed_connections`` it enables the incremental
                 rebuild (gated on
@@ -778,22 +691,49 @@ class SynergisticRouter:
             return None, None, None, incidence
         if delta is not None:
             warm_start = delta.map_multipliers(warm_start)
-        owns_executor = executor is None
-        if owns_executor:
-            executor = TdmAssigner(
-                self.system, self.netlist, self.delay_model, self.config, tracer=tracer
-            )._executor()
-        try:
-            with tracer.span(PHASE_TA):
-                lr_result = LagrangianTdmAssigner(
-                    incidence, self.config, tracer=tracer
-                ).solve(warm_start=warm_start, deadline=deadline)
+        with tracer.span(PHASE_TA):
+            lr_result = LagrangianTdmAssigner(
+                incidence, self.config, tracer=tracer
+            ).solve(warm_start=warm_start, deadline=deadline)
+        if checkpoint is not None:
+            checkpoint.save(
+                "phase2.lr",
+                lambda: {
+                    "paths": self._paths_payload(solution),
+                    "ratios": [float(r) for r in lr_result.ratios],
+                    "multipliers": self._multipliers_payload(
+                        lr_result.multipliers
+                    ),
+                    "lr_history": lr_result.history.to_dict(),
+                    "initial_stats": (
+                        initial_stats.to_dict()
+                        if initial_stats is not None
+                        else None
+                    ),
+                },
+            )
+
+        with tracer.span(PHASE_LGWA):
+            legal = TdmLegalizer(incidence, self.config, tracer=tracer).legalize(
+                lr_result.ratios
+            )
             if checkpoint is not None:
                 checkpoint.save(
-                    "phase2.lr",
+                    "phase2.legalized",
                     lambda: {
                         "paths": self._paths_payload(solution),
-                        "ratios": [float(r) for r in lr_result.ratios],
+                        "legal_ratios": [float(r) for r in legal.ratios],
+                        "wire_budgets": [
+                            [edge, direction, budget]
+                            for (edge, direction), budget in sorted(
+                                legal.wire_budgets.items()
+                            )
+                        ],
+                        "criticality": (
+                            [float(c) for c in legal.criticality]
+                            if legal.criticality is not None
+                            else None
+                        ),
                         "multipliers": self._multipliers_payload(
                             lr_result.multipliers
                         ),
@@ -805,44 +745,8 @@ class SynergisticRouter:
                         ),
                     },
                 )
-
-            with tracer.span(PHASE_LGWA):
-                legal = TdmLegalizer(
-                    incidence, self.config, executor, tracer=tracer
-                ).legalize(lr_result.ratios)
-                if checkpoint is not None:
-                    checkpoint.save(
-                        "phase2.legalized",
-                        lambda: {
-                            "paths": self._paths_payload(solution),
-                            "legal_ratios": [float(r) for r in legal.ratios],
-                            "wire_budgets": [
-                                [edge, direction, budget]
-                                for (edge, direction), budget in sorted(
-                                    legal.wire_budgets.items()
-                                )
-                            ],
-                            "criticality": (
-                                [float(c) for c in legal.criticality]
-                                if legal.criticality is not None
-                                else None
-                            ),
-                            "multipliers": self._multipliers_payload(
-                                lr_result.multipliers
-                            ),
-                            "lr_history": lr_result.history.to_dict(),
-                            "initial_stats": (
-                                initial_stats.to_dict()
-                                if initial_stats is not None
-                                else None
-                            ),
-                        },
-                    )
-                incidence.write_ratios(solution, legal.ratios)
-                wire_stats = WireAssigner(
-                    incidence, self.config, executor, tracer=tracer
-                ).assign(solution, legal.ratios, legal.wire_budgets, legal.criticality)
-        finally:
-            if owns_executor:
-                executor.close()
+            incidence.write_ratios(solution, legal.ratios)
+            wire_stats = WireAssigner(incidence, self.config, tracer=tracer).assign(
+                solution, legal.ratios, legal.wire_budgets, legal.criticality
+            )
         return lr_result.history, wire_stats, lr_result.multipliers, incidence

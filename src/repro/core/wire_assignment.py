@@ -23,7 +23,6 @@ from repro.arch.edges import TdmWire
 from repro.core.config import RouterConfig
 from repro.core.incidence import TdmIncidence
 from repro.obs import Tracer, get_logger
-from repro.parallel import ParallelExecutor
 from repro.route.solution import RoutingSolution
 
 logger = get_logger(__name__)
@@ -46,12 +45,10 @@ class WireAssigner:
         self,
         incidence: TdmIncidence,
         config: Optional[RouterConfig] = None,
-        executor: Optional[ParallelExecutor] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.incidence = incidence
         self.config = config if config is not None else RouterConfig()
-        self.executor = executor if executor is not None else ParallelExecutor(1)
         self.tracer = tracer if tracer is not None else Tracer()
 
     # ------------------------------------------------------------------
@@ -75,7 +72,7 @@ class WireAssigner:
         inc = self.incidence
         stats = WireAssignmentStats()
         edges = sorted({edge for edge, _ in inc.directed_edges()})
-        # Plain-list views shared by every per-edge task: the greedy
+        # Plain-list views shared by every per-edge call: the greedy
         # probes these per pair, where numpy scalar access would dominate
         # (both arrays are read-only here).
         ratio_list = ratios.tolist()
@@ -87,12 +84,11 @@ class WireAssigner:
         neg_crit = np.negative(crit_arr)
         pair_net = inc.pair_net.tolist()
 
-        def build(edge_index: int) -> Tuple[List[TdmWire], int, int, int]:
-            # Runs on a worker thread: counters come back as values and
-            # are reduced on the dispatch thread, so no task ever writes
-            # shared state.
+        tracer = self.tracer
+        net_wire = solution.net_wire
+        final_ratios = solution.ratios
+        for edge_index in edges:
             wires: List[TdmWire] = []
-            nets = bumps = moves = 0
             for direction in (0, 1):
                 pair_slice = inc.pair_slice_of_directed_edge(edge_index, direction)
                 if not pair_slice.size:
@@ -106,7 +102,7 @@ class WireAssigner:
                     np.lexsort((neg_crit[pair_slice], ratios[pair_slice]))
                 ].tolist()
                 budget = wire_budgets[(edge_index, direction)]
-                edge_wires, edge_bumps, edge_moves = self._assign_directed_edge(
+                edge_wires, bumps, moves = self._assign_directed_edge(
                     edge_index,
                     direction,
                     pair_slice.tolist(),
@@ -117,19 +113,9 @@ class WireAssigner:
                     pair_net,
                 )
                 wires.extend(edge_wires)
-                nets += pair_slice.size
-                bumps += edge_bumps
-                moves += edge_moves
-            return wires, nets, bumps, moves
-
-        per_edge_results = self.executor.map(build, edges)
-        tracer = self.tracer
-        net_wire = solution.net_wire
-        final_ratios = solution.ratios
-        for edge_index, (wires, nets, bumps, moves) in zip(edges, per_edge_results):
-            stats.nets_assigned += nets
-            stats.overflow_bumps += bumps
-            stats.critical_moves += moves
+                stats.nets_assigned += pair_slice.size
+                stats.overflow_bumps += bumps
+                stats.critical_moves += moves
             solution.wires[edge_index] = wires
             for position, wire in enumerate(wires):
                 direction = wire.direction
@@ -185,8 +171,7 @@ class WireAssigner:
             order: the same pairs sorted by (ratio, -criticality).
 
         Returns:
-            ``(wires, overflow_bumps, critical_moves)``; counters are
-            local so concurrent per-edge tasks never share state.
+            ``(wires, overflow_bumps, critical_moves)``.
         """
         model = self.incidence.delay_model
         overflow_bumps = 0

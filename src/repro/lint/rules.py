@@ -570,89 +570,8 @@ class SpanEventNameLiteralRule(Rule):
             )
 
 
-@register
-class ModuleMutableStateRule(Rule):
-    """REPRO013: no module-level mutable state in executor task modules.
-
-    Task functions submitted to :class:`repro.parallel.ParallelExecutor`
-    must be pure functions of their arguments.  The pool's threads share
-    the module namespace, so a module-level dict/list is shared state
-    that workers can race on: a cache or accumulator that "works"
-    sequentially corrupts or loses updates once tasks overlap, and the
-    retry loop re-runs tasks on the assumption that they are idempotent.
-    Module-level bindings in ``repro.parallel`` are therefore restricted
-    to immutables (strings, numbers, tuples, frozensets); anything a
-    worker needs must travel through the task's arguments.
-
-    ``__all__`` and other dunder bindings are exempt: they are import
-    machinery, assigned once and never mutated.
-    """
-
-    rule_id = "REPRO013"
-    title = "no module-level mutable state in task modules"
-    rationale = (
-        "pool threads share task modules, so module-level mutable state "
-        "is raced on by concurrent tasks and breaks idempotent retries"
-    )
-    remedy = (
-        "pass state through the task's arguments; keep module-level "
-        "bindings immutable"
-    )
-    node_types = (ast.Module,)
-    include = ("repro.parallel",)
-
-    _MUTABLE_FACTORIES = frozenset(
-        {
-            "list",
-            "dict",
-            "set",
-            "bytearray",
-            "defaultdict",
-            "deque",
-            "Counter",
-            "OrderedDict",
-        }
-    )
-
-    def _is_mutable(self, value: ast.AST) -> bool:
-        if isinstance(value, (ast.List, ast.Dict, ast.Set)):
-            return True
-        if isinstance(value, (ast.ListComp, ast.DictComp, ast.SetComp)):
-            return True
-        if isinstance(value, ast.Call):
-            name = dotted_name(value.func)
-            if name is not None and name.split(".")[-1] in self._MUTABLE_FACTORIES:
-                return True
-        return False
-
-    @staticmethod
-    def _target_names(stmt: ast.stmt) -> Iterator[str]:
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    yield target.id
-        elif isinstance(stmt, ast.AnnAssign):
-            if isinstance(stmt.target, ast.Name):
-                yield stmt.target.id
-
-    def visit(self, module: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        """Flag top-level bindings of mutable containers (``__all__`` exempt)."""
-        for stmt in module.body:
-            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                continue
-            if stmt.value is None or not self._is_mutable(stmt.value):
-                continue
-            names = [
-                name
-                for name in self._target_names(stmt)
-                if not (name.startswith("__") and name.endswith("__"))
-            ]
-            for name in names:
-                yield ctx.finding(
-                    self,
-                    stmt,
-                    f"module-level mutable binding {name!r} in a task module",
-                )
+# REPRO013 (retired in 3.0.0): no module-level mutable state in the task
+# modules of the phase II thread pool, deleted with ``repro.parallel``.
 
 
 @register

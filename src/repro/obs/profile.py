@@ -13,8 +13,8 @@ them.  Feed it a JSONL trace file (``repro route --trace-out``), an
   end-to-end wall time;
 * the **critical path** — the chain of heaviest spans from the virtual
   root down through the phase I/II pipeline;
-* **derived rates** (incremental incidence rebuilds, reroutes, worker
-  retries, warm-artifact cache hits) computed from the raw counters;
+* **derived rates** (incremental incidence rebuilds, reroutes,
+  warm-artifact cache hits) computed from the raw counters;
 * **histogram quantiles** re-aggregated from ``observe`` events; and
 * Chrome ``trace_event`` and speedscope JSON exports for flamegraph
   viewing (``chrome://tracing`` / https://www.speedscope.app).
@@ -51,7 +51,6 @@ RATE_DEFINITIONS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
         ("incidence.cold_builds",),
     ),
     "ir.reroute_rate": (("ir.reroutes",), ("ir.connections_routed",)),
-    "parallel.retry_rate": (("parallel.retries",), ("parallel.tasks",)),
     "serve.artifact_cache_hit_rate": (
         ("serve.artifacts.hits",),
         ("serve.artifacts.misses",),

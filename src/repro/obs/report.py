@@ -23,7 +23,8 @@ from typing import Any, Dict, List, Optional, Union
 #: v2: telemetry histograms became quantile digests (count/sum/min/max/
 #: p50/p90/p99 objects instead of raw observation lists) and the
 #: telemetry section gained derived cache hit ``rates``.
-SCHEMA_VERSION = 2
+#: v3: dropped the ``parallel`` worker-pool section.
+SCHEMA_VERSION = 3
 
 #: The ``kind`` discriminator of every run report document.
 REPORT_KIND = "repro.run_report"
@@ -74,7 +75,6 @@ def build_run_report(
         "initial_routing": _initial_section(getattr(result, "initial_stats", None)),
         "lr": _lr_section(getattr(result, "lr_history", None)),
         "wires": _wire_section(getattr(result, "wire_stats", None)),
-        "parallel": _parallel_section(getattr(result, "parallel_info", None)),
         "telemetry": _telemetry_section(getattr(result, "telemetry", None)),
     }
     if serve is not None:
@@ -141,12 +141,6 @@ def validate_run_report(doc: Any) -> List[str]:
                 if not isinstance(row, dict) or "gap" not in row:
                     problems.append(f"lr.iterations[{position}] lacks a gap field")
                     break
-    parallel = doc.get("parallel")
-    if parallel is not None:
-        if not isinstance(parallel, dict):
-            problems.append("parallel must be an object or null")
-        elif not isinstance(parallel.get("resolved_workers"), int):
-            problems.append("parallel.resolved_workers must be an int")
     telemetry = doc.get("telemetry")
     if telemetry is not None:
         if not isinstance(telemetry, dict):
@@ -232,21 +226,6 @@ def _lr_section(history: Any) -> Optional[Dict[str, Any]]:
 def _finite_or_none(value: float) -> Optional[float]:
     value = float(value)
     return value if value == value and abs(value) != float("inf") else None
-
-
-def _parallel_section(info: Any) -> Optional[Dict[str, Any]]:
-    """Worker-pool sizing of the run (apples-to-apples perf comparisons)."""
-    if info is None:
-        return None
-    return {
-        "requested_workers": (
-            int(info["requested_workers"])
-            if info.get("requested_workers") is not None
-            else None
-        ),
-        "resolved_workers": int(info["resolved_workers"]),
-        "workers_from_env": bool(info.get("workers_from_env", False)),
-    }
 
 
 def _wire_section(stats: Any) -> Optional[Dict[str, Any]]:

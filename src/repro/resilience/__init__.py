@@ -8,9 +8,7 @@ See docs/resilience.md.  Three pieces:
   from any of them, bit-identical to an uninterrupted run
   (:func:`solution_fingerprint`-verified).
 * **Fault injection** — :class:`FaultPlan` + :class:`FaultInjectingTracer`
-  deterministically raise/delay/kill-worker at the Nth entry of a named
-  span or executor task; the executor retries
-  :class:`~repro.parallel.TransientWorkerError` with bounded backoff.
+  deterministically raise or delay at the Nth entry of a named span.
 * **Graceful degradation** — ``RouterConfig.wall_clock_budget_seconds``
   makes the router exit early with the best-so-far legal solution,
   flagged ``degraded`` on the result and run report.
@@ -22,7 +20,6 @@ from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
-    WorkerKilled,
 )
 from repro.resilience.fingerprint import solution_fingerprint, solution_state
 
@@ -32,7 +29,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
-    "WorkerKilled",
     "solution_fingerprint",
     "solution_state",
 ]

@@ -1,52 +1,40 @@
 """Deterministic fault injection (docs/resilience.md).
 
 A :class:`FaultPlan` is a list of :class:`FaultSpec` entries, each naming
-a *site* — an obs span name (``"ir.negotiation"``, ``"phase2.lr"``, …) or
-the executor's per-task site ``"parallel.task"`` — and the 0-based entry
+a *site* — an obs span name (``"ir.negotiation"``,
+``"phase.legalization_wire_assignment"``, …) — and the 0-based entry
 count at which to act.  Sites are counted deterministically, so a plan
 reproduces the same fault at the same program point on every run; chaos
-tests rely on this to kill a worker at exactly the Nth task.
+tests rely on this to crash a run at exactly the Nth entry of a span.
 
 Wiring: :class:`FaultInjectingTracer` is a drop-in
-:class:`repro.obs.Tracer` that fires the plan at every span entry, and
-:class:`repro.parallel.ParallelExecutor` picks the plan off its tracer's
-``fault_plan`` attribute and fires it once per task attempt — so a single
-tracer handed to :func:`repro.api.execute_request` chaos-tests the whole
-stack with no core-code changes.
+:class:`repro.obs.Tracer` that fires the plan at every span entry, so a
+single tracer handed to :func:`repro.api.execute_request` chaos-tests
+the whole stack with no core-code changes.
 
 Actions:
 
 ``"raise"``
-    Raise :class:`InjectedFault` — a non-retryable error that aborts the
-    run (the executor fails fast on it).
-``"kill_worker"``
-    Raise :class:`WorkerKilled`, a
-    :class:`repro.parallel.TransientWorkerError`: the executor's
-    bounded retry treats the task as idempotent and re-runs it (the
-    site counter has advanced, so the retry passes the spec).
+    Raise :class:`InjectedFault`, which aborts the run.
 ``"delay"``
     Sleep ``delay_seconds`` — for exercising wall-clock budgets.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import Tracer
 from repro.obs.sinks import TraceSink
-from repro.parallel import TransientWorkerError
 
-_ACTIONS = ("raise", "delay", "kill_worker")
+_ACTIONS = ("raise", "delay")
 
 
 class InjectedFault(RuntimeError):
     """Fault injected by a :class:`FaultPlan` ``"raise"`` action."""
-
-
-class WorkerKilled(TransientWorkerError):
-    """Injected worker death; retryable by the executor's bounded retry."""
 
 
 @dataclass(frozen=True)
@@ -54,9 +42,9 @@ class FaultSpec:
     """One fault: act at the ``at``-th entry of the named site.
 
     Attributes:
-        site: span name, or ``"parallel.task"`` for executor tasks.
+        site: span name.
         at: 0-based entry count at which the fault fires (exactly once).
-        action: ``"raise"``, ``"delay"`` or ``"kill_worker"``.
+        action: ``"raise"`` or ``"delay"``.
         delay_seconds: sleep length for ``"delay"``.
     """
 
@@ -77,15 +65,17 @@ class FaultSpec:
 class FaultPlan:
     """Deterministic site-counting fault injector.
 
-    Thread-compatible for the executor's use: counting and firing hold no
-    locks, but tasks are dispatched in deterministic order only when
-    ``num_workers == 1``; with a pool the *set* of attempts is fixed even
-    though interleaving is not, which is all kill/retry tests need.
+    Thread-safe: :class:`repro.serve.RoutingService` hands one
+    :class:`FaultInjectingTracer` to all its request threads, so entries
+    are counted, matched and recorded under a lock — every entry counts
+    once and each spec fires at most once.  The action itself (sleep or
+    raise) runs after the lock is released.
     """
 
     def __init__(self, specs: Sequence[FaultSpec] = ()) -> None:
         self.specs: Tuple[FaultSpec, ...] = tuple(specs)
         self._counts: Dict[str, int] = {}
+        self._lock = threading.Lock()
         #: ``(spec, entry_count)`` of every fault that has fired.
         self.fired: List[Tuple[FaultSpec, int]] = []
 
@@ -95,16 +85,14 @@ class FaultPlan:
 
     def fire(self, site: str) -> None:
         """Count one entry of ``site`` and act on any matching spec."""
-        count = self._counts.get(site, 0)
-        self._counts[site] = count + 1
-        for spec in self.specs:
-            if spec.site != site or spec.at != count:
-                continue
-            self.fired.append((spec, count))
+        with self._lock:
+            count = self._counts.get(site, 0)
+            self._counts[site] = count + 1
+            due = [s for s in self.specs if s.site == site and s.at == count]
+            self.fired.extend((spec, count) for spec in due)
+        for spec in due:
             if spec.action == "delay":
                 time.sleep(spec.delay_seconds)
-            elif spec.action == "kill_worker":
-                raise WorkerKilled(f"injected worker death at {site}[{count}]")
             else:
                 raise InjectedFault(f"injected fault at {site}[{count}]")
 
@@ -112,9 +100,8 @@ class FaultPlan:
 class FaultInjectingTracer(Tracer):
     """A tracer that fires a :class:`FaultPlan` at every span entry.
 
-    Span names are the fault sites; the plan is also exposed as
-    ``fault_plan`` so :class:`repro.parallel.ParallelExecutor` picks it
-    up for the per-task site.  The plan fires when the span is *created*
+    Span names are the fault sites; the plan is exposed as
+    ``fault_plan``.  The plan fires when the span is *created*
     (call sites always enter immediately via ``with``), keeping
     :class:`~repro.obs.tracer.Span` untouched.
     """

@@ -1,8 +1,8 @@
 """Routing-as-a-service on top of the :mod:`repro.api` facade.
 
 * :class:`RoutingService` (:mod:`repro.serve.service`) — priority
-  admission queue, worker pool, shared warm-artifact cache, pooled
-  phase II executor, SLO budgets and checkpoint-based preemption.
+  admission queue, worker pool, shared warm-artifact cache, SLO budgets
+  and checkpoint-based preemption.
 * :class:`LoadSpec` / :func:`run_load` (:mod:`repro.serve.loadgen`) —
   the deterministic load generator behind ``repro serve`` and
   ``benchmarks/bench_serve.py``.

@@ -36,7 +36,6 @@ class LoadSpec:
         priorities: priority levels drawn uniformly per request.
         slo_seconds: per-request SLO (``None`` = unbounded).
         cache_entries: warm-artifact cache LRU bound.
-        executor_workers: shared phase II executor thread count.
     """
 
     cases: Tuple[str, ...] = ("case02",)
@@ -46,7 +45,6 @@ class LoadSpec:
     priorities: Tuple[int, ...] = (0,)
     slo_seconds: Optional[float] = None
     cache_entries: int = 8
-    executor_workers: Optional[int] = 1
 
     def __post_init__(self) -> None:
         if not self.cases:
@@ -149,7 +147,6 @@ def run_load(
     with RoutingService(
         workers=spec.concurrency,
         cache_entries=spec.cache_entries,
-        executor_workers=spec.executor_workers,
         tracer=tracer,
     ) as service:
         start = time.perf_counter()

@@ -9,9 +9,6 @@
   topology skip graph construction, edge weights, Floyd–Warshall and
   the connection ordering (the warm path is bit-identical to the cold
   one);
-* one pooled :class:`repro.api.ParallelExecutor` reused by every
-  request's phase II stages — thread pools spin up once per service,
-  not once per request;
 * per-request SLOs mapped onto the resilience wall-clock budget, so a
   request that waited too long in the queue comes back *degraded*, not
   failed;
@@ -40,7 +37,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.api import (
     ArtifactCache,
     CheckpointManager,
-    ParallelExecutor,
     RouteRequest,
     RouteResponse,
     route_request,
@@ -127,15 +123,9 @@ class RoutingService:
         cache: shared warm-artifact cache; built from ``cache_entries``
             when ``None``.
         cache_entries: LRU bound of the built-in cache.
-        executor: externally owned phase II executor (never closed by
-            the service); built from ``executor_workers`` when ``None``.
-        executor_workers: thread count of the built-in shared executor
-            (``None`` lets the executor auto-size).
-        executor_max_retries: transient-fault retries of the built-in
-            executor (chaos runs re-dispatch killed tasks).
-        tracer: obs tracer receiving service telemetry (and, via the
-            executor, ``parallel.*`` counters); a fault-injecting tracer
-            here subjects the whole service to its plan.
+        tracer: obs tracer receiving service telemetry; a
+            fault-injecting tracer here subjects the whole service to
+            its plan.
         spool_dir: directory for the preemption checkpoints; each
             request's are removed when it finishes.  A temporary
             directory (removed on close) when ``None``.
@@ -147,9 +137,6 @@ class RoutingService:
         workers: int = 2,
         cache: Optional[ArtifactCache] = None,
         cache_entries: int = 8,
-        executor: Optional[ParallelExecutor] = None,
-        executor_workers: Optional[int] = 1,
-        executor_max_retries: int = 2,
         tracer: Optional[Tracer] = None,
         spool_dir: Optional[str] = None,
     ) -> None:
@@ -159,23 +146,13 @@ class RoutingService:
         self.cache = (
             cache if cache is not None else ArtifactCache(max_entries=cache_entries)
         )
-        self._owns_executor = executor is None
-        self.executor = (
-            executor
-            if executor is not None
-            else ParallelExecutor(
-                executor_workers,
-                tracer=self.tracer,
-                max_retries=executor_max_retries,
-            )
-        )
         self._owns_spool = spool_dir is None
         self._spool = Path(
             spool_dir
             if spool_dir is not None
             else tempfile.mkdtemp(prefix="repro-serve-")
         )
-        self._num_workers = workers
+        self._worker_count = workers
         self._cond = threading.Condition()
         self._heap: List = []
         self._running: Dict[int, ServiceTicket] = {}
@@ -262,7 +239,6 @@ class RoutingService:
                 effective,
                 tracer=self.tracer,
                 cache=self.cache,
-                executor=self.executor,
                 checkpoint_factory=self._checkpoint_factory(ticket),
                 queue_seconds=ticket.queue_seconds,
                 preemptions=ticket.preemptions,
@@ -350,7 +326,7 @@ class RoutingService:
     def _maybe_preempt_locked(self, priority: int) -> None:
         """With the lock held: interrupt the weakest running request if
         every worker is busy and the newcomer outranks it."""
-        if len(self._running) < self._num_workers:
+        if len(self._running) < self._worker_count:
             return
         victims = [
             ticket
@@ -392,7 +368,7 @@ class RoutingService:
         self.publish_cache_stats()
         tracer = self.tracer
         section: Dict[str, Any] = {
-            "workers": self._num_workers,
+            "workers": self._worker_count,
             "submitted": tracer.counter("serve.submitted"),
             "completed": tracer.counter("serve.requests"),
             "ok": tracer.counter("serve.ok"),
@@ -421,8 +397,6 @@ class RoutingService:
             self._cond.notify_all()
         for thread in self._threads:
             thread.join(timeout)
-        if self._owns_executor:
-            self.executor.close()
         if self._owns_spool:
             shutil.rmtree(self._spool, ignore_errors=True)
         self._closed = True

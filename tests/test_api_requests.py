@@ -33,7 +33,7 @@ _configs = st.one_of(
     st.builds(
         RouterConfig,
         mu_shared=st.floats(0.01, 1.0),
-        num_workers=st.integers(1, 16),
+        lr_max_iterations=st.integers(1, 16),
         history_increment=st.floats(0.0, 2.0),
     ),
 )
@@ -116,9 +116,11 @@ class TestRequestValidation:
             RouteRequest(case=[1, 2, 3])
 
     def test_config_mapping_is_normalized(self):
-        request = RouteRequest(contest_case="case02", config={"num_workers": 4})
+        request = RouteRequest(
+            contest_case="case02", config={"lr_max_iterations": 4}
+        )
         assert isinstance(request.config, RouterConfig)
-        assert request.config.num_workers == 4
+        assert request.config.lr_max_iterations == 4
 
     def test_bad_config_type_rejected(self):
         with pytest.raises(ValueError, match="config"):

@@ -37,7 +37,6 @@ SIGNATURES = {
     "route_request": (
         "(request: 'RouteRequest', *, tracer: 'Optional[Any]' = None, "
         "cache: 'Optional[ArtifactCache]' = None, "
-        "executor: 'Optional[ParallelExecutor]' = None, "
         "checkpoint_factory: 'Optional[Callable[..., Any]]' = None, "
         "queue_seconds: 'float' = 0.0, preemptions: 'int' = 0, "
         "reraise: 'Tuple[type, ...]' = ()) -> 'RouteResponse'"
@@ -45,7 +44,6 @@ SIGNATURES = {
     "execute_request": (
         "(request: 'RouteRequest', *, tracer: 'Optional[Any]' = None, "
         "cache: 'Optional[ArtifactCache]' = None, "
-        "executor: 'Optional[ParallelExecutor]' = None, "
         "checkpoint_factory: 'Optional[Callable[..., Any]]' = None) "
         "-> 'RoutingResult'"
     ),
@@ -76,7 +74,6 @@ EXPORTS = [
     "FaultInjectingTracer",
     "FaultPlan",
     "FaultSpec",
-    "ParallelExecutor",
     "REQUEST_SCHEMA_VERSION",
     "RouteRequest",
     "RouteResponse",
@@ -90,7 +87,6 @@ EXPORTS = [
     "evaluate",
     "execute_request",
     "load_solution",
-    "parallel_run_info",
     "resolve_case",
     "route_request",
     "solution_fingerprint",
@@ -200,7 +196,7 @@ class TestRouterConfigContract:
 
     def test_dict_round_trip_is_exact(self):
         config = repro.RouterConfig(
-            mu_shared=0.25, num_workers=4, wall_clock_budget_seconds=1.5
+            mu_shared=0.25, lr_max_iterations=4, wall_clock_budget_seconds=1.5
         )
         assert repro.RouterConfig.from_dict(config.to_dict()) == config
 
@@ -211,9 +207,5 @@ class TestRouterConfigContract:
     def test_invalid_resilience_knobs_rejected(self):
         with pytest.raises(ValueError):
             repro.RouterConfig(wall_clock_budget_seconds=-1.0)
-        with pytest.raises(ValueError):
-            repro.RouterConfig(worker_max_retries=-1)
-        with pytest.raises(ValueError):
-            repro.RouterConfig(worker_retry_backoff_seconds=-0.5)
         with pytest.raises(ValueError):
             repro.RouterConfig(incremental_rebuild_fraction=1.5)

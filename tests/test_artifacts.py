@@ -55,10 +55,12 @@ class TestArtifactKey:
         assert "mu_shared" in PRICING_FIELDS
 
     def test_irrelevant_knobs_share_the_key(self, tiny_case):
-        # Worker count changes scheduling, never artifacts: same key.
+        # Phase II knobs never touch the phase I artifacts: same key.
         system, netlist, dm = tiny_case
-        a = artifact_key(system, netlist, dm, RouterConfig(num_workers=1), epoch=0)
-        b = artifact_key(system, netlist, dm, RouterConfig(num_workers=8), epoch=0)
+        a = artifact_key(system, netlist, dm, RouterConfig(), epoch=0)
+        b = artifact_key(
+            system, netlist, dm, RouterConfig(lr_max_iterations=8), epoch=0
+        )
         assert a == b
 
 

@@ -1,13 +1,11 @@
 """Chaos tests: deterministic fault injection against the full router.
 
-Three failure families (docs/resilience.md), each driven through
-``execute_request`` with both a sequential and a 4-worker executor:
+Two failure families (docs/resilience.md), each driven through
+``execute_request``; the kill and budget tests run it on one and on four
+threads at once, as a service's request workers do:
 
-* **worker kill** — :class:`WorkerKilled` at the Nth executor task is a
-  transient error; the bounded retry re-runs the (idempotent) task and
-  the run finishes bit-identical to a fault-free one.
-* **induced exception** — :class:`InjectedFault` is non-transient: the
-  run fails fast, and when checkpoints were on, a ``resume_from``
+* **induced exception** — :class:`InjectedFault` at the Nth entry of a
+  span aborts the run, and when checkpoints were on, a ``resume_from``
   request finishes the job bit-identical to a run that never crashed.
 * **budget exhaustion** — a tiny ``wall_clock_budget_seconds`` makes the
   router exit early with a legal best-so-far solution flagged
@@ -15,6 +13,10 @@ Three failure families (docs/resilience.md), each driven through
 """
 
 from __future__ import annotations
+
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -29,10 +31,13 @@ from repro.api import (
     solution_fingerprint,
 )
 from repro.obs import build_run_report
-from repro.parallel import TASK_SITE
-from repro.resilience import InjectedFault, WorkerKilled
+from repro.resilience import InjectedFault
 
-WORKER_COUNTS = [1, 4]
+#: The phase II span a crash is injected into.
+PHASE_LGWA = "phase.legalization_wire_assignment"
+
+#: Calling threads that route at once, each its own request.
+THREAD_COUNTS = [1, 4]
 
 
 @pytest.fixture(scope="module")
@@ -52,16 +57,17 @@ def route(cache, tracer=None, **config):
     return execute_request(request, tracer=tracer, cache=cache)
 
 
+def on_threads(threads, task):
+    """Run ``task(index)`` for every index on ``threads`` threads at once;
+    returns the results in index order and re-raises a task's error."""
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(task, range(threads)))
+
+
 @pytest.fixture(scope="module")
-def baseline_fingerprints(cache, delay_model):
-    """Fault-free fingerprints per worker count (results are identical,
-    but compute both so each chaos test compares against its own
-    configuration)."""
-    fingerprints = {}
-    for workers in WORKER_COUNTS:
-        result = route(cache, num_workers=workers)
-        fingerprints[workers] = solution_fingerprint(result.solution, delay_model)
-    return fingerprints
+def baseline_fingerprint(cache, delay_model):
+    """Fingerprint of the fault-free case05 run."""
+    return solution_fingerprint(route(cache).solution, delay_model)
 
 
 class TestFaultPlanMechanics:
@@ -81,10 +87,35 @@ class TestFaultPlanMechanics:
         plan.fire("other")
         assert plan.fired == []
 
-    def test_kill_worker_action(self):
-        plan = FaultPlan([FaultSpec(site="s", action="kill_worker")])
-        with pytest.raises(WorkerKilled):
-            plan.fire("s")
+    def test_threads_sharing_a_plan_count_every_entry(self):
+        """The service hands one fault-injecting tracer to all its
+        request threads: no entry may be lost, and an ``at=k`` spec
+        fires exactly once."""
+        num_threads, per_thread = 4, 25_000
+        spec = FaultSpec(site="s", at=1000, action="delay")
+        plan = FaultPlan([spec])
+        start = threading.Barrier(num_threads)
+
+        def enter():
+            start.wait()
+            for _ in range(per_thread):
+                plan.fire("s")
+
+        # A short switch interval makes the threads interleave inside
+        # fire() often enough for an unlocked count to lose entries.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=enter) for _ in range(num_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert plan.entries("s") == num_threads * per_thread
+        assert plan.fired == [(spec, 1000)]
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -96,78 +127,46 @@ class TestFaultPlanMechanics:
 
 
 class TestWorkerKills:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_killed_worker_is_retried_bit_identically(
-        self, cache, delay_model, baseline_fingerprints, workers
-    ):
-        plan = FaultPlan([FaultSpec(site=TASK_SITE, at=1, action="kill_worker")])
-        tracer = FaultInjectingTracer(plan)
-        result = route(cache, tracer, num_workers=workers, worker_max_retries=2)
-        assert [spec.action for spec, _ in plan.fired] == ["kill_worker"]
-        assert result.telemetry.counters.get("parallel.retries", 0) >= 1
-        assert (
-            solution_fingerprint(result.solution, delay_model)
-            == baseline_fingerprints[workers]
-        )
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @pytest.mark.parametrize("threads", THREAD_COUNTS)
     def test_kill_mid_phase2_without_retries_then_resume(
-        self, cache, delay_model, baseline_fingerprints, workers, tmp_path
+        self, cache, delay_model, baseline_fingerprint, threads, tmp_path
     ):
-        """A worker dies mid phase II with retries off: the run crashes,
-        and resuming from the last checkpoint reproduces the fault-free
-        run bit-for-bit."""
-        plan = FaultPlan([FaultSpec(site=TASK_SITE, at=3, action="kill_worker")])
-        request = RouteRequest(
-            contest_case="case05",
-            config={"num_workers": workers, "worker_max_retries": 0},
-            warm_cache=False,
-            checkpoint_dir=str(tmp_path),
-        )
-        with pytest.raises(WorkerKilled):
-            execute_request(
-                request, tracer=FaultInjectingTracer(plan), cache=cache
-            )
-        barriers = [p.name for p in sorted(tmp_path.glob("ckpt_*.json"))]
-        assert barriers, "crash before the first checkpoint"
-        assert any("phase1-done" in name for name in barriers)
-        resumed = execute_request(
-            RouteRequest(resume_from=str(tmp_path), warm_cache=False)
-        )
-        assert (
-            solution_fingerprint(resumed.solution, delay_model)
-            == baseline_fingerprints[workers]
-        )
+        """Each thread's run dies inside phase II's legalization span and
+        nothing retries it; resuming each from its last checkpoint
+        reproduces the fault-free run bit-for-bit."""
 
-    def test_retries_exhausted_reraises(self, cache):
-        """Two kills at consecutive task attempts beat max_retries=1."""
-        plan = FaultPlan(
-            [
-                FaultSpec(site=TASK_SITE, at=0, action="kill_worker"),
-                FaultSpec(site=TASK_SITE, at=1, action="kill_worker"),
-            ]
-        )
-        with pytest.raises(WorkerKilled):
-            route(
-                cache,
-                FaultInjectingTracer(plan),
-                num_workers=1,
-                worker_max_retries=1,
+        def crash(index):
+            directory = tmp_path / f"run{index}"
+            plan = FaultPlan([FaultSpec(site=PHASE_LGWA, at=0)])
+            request = RouteRequest(
+                contest_case="case05",
+                warm_cache=False,
+                checkpoint_dir=str(directory),
             )
+            with pytest.raises(InjectedFault):
+                execute_request(
+                    request, tracer=FaultInjectingTracer(plan), cache=cache
+                )
+            return directory
+
+        directories = on_threads(threads, crash)
+        for directory in directories:
+            barriers = [p.name for p in sorted(directory.glob("ckpt_*.json"))]
+            assert any("phase1-done" in name for name in barriers)
+            assert any("phase2-lr" in name for name in barriers)
+        resumed = on_threads(
+            threads,
+            lambda index: execute_request(
+                RouteRequest(resume_from=str(directories[index]), warm_cache=False)
+            ),
+        )
+        assert [
+            solution_fingerprint(result.solution, delay_model)
+            for result in resumed
+        ] == [baseline_fingerprint] * threads
 
 
 class TestInducedExceptions:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_injected_fault_fails_fast_despite_retries(self, cache, workers):
-        plan = FaultPlan([FaultSpec(site=TASK_SITE, at=0, action="raise")])
-        with pytest.raises(InjectedFault):
-            route(
-                cache,
-                FaultInjectingTracer(plan),
-                num_workers=workers,
-                worker_max_retries=5,
-            )
-
     def test_span_site_fault_aborts_the_phase(self, cache):
         plan = FaultPlan([FaultSpec(site="phase.tdm_assignment", at=0)])
         with pytest.raises(InjectedFault):
@@ -175,32 +174,31 @@ class TestInducedExceptions:
         assert plan.entries("phase.initial_routing") == 1
 
     def test_delay_action_is_result_neutral(
-        self, cache, delay_model, baseline_fingerprints
+        self, cache, delay_model, baseline_fingerprint
     ):
         plan = FaultPlan(
-            [
-                FaultSpec(
-                    site=TASK_SITE, at=0, action="delay", delay_seconds=0.001
-                )
-            ]
+            [FaultSpec(site=PHASE_LGWA, at=0, action="delay", delay_seconds=0.001)]
         )
-        result = route(cache, FaultInjectingTracer(plan), num_workers=1)
+        result = route(cache, FaultInjectingTracer(plan))
         assert len(plan.fired) == 1
         assert (
             solution_fingerprint(result.solution, delay_model)
-            == baseline_fingerprints[1]
+            == baseline_fingerprint
         )
 
 
 class TestBudgetExhaustion:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_tiny_budget_degrades_gracefully(self, cache, workers):
-        result = route(cache, num_workers=workers, wall_clock_budget_seconds=1e-4)
-        assert result.degraded is True
-        assert result.solution.is_complete
-        assert result.conflict_count == 0
-        report = build_run_report(result)
-        assert report["result"]["degraded"] is True
+    @pytest.mark.parametrize("threads", THREAD_COUNTS)
+    def test_tiny_budget_degrades_gracefully(self, cache, threads):
+        results = on_threads(
+            threads, lambda _: route(cache, wall_clock_budget_seconds=1e-4)
+        )
+        for result in results:
+            assert result.degraded is True
+            assert result.solution.is_complete
+            assert result.conflict_count == 0
+            report = build_run_report(result)
+            assert report["result"]["degraded"] is True
 
     def test_no_budget_never_degrades(self, cache):
         result = route(cache)

@@ -454,7 +454,7 @@ class TestResumeErrors:
         # Each version bump dropped config fields that every document of
         # the older version embeds.
         path = tmp_path / "ckpt_0000.json"
-        for version in (1, 2):
+        for version in (1, 2, 3):
             doc = {
                 "kind": "repro.checkpoint",
                 "schema_version": version,

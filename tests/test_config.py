@@ -48,8 +48,8 @@ class TestRouterConfig:
             {"incremental_rebuild_fraction": -0.1},
             {"incremental_rebuild_fraction": 1.1},
             {"wall_clock_budget_seconds": -1.0},
-            {"worker_max_retries": -1},
-            {"worker_retry_backoff_seconds": -0.01},
+            {"wall_clock_budget_seconds": -1e-9},
+            {"wall_clock_budget_seconds": float("-inf")},
         ],
     )
     def test_invalid_resilience_values_rejected(self, kwargs):
@@ -77,13 +77,9 @@ config_mappings = st.fixed_dictionaries(
         "lr_max_iterations": st.integers(min_value=1, max_value=500),
         "lr_epsilon": st.floats(min_value=1e-9, max_value=1.0),
         "refine_margin_epsilon": st.floats(min_value=0.0, max_value=1.0),
-        "num_workers": st.integers(min_value=1, max_value=16),
-        "parallel_net_threshold": st.integers(min_value=0, max_value=10**6),
         "incremental_rebuild_fraction": st.floats(min_value=0.0, max_value=1.0),
         "wall_clock_budget_seconds": st.none()
         | st.floats(min_value=0.0, max_value=3600.0),
-        "worker_max_retries": st.integers(min_value=0, max_value=5),
-        "worker_retry_backoff_seconds": st.floats(min_value=0.0, max_value=1.0),
     },
 )
 

@@ -13,6 +13,7 @@ from repro import (
 from repro.benchgen import RevisionSpec, revise_netlist
 from repro.core.eco import EcoRouter
 from repro.core.incidence import TdmIncidence
+from repro.obs import InMemorySink, Tracer
 from repro.resilience.fingerprint import solution_fingerprint
 from tests.conftest import build_two_fpga_system, random_netlist
 
@@ -188,6 +189,42 @@ class TestGoldenFingerprints:
         assert solution_fingerprint(outcome.solution, DelayModel()) == (
             "e1af80de08db97f27d07cfddb74dbc6d2f718991be587dd2f2fef3f51c9b86f2"
         )
+
+
+def _outcome(result):
+    """Everything an :class:`EcoResult` reports, solution as a fingerprint."""
+    return (
+        solution_fingerprint(result.solution, DelayModel()),
+        result.critical_delay,
+        result.conflict_count,
+        result.rerouted_connections,
+        result.preserved_connections,
+        sorted(result.disturbed_nets),
+    )
+
+
+class TestTracing:
+    def test_traced_migrate_records_both_phases(self):
+        system = build_two_fpga_system(sll_capacity=22, tdm_capacity=8)
+        netlist = random_netlist(system, 40, seed=0)
+        base = SynergisticRouter(system, netlist).route()
+        spec = RevisionSpec(
+            retarget_fraction=0.1, remove_fraction=0.05, add_fraction=0.1, seed=3
+        )
+        revision = revise_netlist(netlist, system.num_dies, spec)
+        sink = InMemorySink()
+        tracer = Tracer(sink)
+        traced = EcoRouter(system, tracer=tracer).migrate(base.solution, revision)
+        spans = {event["name"] for event in sink.events if event["type"] == "span"}
+        assert {
+            "phase.initial_routing",
+            "ir.first_pass",
+            "phase.tdm_assignment",
+            "phase.legalization_wire_assignment",
+        } <= spans
+        assert tracer.counter("ir.connections_routed") > 0
+        untraced = EcoRouter(system).migrate(base.solution, revision)
+        assert _outcome(traced) == _outcome(untraced)
 
 
 def sink_die_carried(old_solution, new_netlist):

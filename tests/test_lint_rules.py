@@ -156,22 +156,6 @@ MATRIX = [
         "def f(t, i):\n    t.event('round', iteration=i)\n",
     ),
     (
-        # Pool threads share task modules: a module-level cache is
-        # raced on by concurrent tasks.
-        "REPRO013",
-        "repro.parallel.sharding",
-        "_GRAPH_CACHE = {}\n\ndef route_shard_task(task):\n    return task\n",
-        "__all__ = ['route_shard_task']\nSITE = 'parallel.task'\n"
-        "_KINDS = frozenset({'sll', 'tdm'})\n\n"
-        "def route_shard_task(task):\n    cache = {}\n    return task, cache\n",
-    ),
-    (
-        "REPRO013",
-        "repro.parallel.executor",
-        "from collections import defaultdict\nRETRIES = defaultdict(int)\n",
-        "RETRY_SITES = ('parallel.task',)\n",
-    ),
-    (
         # The service layer imports through the facade like the CLI.
         "REPRO011",
         "repro.serve.service",
@@ -181,17 +165,17 @@ MATRIX = [
     (
         "REPRO014",
         "repro.cli.main",
-        "from repro import RouterConfig\nconfig = RouterConfig(num_workers=4)\n",
+        "from repro import RouterConfig\nconfig = RouterConfig(mu_shared=0.25)\n",
         "from repro.api import RouteRequest\n"
         "request = RouteRequest(contest_case='case02', "
-        "config={'num_workers': 4})\n",
+        "config={'mu_shared': 0.25})\n",
     ),
     (
         # from_dict is construction too: the facade owns normalization.
         "REPRO014",
         "repro.serve.service",
         "from repro.api import RouterConfig\n"
-        "config = RouterConfig.from_dict({'num_workers': 4})\n",
+        "config = RouterConfig.from_dict({'mu_shared': 0.25})\n",
         "from repro.api import RouteRequest\n"
         "def normalize(knobs):\n"
         "    return RouteRequest(contest_case='case02', config=knobs).config\n",

@@ -331,7 +331,8 @@ class TestRunReport:
         assert validate_run_report(doc) == []
         loaded = json.loads(path.read_text())
         assert validate_run_report(loaded) == []
-        assert loaded["schema_version"] == 2
+        assert loaded["schema_version"] == 3
+        assert "parallel" not in loaded
         assert loaded["case"]["name"] == "unit"
         telemetry = loaded["telemetry"]
         assert isinstance(telemetry["rates"], dict)

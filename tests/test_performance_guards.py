@@ -20,7 +20,6 @@ from repro.core.initial_routing import InitialRouter
 from repro.core.lagrangian import LagrangianTdmAssigner
 from repro.core.legalization import TdmLegalizer
 from repro.core.wire_assignment import WireAssigner
-from repro.parallel import ParallelExecutor
 
 
 def timed(fn):
@@ -67,14 +66,13 @@ class TestRoutingBudgets:
         solution = InitialRouter(case.system, case.netlist).route()
 
         def pipeline():
-            with ParallelExecutor(config.num_workers) as executor:
-                inc = TdmIncidence(case.system, case.netlist, solution, model)
-                lr = LagrangianTdmAssigner(inc, config).solve()
-                legal = TdmLegalizer(inc, config, executor).legalize(lr.ratios)
-                inc.write_ratios(solution, legal.ratios)
-                WireAssigner(inc, config, executor).assign(
-                    solution, legal.ratios, legal.wire_budgets, legal.criticality
-                )
+            inc = TdmIncidence(case.system, case.netlist, solution, model)
+            lr = LagrangianTdmAssigner(inc, config).solve()
+            legal = TdmLegalizer(inc, config).legalize(lr.ratios)
+            inc.write_ratios(solution, legal.ratios)
+            WireAssigner(inc, config).assign(
+                solution, legal.ratios, legal.wire_budgets, legal.criticality
+            )
 
         _, elapsed = timed(pipeline)
         # ~0.09s with the vectorized kernel (was ~0.15s before it).

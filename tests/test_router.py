@@ -114,18 +114,6 @@ class TestTdmAssignerStandalone:
         assigner = TdmAssigner(system, netlist, delay_model)
         assert assigner.assign(solution) is None
 
-    def test_worker_resolution_follows_paper_rule(self, two_fpga_system, delay_model):
-        import os
-
-        netlist = random_netlist(two_fpga_system, 10)
-        config = RouterConfig(num_workers=None, parallel_net_threshold=5)
-        assigner = TdmAssigner(two_fpga_system, netlist, delay_model, config)
-        # Above the threshold: 10 threads capped by the machine's cores.
-        assert assigner._executor().num_workers == min(10, os.cpu_count() or 1)
-        config2 = RouterConfig(num_workers=None, parallel_net_threshold=1_000_000)
-        assigner2 = TdmAssigner(two_fpga_system, netlist, delay_model, config2)
-        assert assigner2._executor().num_workers == 1
-
 
 class TestIncrementalIncidenceInRouter:
     def test_reroute_rounds_rebuild_incrementally(self):

@@ -1,7 +1,7 @@
 """Routing-as-a-service: concurrency, warm caches, preemption, chaos.
 
 The service's one non-negotiable (docs/serving.md): *nothing it does —
-concurrency, cache sharing, eviction, preemption, fault retries — may
+concurrency, cache sharing, eviction, preemption, a failed neighbour — may
 change a single byte of any solution*.  Every test here closes the loop
 against sequential cold-run fingerprints.
 """
@@ -336,21 +336,17 @@ class TestSlo:
 # Chaos
 # ----------------------------------------------------------------------
 class TestChaos:
-    def test_injected_worker_deaths_are_absorbed(self, cold_fingerprints):
-        plan = FaultPlan(
-            [
-                FaultSpec(site="parallel.task", at=1, action="kill_worker"),
-                FaultSpec(site="parallel.task", at=3, action="kill_worker"),
-            ]
-        )
+    def test_a_failed_request_leaves_the_others_intact(self, cold_fingerprints):
+        plan = FaultPlan([FaultSpec(site="phase.initial_routing", at=0)])
         tracer = FaultInjectingTracer(plan)
-        with RoutingService(workers=2, tracer=tracer) as service:
+        with RoutingService(workers=1, tracer=tracer) as service:
             responses = service.route(
                 [RouteRequest(contest_case="case02", tag=f"r{i}") for i in range(3)]
             )
-        assert len(plan.fired) == 2, "the faults must actually fire"
-        assert [r.status for r in responses] == ["ok"] * 3
-        assert {r.fingerprint for r in responses} == {cold_fingerprints["case02"]}
+        assert len(plan.fired) == 1, "the fault must actually fire"
+        assert [r.status for r in responses] == ["failed", "ok", "ok"]
+        assert "InjectedFault" in responses[0].error
+        assert {r.fingerprint for r in responses[1:]} == {cold_fingerprints["case02"]}
 
 
 # ----------------------------------------------------------------------
