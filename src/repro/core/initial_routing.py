@@ -317,9 +317,7 @@ class InitialRouter:
             )
 
         solution = RoutingSolution(self.system, netlist)
-        for conn_index, path in enumerate(paths):
-            if path is not None:
-                solution.set_path(conn_index, path)
+        solution.set_paths(paths)
         return solution
 
     # ------------------------------------------------------------------

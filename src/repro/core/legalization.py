@@ -8,10 +8,20 @@ Legalization turns the continuous LR ratios into legal ones:
    ``Σ 1/r <= cap_e - 1``, the two rounded budgets always fit in ``cap_e``.
 2. Round every net ratio up to the nearest multiple of the TDM step ``p``.
 3. Margin-aware refinement (Algorithm 2): rounding up leaves a margin
-   between each directed edge's wire budget and its demand ``Σ 1/r``.  A
-   priority queue repeatedly pops the most critical net (largest delay of
-   a connection of the net crossing the edge) and lowers its ratio by one
-   step while the margin affords it.
+   between each directed edge's wire budget and its demand ``Σ 1/r``.  The
+   paper's priority queue repeatedly pops the most critical net (largest
+   delay of a connection of the net crossing the edge) and lowers its
+   ratio by one step while the margin affords it.
+
+   No queue is built here.  A stepped net's key drops by exactly
+   ``d1·p``, so inside a criticality window ``(T − d1·p, T]`` below the
+   top key ``T`` each live net has at most one pending pop, and the
+   queue pops them in ``(−criticality, pair)`` order.  Each window is one
+   stable sort plus a plain-float walk over the margin.  The margin only
+   shrinks, so a net at ratio ``p`` or one whose next step the window's
+   starting margin cannot afford can never step again: such nets are
+   dropped in bulk.  The ratios, criticalities and step count are the
+   queue's, bit for bit (``tests/test_lgwa_oracle.py``).
 
 Each directed edge is independent (the paper refines them in an OpenMP
 loop); this implementation visits them in CSR group order on the calling
@@ -20,7 +30,6 @@ thread.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -159,7 +168,7 @@ class TdmLegalizer:
         ratios: np.ndarray,
         criticality: np.ndarray,
     ) -> int:
-        """Algorithm 2 on one directed TDM edge.
+        """Algorithm 2 on one directed TDM edge, one window at a time.
 
         Mutates ``ratios`` and ``criticality`` in place for the given pairs
         (disjoint across directed edges).
@@ -174,42 +183,62 @@ class TdmLegalizer:
         margin = budget - float(np.sum(1.0 / ratios[pairs]))
         if margin <= epsilon:
             return 0
-        # Plain-float mirrors for the heap loop: numpy scalar indexing
-        # per pop/push would dominate it.  ``pairs`` is ascending, so
-        # local positions preserve the pair-index tie-breaking.
-        local_ratios = ratios[pairs].tolist()
-        local_crit = criticality[pairs].tolist()
-        heap: List[Tuple[float, int]] = [
-            (-crit, position) for position, crit in enumerate(local_crit)
-        ]
-        heapq.heapify(heap)
-        heappop = heapq.heappop
-        heappushpop = heapq.heappushpop
+        local_ratios = ratios[pairs]
+        local_crit = criticality[pairs]
+        # Local positions of the nets that may still step, ascending, so
+        # position order is pair order (the queue's tie-break).
+        live = np.arange(pairs.shape[0])
         steps = 0
-        # The loop is the textbook pop / maybe-push-back queue, phrased
-        # with heappushpop: pushing the decreased net back and popping the
-        # next one is a single sift, and when the net stays the most
-        # critical it comes straight back with no heap traffic at all.
-        # The popped sequence is exactly the pop-then-push one.
-        item: Optional[Tuple[float, int]] = heap and heappop(heap) or None
-        while item is not None and margin > epsilon:
-            neg_crit, position = item
-            ratio = local_ratios[position]
-            if ratio <= step:
-                # Already at the minimum legal ratio: drop it.
-                item = heappop(heap) if heap else None
+        while margin > epsilon:
+            # The margin only shrinks and a dropped net keeps its ratio:
+            # a net at ratio ``p``, or one whose next step the margin
+            # cannot afford now, can never step again.  Drop them for good.
+            live_ratios = local_ratios[live]
+            with np.errstate(divide="ignore"):
+                gains = 1.0 / (live_ratios - step) - 1.0 / live_ratios
+            keep = (live_ratios > step) & (gains <= margin - epsilon)
+            live = live[keep]
+            if not live.size:
+                break
+            gains = gains[keep]
+            crits = local_crit[live]
+            top = crits.max()
+            floor = top - crit_drop
+            # When ``d1·p`` is under half an ulp of ``top``, a stepped net
+            # keeps its key and the queue pops it again at once: each net
+            # at ``top`` steps until it drops.
+            stuck = floor == top
+            in_window = crits == top if stuck else crits > floor
+            order = np.argsort(-crits[in_window], kind="stable")
+            window = live[in_window][order].tolist()
+            if stuck:
+                for position in window:
+                    ratio = float(local_ratios[position])
+                    crit = float(local_crit[position])
+                    while ratio > step and margin > epsilon:
+                        gain = 1.0 / (ratio - step) - 1.0 / ratio
+                        if gain > margin - epsilon:
+                            break
+                        ratio -= step
+                        crit -= crit_drop
+                        margin -= gain
+                        steps += 1
+                    local_ratios[position] = ratio
+                    local_crit[position] = crit
                 continue
-            delta = 1.0 / (ratio - step) - 1.0 / ratio
-            if delta > margin - epsilon:
-                # Cannot afford this net's decrease: drop it.
-                item = heappop(heap) if heap else None
-                continue
-            local_ratios[position] = ratio - step
-            crit = -neg_crit - crit_drop
-            local_crit[position] = crit
-            margin -= delta
-            steps += 1
-            item = heappushpop(heap, (-crit, position))
+            # The queue's pops in this window, in order.  A net the margin
+            # cannot afford now never steps again (the next bulk drop
+            # removes it), and once the margin is spent no net can; a
+            # stepped net's new key is at most ``floor``, so it leaves
+            # the window.
+            moved = []
+            for position, gain in zip(window, gains[in_window][order].tolist()):
+                if gain <= margin - epsilon:
+                    margin -= gain
+                    moved.append(position)
+            local_ratios[moved] -= step
+            local_crit[moved] -= crit_drop
+            steps += len(moved)
         if steps:
             ratios[pairs] = local_ratios
             criticality[pairs] = local_crit

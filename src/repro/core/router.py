@@ -206,7 +206,6 @@ class TdmAssigner:
             legal = TdmLegalizer(incidence, self.config, tracer=tracer).legalize(
                 lr_result.ratios
             )
-            incidence.write_ratios(solution, legal.ratios)
             stats = WireAssigner(incidence, self.config, tracer=tracer).assign(
                 solution, legal.ratios, legal.wire_budgets, legal.criticality
             )
@@ -519,9 +518,9 @@ class SynergisticRouter:
     def _restore_topology(self, paths: List[Optional[List[int]]]) -> RoutingSolution:
         """A solution holding the checkpointed paths (no ratios/wires)."""
         solution = RoutingSolution(self.system, self.netlist)
-        for conn_index, path in enumerate(paths):
-            if path is not None:
-                solution.set_path(conn_index, [int(d) for d in path])
+        solution.set_paths(
+            [None if path is None else [int(d) for d in path] for path in paths]
+        )
         return solution
 
     @staticmethod
@@ -613,7 +612,7 @@ class SynergisticRouter:
         lr_history = LrHistory.from_dict(payload["lr_history"])
         with tracer.span(PHASE_LGWA):
             if barrier == "phase2.lr":
-                ratios = np.asarray(payload["ratios"], dtype=np.float64)
+                ratios = _payload_pair_values(payload, barrier, "ratios", incidence)
                 legal = TdmLegalizer(incidence, self.config, tracer=tracer).legalize(
                     ratios
                 )
@@ -621,19 +620,15 @@ class SynergisticRouter:
                 wire_budgets = legal.wire_budgets
                 criticality = legal.criticality
             else:
-                legal_ratios = np.asarray(
-                    payload["legal_ratios"], dtype=np.float64
+                legal_ratios = _payload_pair_values(
+                    payload, barrier, "legal_ratios", incidence
                 )
-                wire_budgets = {
-                    (int(edge), int(direction)): int(budget)
-                    for edge, direction, budget in payload["wire_budgets"]
-                }
+                wire_budgets = _payload_wire_budgets(payload, barrier, incidence)
                 criticality = (
-                    np.asarray(payload["criticality"], dtype=np.float64)
+                    _payload_pair_values(payload, barrier, "criticality", incidence)
                     if payload.get("criticality") is not None
                     else None
                 )
-            incidence.write_ratios(solution, legal_ratios)
             wire_stats = WireAssigner(incidence, self.config, tracer=tracer).assign(
                 solution, legal_ratios, wire_budgets, criticality
             )
@@ -745,8 +740,92 @@ class SynergisticRouter:
                         ),
                     },
                 )
-            incidence.write_ratios(solution, legal.ratios)
             wire_stats = WireAssigner(incidence, self.config, tracer=tracer).assign(
                 solution, legal.ratios, legal.wire_budgets, legal.criticality
             )
         return lr_result.history, wire_stats, lr_result.multipliers, incidence
+
+
+def _payload_pair_values(
+    payload: Mapping[str, Any], barrier: str, key: str, incidence: TdmIncidence
+) -> np.ndarray:
+    """A checkpointed per-pair array, checked against the rebuilt incidence.
+
+    Ratios must be finite and positive, and legalized ones positive
+    multiples of the TDM step; criticalities must be finite.
+
+    Raises:
+        CheckpointFormatError: when the array does not fit.
+    """
+    from repro.io.checkpoint_io import CheckpointFormatError
+
+    where = f"{barrier} payload {key}"
+    try:
+        values = np.asarray(payload[key], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"{where}: {exc}") from exc
+    if values.shape != (incidence.num_pairs,):
+        raise CheckpointFormatError(
+            f"{where} has {values.size} entries, expected one per "
+            f"TDM use ({incidence.num_pairs})"
+        )
+    if not np.all(np.isfinite(values)):
+        raise CheckpointFormatError(f"{where} must be finite")
+    if key != "criticality" and not np.all(values > 0):
+        raise CheckpointFormatError(f"{where} must be positive")
+    step = incidence.delay_model.tdm_step
+    if key == "legal_ratios" and np.any(values % step):
+        raise CheckpointFormatError(
+            f"{where} must be multiples of the TDM step {step}"
+        )
+    return values
+
+
+def _payload_wire_budgets(
+    payload: Mapping[str, Any], barrier: str, incidence: TdmIncidence
+) -> Dict[Tuple[int, int], int]:
+    """Checkpointed ``[edge, direction, budget]`` triples as a budget map.
+
+    Every directed TDM edge in use needs exactly one positive budget, and
+    an edge's two budgets must fit its capacity.
+
+    Raises:
+        CheckpointFormatError: when the budgets do not fit.
+    """
+    from repro.io.checkpoint_io import CheckpointFormatError
+
+    where = f"{barrier} payload wire_budgets"
+    budgets: Dict[Tuple[int, int], int] = {}
+    for entry in payload["wire_budgets"]:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 3
+            and all(type(item) is int for item in entry)
+            and entry[2] > 0
+        ):
+            raise CheckpointFormatError(
+                f"{where} entry {entry!r} is not [edge, direction, positive budget]"
+            )
+        key = (entry[0], entry[1])
+        if key in budgets:
+            raise CheckpointFormatError(f"{where} repeats {key}")
+        budgets[key] = entry[2]
+    expected = set(incidence.directed_edges())
+    if set(budgets) != expected:
+        missing = sorted(expected - set(budgets))
+        unexpected = sorted(set(budgets) - expected)
+        raise CheckpointFormatError(
+            f"{where} must cover the directed TDM edges in use: "
+            f"missing {missing}, unexpected {unexpected}"
+        )
+    totals: Dict[int, int] = {}
+    for (edge_index, _), budget in budgets.items():
+        totals[edge_index] = totals.get(edge_index, 0) + budget
+    for edge_index, total in totals.items():
+        capacity = incidence.system.edge(edge_index).capacity
+        if total > capacity:
+            raise CheckpointFormatError(
+                f"{where} total {total} wires on edge {edge_index}, over "
+                f"its capacity {capacity}"
+            )
+    return budgets

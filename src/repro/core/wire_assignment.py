@@ -9,12 +9,21 @@ least critical, bumping their ratio a step at a time; leftover capacity
 at the minimum ratio.  Finally every wire's ratio is shrunk to the legal
 minimum for its demand — a pure improvement the rules always allow — and
 each net's ratio becomes its wire's ratio.
+
+Two observations keep the per-net Python work small.  Leftovers exist
+only when every opened wire is full, so each bump opens exactly ``p``
+slots on one wire and the next ``p`` leftover nets fill them: the wire is
+picked once per bump, not once per net.  And a spare wire only takes a
+net off a wire with demand at least 2 and ratio above ``p``; moves only
+lower demand, so when no wire qualifies up front the pass is skipped.
+The output equals the per-net greedy's, bit for bit
+(``tests/test_lgwa_oracle.py``).  ``solution.ratios`` and
+``solution.net_wire`` are written once, in pair order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -82,13 +91,19 @@ class WireAssigner:
             crit_arr = criticality
         crit_list = crit_arr.tolist()
         neg_crit = np.negative(crit_arr)
-        pair_net = inc.pair_net.tolist()
+        legal_ratio = inc.delay_model.legalize_ratio
+        # Every wire in solution order: its edge, direction and final
+        # ratio, with all wires' pairs end to end.  Nets, wire positions
+        # and net ratios are gathered from these once at the end.
+        wire_keys: List[Tuple[int, int, int]] = []
+        wire_positions: List[int] = []
+        wire_demands: List[int] = []
+        wired_pairs: List[int] = []
 
         tracer = self.tracer
-        net_wire = solution.net_wire
-        final_ratios = solution.ratios
         for edge_index in edges:
-            wires: List[TdmWire] = []
+            solution.wires[edge_index] = []
+            used = [0, 0]
             for direction in (0, 1):
                 pair_slice = inc.pair_slice_of_directed_edge(edge_index, direction)
                 if not pair_slice.size:
@@ -100,44 +115,56 @@ class WireAssigner:
                 # sorted(key=(ratio, -criticality)) order.
                 order = pair_slice[
                     np.lexsort((neg_crit[pair_slice], ratios[pair_slice]))
-                ].tolist()
+                ]
                 budget = wire_budgets[(edge_index, direction)]
-                edge_wires, bumps, moves = self._assign_directed_edge(
-                    edge_index,
-                    direction,
-                    pair_slice.tolist(),
-                    order,
-                    budget,
-                    ratio_list,
-                    crit_list,
-                    pair_net,
+                groups, bumps, moves = self._assign_directed_edge(
+                    order, budget, ratio_list, crit_list, crit_arr
                 )
-                wires.extend(edge_wires)
+                position = used[0]
+                for group in groups:
+                    # Final shrink: a wire's ratio only needs to be the
+                    # smallest legal multiple of the step covering its
+                    # demand.
+                    wire_keys.append((edge_index, direction, legal_ratio(len(group))))
+                    wire_positions.append(position)
+                    wire_demands.append(len(group))
+                    wired_pairs.extend(group)
+                    position += 1
+                used[direction] = len(groups)
                 stats.nets_assigned += pair_slice.size
                 stats.overflow_bumps += bumps
                 stats.critical_moves += moves
-            solution.wires[edge_index] = wires
-            for position, wire in enumerate(wires):
-                direction = wire.direction
-                wire_ratio = float(wire.ratio)
-                uses = [
-                    (net_index, edge_index, direction)
-                    for net_index in wire.net_indices
-                ]
-                net_wire.update(zip(uses, repeat(position)))
-                final_ratios.update(zip(uses, repeat(wire_ratio)))
-            stats.wires_used += len(wires)
+            stats.wires_used += used[0] + used[1]
             for direction in (0, 1):
                 budget = wire_budgets.get((edge_index, direction))
                 if not budget:
                     continue
-                used = sum(1 for wire in wires if wire.direction == direction)
                 tracer.observe(
                     "wire_assignment.utilization.dir0"
                     if direction == 0
                     else "wire_assignment.utilization.dir1",
-                    used / budget,
+                    used[direction] / budget,
                 )
+        # Every pair sits on exactly one wire, so the scatters cover all
+        # pairs, and the updates keep ``solution.ratios``' pair order.
+        counts = np.array(wire_demands, dtype=np.int64)
+        pairs = np.array(wired_pairs, dtype=np.int64)
+        nets = inc.pair_net[pairs].tolist()
+        stop = 0
+        for (edge_index, direction, ratio), demand in zip(wire_keys, wire_demands):
+            start, stop = stop, stop + demand
+            solution.wires[edge_index].append(
+                TdmWire(edge_index, direction, ratio, nets[start:stop])
+            )
+        pair_position = np.empty(inc.num_pairs, dtype=np.int64)
+        pair_position[pairs] = np.repeat(wire_positions, counts)
+        pair_ratio = np.empty(inc.num_pairs, dtype=np.float64)
+        pair_ratio[pairs] = np.repeat(
+            np.array([key[2] for key in wire_keys], dtype=np.float64), counts
+        )
+        uses = inc.uses
+        solution.ratios.update(zip(uses, pair_ratio.tolist()))
+        solution.net_wire.update(zip(uses, pair_position.tolist()))
         tracer.add("wire_assignment.wires_used", stats.wires_used)
         tracer.add("wire_assignment.nets_assigned", stats.nets_assigned)
         tracer.add("wire_assignment.overflow_bumps", stats.overflow_bumps)
@@ -155,124 +182,87 @@ class WireAssigner:
     # ------------------------------------------------------------------
     def _assign_directed_edge(
         self,
-        edge_index: int,
-        direction: int,
-        pairs: List[int],
-        order: List[int],
+        order: np.ndarray,
         budget: int,
         ratios: List[float],
         criticality: List[float],
-        pair_net: List[int],
-    ) -> Tuple[List[TdmWire], int, int]:
+        crit_arr: np.ndarray,
+    ) -> Tuple[List[List[int]], int, int]:
         """The paper's greedy for one directed edge.
 
         Args:
-            pairs: the directed edge's pair indices, ascending.
-            order: the same pairs sorted by (ratio, -criticality).
+            order: the directed edge's pairs sorted by
+                (ratio, -criticality, pair).
+            ratios / criticality: per-pair plain lists.
+            crit_arr: per-pair criticality array.
 
         Returns:
-            ``(wires, overflow_bumps, critical_moves)``.
+            ``(groups, overflow_bumps, critical_moves)``: each wire's
+            pairs in the order its nets were added.
         """
-        model = self.incidence.delay_model
-        overflow_bumps = 0
-        critical_moves = 0
-        step = model.tdm_step
-        wires: List[TdmWire] = []
-        # Plain mirrors of each wire's ratio/demand/max-criticality: the
-        # leftover scan probes them per wire, where dataclass attribute
-        # access would dominate.
-        wire_ratios: List[int] = []
-        wire_demands: List[int] = []
-        wire_crit: List[float] = []
+        step = self.incidence.delay_model.tdm_step
+        order_list = order.tolist()
+        groups: List[List[int]] = []
+        group_ratios: List[int] = []
         cursor = 0
-        total = len(order)
-        while cursor < total and len(wires) < budget:
-            wire_ratio = int(round(ratios[order[cursor]]))
-            group = order[cursor : cursor + wire_ratio]
-            wire = TdmWire(edge_index=edge_index, direction=direction, ratio=wire_ratio)
-            wire.net_indices.extend([pair_net[pair] for pair in group])
-            wires.append(wire)
-            wire_ratios.append(wire_ratio)
-            wire_demands.append(len(group))
-            wire_crit.append(max([criticality[pair] for pair in group]))
+        total = len(order_list)
+        while cursor < total and len(groups) < budget:
+            wire_ratio = int(round(ratios[order_list[cursor]]))
+            group = order_list[cursor : cursor + wire_ratio]
+            groups.append(group)
+            group_ratios.append(wire_ratio)
             cursor += len(group)
 
-        # Leftover demand: fold onto existing wires, preferring headroom,
-        # otherwise bump the wire whose nets are least critical.
+        # Leftover demand.  Only the last opened group can be short, and
+        # it ends the order, so here every wire is full: a bump gives the
+        # least critical wire exactly ``step`` free slots, which the next
+        # ``step`` leftover nets take.
+        overflow_bumps = 0
         if cursor < total:
-            for pair in order[cursor:]:
-                target = self._pick_wire_for_leftover(
-                    wire_ratios, wire_demands, wire_crit
-                )
-                if wire_demands[target] >= wire_ratios[target]:
-                    wire_ratios[target] += step
-                    wires[target].ratio += step
-                    overflow_bumps += 1
-                wires[target].add_net(pair_net[pair])
-                wire_demands[target] += 1
-                crit = criticality[pair]
+            starts = np.cumsum([0] + [len(group) for group in groups[:-1]])
+            wire_crit = np.maximum.reduceat(crit_arr[order[:cursor]], starts).tolist()
+            for start in range(cursor, total, step):
+                chunk = order_list[start : start + step]
+                target = self._pick_wire_for_leftover(wire_crit)
+                overflow_bumps += 1
+                groups[target].extend(chunk)
+                crit = max([criticality[pair] for pair in chunk])
                 if crit > wire_crit[target]:
                     wire_crit[target] = crit
+            return groups, overflow_bumps, 0
 
         # Leftover capacity: give the most critical shared nets private
-        # wires at the minimum ratio.
-        spare = budget - len(wires)
-        if spare > 0 and wires:
-            pair_wire = self._pair_wire_map(wires, order, pair_net)
-            candidates = sorted(
-                (p for p in pairs if p in pair_wire),
-                key=lambda p: -criticality[p],
-            )
+        # wires at the minimum ratio.  Only a wire with demand >= 2 and a
+        # ratio above the step can give one up, and moves only lower
+        # demand, so the candidates are the nets on such wires up front.
+        spare = budget - len(groups)
+        critical_moves = 0
+        sources = [
+            index
+            for index, group in enumerate(groups)
+            if len(group) >= 2 and group_ratios[index] > step
+        ]
+        if spare > 0 and sources:
+            pair_wire = {pair: index for index in sources for pair in groups[index]}
+            candidates = sorted(pair_wire, key=lambda pair: (-criticality[pair], pair))
             for pair in candidates:
                 if spare <= 0:
                     break
-                source = wires[pair_wire[pair]]
-                if source.demand < 2 or source.ratio <= step:
+                source = groups[pair_wire[pair]]
+                if len(source) < 2:
                     continue
-                net = pair_net[pair]
-                source.net_indices.remove(net)
-                fresh = TdmWire(
-                    edge_index=edge_index, direction=direction, ratio=step
-                )
-                fresh.add_net(net)
-                wires.append(fresh)
+                source.remove(pair)
+                groups.append([pair])
                 spare -= 1
                 critical_moves += 1
-
-        # Final shrink: a wire's ratio only needs to be the smallest legal
-        # multiple of the step covering its demand.
-        for wire in wires:
-            wire.ratio = model.legalize_ratio(wire.demand)
-        return wires, overflow_bumps, critical_moves
+        return groups, 0, critical_moves
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _pick_wire_for_leftover(
-        wire_ratios: List[int], wire_demands: List[int], wire_crit: List[float]
-    ) -> int:
-        """Wire to receive a leftover net: headroom first, then least critical."""
-        best = -1
-        best_ratio = 0
-        for index, ratio in enumerate(wire_ratios):
-            if wire_demands[index] < ratio and (best < 0 or ratio < best_ratio):
-                best = index
-                best_ratio = ratio
-        if best >= 0:
-            return best
-        # First index of the minimum, matching np.argmin.
-        return min(range(len(wire_crit)), key=wire_crit.__getitem__)
+    def _pick_wire_for_leftover(wire_crit: List[float]) -> int:
+        """Wire to bump for a leftover chunk: the least critical one.
 
-    @staticmethod
-    def _pair_wire_map(
-        wires: List[TdmWire], order: List[int], pair_net: List[int]
-    ) -> Dict[int, int]:
-        """Map each assigned pair to the index of its wire."""
-        net_to_wire: Dict[int, int] = {}
-        for index, wire in enumerate(wires):
-            for net in wire.net_indices:
-                net_to_wire[net] = index
-        return {
-            pair: net_to_wire[pair_net[pair]]
-            for pair in order
-            if pair_net[pair] in net_to_wire
-        }
+        Every wire is full when a bump happens, so no wire has headroom.
+        Ties go to the first index, matching ``np.argmin``.
+        """
+        return min(range(len(wire_crit)), key=wire_crit.__getitem__)

@@ -96,22 +96,62 @@ class RoutingSolution:
                 path revisits a die, or consecutive dies are not adjacent.
         """
         conn = self.netlist.connections[connection_index]
-        if not dies or dies[0] != conn.source_die or dies[-1] != conn.sink_die:
-            raise ValueError(
-                f"path {list(dies)} does not run from die {conn.source_die} "
-                f"to die {conn.sink_die}"
-            )
-        # Validates adjacency and loop-freedom (once per distinct path);
-        # the hops are kept so no later pass (usage cache, timing,
-        # incidence) re-derives them.
         key = tuple(dies)
-        hops = self._hops_memo.get(key)
-        if hops is None:
-            hops = path_to_edge_list(self.system, dies)
-            self._hops_memo[key] = hops
-        self._conn_hops[connection_index] = hops
+        self._conn_hops[connection_index] = self._checked_hops(
+            key, conn.source_die, conn.sink_die
+        )
         self._paths[connection_index] = key
         self._edge_nets = self._tdm_uses = None
+
+    def set_paths(self, paths: Sequence[Optional[Sequence[int]]]) -> None:
+        """Set every connection's die path at once (``None``: unrouted).
+
+        Equivalent to :meth:`set_path` on each routed connection of a
+        fresh solution, without its per-call overhead: the endpoints are
+        checked against the netlist's int columns, and each distinct die
+        path is validated once through the hops memo.  Nothing changes
+        when a path is rejected.
+
+        Args:
+            paths: one die path (or ``None``) per connection, by index.
+
+        Raises:
+            ValueError: when the list length differs from the connection
+                count, or (as :meth:`set_path`, for the first offending
+                connection) when a path has wrong endpoints, revisits a
+                die or joins non-adjacent dies.
+        """
+        count = self.netlist.num_connections
+        if len(paths) != count:
+            raise ValueError(f"{len(paths)} paths for {count} connections")
+        sources, sinks = self.netlist.connection_dies()
+        checked_hops = self._checked_hops
+        keys = [None if path is None else tuple(path) for path in paths]
+        conn_hops = [
+            None if key is None else checked_hops(key, source, sink)
+            for key, source, sink in zip(keys, sources.tolist(), sinks.tolist())
+        ]
+        self._paths = keys
+        self._conn_hops = conn_hops
+        self._edge_nets = self._tdm_uses = None
+
+    def _checked_hops(
+        self, key: Tuple[int, ...], source: int, sink: int
+    ) -> List[Tuple[int, int]]:
+        """Hops of die path ``key`` for a ``source`` → ``sink`` connection.
+
+        Validates adjacency and loop-freedom once per distinct path; the
+        hops are kept so no later pass (usage cache, timing, incidence)
+        re-derives them.
+        """
+        if not key or key[0] != source or key[-1] != sink:
+            raise ValueError(
+                f"path {list(key)} does not run from die {source} to die {sink}"
+            )
+        hops = self._hops_memo.get(key)
+        if hops is None:
+            hops = self._hops_memo[key] = path_to_edge_list(self.system, key)
+        return hops
 
     def clear_path(self, connection_index: int) -> None:
         """Remove the routed path of a connection."""

@@ -448,6 +448,49 @@ class TestResumeErrors:
         line = self._resume_error(path, capsys)
         assert f"{barrier} payload {key} must be {kind}" in line
 
+    @pytest.mark.parametrize(
+        "barrier,key,edit,message",
+        [
+            ("phase2.lr", "ratios", lambda v: v[:-1], "ratios has"),
+            ("phase2.lr", "ratios", lambda v: v + v[-1:], "ratios has"),
+            ("phase2.lr", "ratios", lambda v: [-1.0] + v[1:], "must be positive"),
+            ("phase2.legalized", "wire_budgets", lambda v: v[:-1], "missing [("),
+            ("phase2.legalized", "criticality", lambda v: v[:-1], "criticality has"),
+            (
+                "phase2.legalized",
+                "legal_ratios",
+                lambda v: [v[0] + 1.0] + v[1:],
+                "multiples of the TDM step",
+            ),
+            (
+                "phase2.legalized",
+                "wire_budgets",
+                lambda v: [[e, d, b + 1000] for e, d, b in v],
+                "over its capacity",
+            ),
+        ],
+        ids=[
+            "ratios-one-short",
+            "ratios-one-extra",
+            "ratios-negative",
+            "budgets-one-missing",
+            "criticality-one-short",
+            "legal-ratio-off-step",
+            "budgets-over-capacity",
+        ],
+    )
+    def test_payload_arrays_must_fit_the_topology(
+        self, case02_checkpoints, barrier, key, edit, message, tmp_path, capsys
+    ):
+        source = case02_checkpoints[barrier]
+        doc = json.loads(source.read_text())
+        doc["payload"][key] = edit(doc["payload"][key])
+        path = tmp_path / source.name
+        path.write_text(json.dumps(doc))
+        line = self._resume_error(path, capsys)
+        assert line.startswith(f"repro resume: invalid checkpoint: {barrier} ")
+        assert message in line
+
     def test_old_schema_version(self, tmp_path, capsys):
         from repro import RouterConfig
 

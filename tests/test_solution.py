@@ -43,6 +43,47 @@ class TestPaths:
         with pytest.raises(ValueError, match="not adjacent"):
             solution.set_path(0, [0, 2])
 
+    def test_set_paths_matches_set_path_per_connection(self, case):
+        system, netlist = case
+        paths = [[0, 1, 2], None, (1, 2), [7, 0]]
+        bulk = RoutingSolution(system, netlist)
+        bulk.set_paths(paths)
+        single = RoutingSolution(system, netlist)
+        for index, path in enumerate(paths):
+            if path is not None:
+                single.set_path(index, path)
+        assert bulk.paths() == single.paths() == [(0, 1, 2), None, (1, 2), (7, 0)]
+        for index in (0, 2, 3):
+            assert bulk.path_hops(index) == single.path_hops(index)
+        assert bulk.unrouted_connections() == [1]
+        assert bulk.edge_demand(bulk.path_hops(3)[0][0]) == 1
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([0, 1], "does not run"),
+            ([], "does not run"),
+            ([0, 1, 0, 1, 2], "revisits"),
+            ([0, 2], "not adjacent"),
+        ],
+    )
+    def test_set_paths_rejects_as_set_path_does(self, case, bad, message):
+        system, netlist = case
+        with pytest.raises(ValueError) as single:
+            RoutingSolution(system, netlist).set_path(0, bad)
+        solution = RoutingSolution(system, netlist)
+        solution.set_path(2, [1, 2])
+        with pytest.raises(ValueError, match=message) as bulk:
+            solution.set_paths([bad, None, None, [7, 0]])
+        assert str(bulk.value) == str(single.value)
+        # A rejected call leaves every path as it was.
+        assert solution.paths() == [None, None, (1, 2), None]
+
+    def test_set_paths_needs_one_entry_per_connection(self, case):
+        system, netlist = case
+        with pytest.raises(ValueError, match="1 paths for 4 connections"):
+            RoutingSolution(system, netlist).set_paths([None])
+
     def test_clear_path(self, case):
         system, netlist = case
         solution = RoutingSolution(system, netlist)
