@@ -41,8 +41,9 @@ examples:
 	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src $(PYTHON) $$f > /dev/null || exit 1; done
 	@echo "all examples ran cleanly"
 
-# Performance gate: runtime budgets plus the phase II pipeline speedup
-# benchmark (docs/performance.md).  Fresh trajectories land in bench_out/
+# Performance gate: runtime budgets, the phase II pipeline speedup
+# benchmark and the case10 ECO migrate timings (docs/performance.md).
+# Fresh trajectories land in bench_out/
 # and the perf-regression sentinel compares them against the committed
 # baselines (docs/observability.md) — the gate fails on a statistically
 # meaningful slowdown, not on machine noise.
@@ -52,6 +53,11 @@ perf:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_phase2.py --benchmark-only -q
 	PYTHONPATH=src $(PYTHON) -m repro.cli.perf_cli BENCH_phase2.json \
 		bench_out/BENCH_phase2.json --output bench_out/PERF_SENTINEL_phase2.json
+	REPRO_BENCH_OUT=bench_out REPRO_BENCH_BASELINE=. \
+	PYTHONPATH=src $(PYTHON) -m pytest \
+		benchmarks/bench_eco.py::test_eco_migrate_wall_time --benchmark-only -q
+	PYTHONPATH=src $(PYTHON) -m repro.cli.perf_cli BENCH_eco.json \
+		bench_out/BENCH_eco.json --output bench_out/PERF_SENTINEL_eco.json
 
 # Profile a full case05 run: trace it, print the self-time attribution
 # table and critical path, and export a Chrome flamegraph
@@ -85,5 +91,5 @@ clean:
 	rm -f trace_chrome.json PERF_SENTINEL.json
 	rm -f serve_report.json serve_trace.jsonl
 	find . -maxdepth 1 -name 'BENCH_*.json' ! -name BENCH_phase2.json \
-		! -name BENCH_serve.json -delete
+		! -name BENCH_serve.json ! -name BENCH_eco.json -delete
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -1,18 +1,48 @@
-"""Incremental (ECO) rerouting vs a full re-route.
+"""Incremental (ECO) rerouting vs a full re-route, and the migrate ledger.
 
 Measures the practical payoff of :class:`repro.core.eco.EcoRouter`:
 after touching 1% of the nets, the incremental path should cost a
 fraction of a from-scratch route while staying legal and close in
 quality.
+
+:func:`test_eco_migrate_wall_time` times :meth:`EcoRouter.migrate` of a
+routed case10 onto ``RevisionSpec(seed=1..3)``, best of
+:data:`MIGRATE_ROUNDS` interleaved runs per revision, and records one
+``BENCH_eco.json`` row per revision (``wall_time_migrate_s``,
+``cpu_count`` and the result's fingerprint), which ``make perf`` checks
+with the perf sentinel against the committed file.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import time
+from pathlib import Path
 
-from benchmarks.conftest import bench_case, register_report, selected_cases
-from repro import SynergisticRouter
+from benchmarks.conftest import (
+    bench_case,
+    bench_scale,
+    record_bench_result,
+    register_report,
+    selected_cases,
+)
+from repro import DelayModel, SynergisticRouter
+from repro.api import solution_fingerprint
+from repro.benchgen import RevisionSpec, revise_netlist
 from repro.core.eco import EcoRouter
+
+#: Base case and revision seeds of the timed migrates (the first three
+#: of the pinned ones in tests/data/pinned_fingerprints.json).
+MIGRATE_CASE = "case10"
+MIGRATE_SEEDS = (1, 2, 3)
+
+#: Timed runs per revision; the best one is recorded.
+MIGRATE_ROUNDS = 3
+
+PINNED = Path(__file__).resolve().parent.parent / "tests" / "data" / (
+    "pinned_fingerprints.json"
+)
 
 
 def test_eco_vs_full_reroute(benchmark):
@@ -51,3 +81,53 @@ def test_eco_vs_full_reroute(benchmark):
     )
     assert eco.conflict_count == 0
     assert eco.rerouted_connections < case.netlist.num_connections
+
+
+def test_eco_migrate_wall_time(benchmark):
+    case = bench_case(MIGRATE_CASE)
+    model = DelayModel()
+    base = SynergisticRouter(case.system, case.netlist, model).route().solution
+    revisions = {
+        seed: revise_netlist(
+            case.netlist, case.system.num_dies, RevisionSpec(seed=seed)
+        )
+        for seed in MIGRATE_SEEDS
+    }
+    best = {seed: float("inf") for seed in MIGRATE_SEEDS}
+    results = {}
+
+    def run():
+        # Interleave the revisions so machine noise hits all of them.
+        for _ in range(MIGRATE_ROUNDS):
+            for seed, revision in revisions.items():
+                start = time.perf_counter()
+                results[seed] = EcoRouter(case.system, model).migrate(base, revision)
+                best[seed] = min(best[seed], time.perf_counter() - start)
+        return results
+
+    benchmark.pedantic(run, rounds=1, iterations=1)
+
+    pinned = json.loads(PINNED.read_text())["eco"]["fingerprints"]
+    lines = []
+    for seed in MIGRATE_SEEDS:
+        result = results[seed]
+        fingerprint = solution_fingerprint(result.solution, model)
+        record_bench_result(
+            "eco",
+            f"{MIGRATE_CASE}-rev{seed}",
+            wall_time_migrate_s=best[seed],
+            cpu_count=os.cpu_count(),
+            fingerprint=fingerprint,
+            critical_delay=result.critical_delay,
+            rerouted_connections=result.rerouted_connections,
+            preserved_connections=result.preserved_connections,
+        )
+        lines.append(
+            f"{MIGRATE_CASE} rev{seed}: migrate {best[seed]:.3f}s (best of "
+            f"{MIGRATE_ROUNDS}), delay {result.critical_delay:.1f}, "
+            f"{result.rerouted_connections} rerouted connections"
+        )
+        assert result.conflict_count == 0
+        if bench_scale() is None:
+            assert fingerprint == pinned[str(seed)]
+    register_report("ECO migrate wall time", lines)

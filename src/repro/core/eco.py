@@ -15,13 +15,17 @@ Both hand the kept paths to the phase I router
 (:class:`~repro.core.initial_routing.InitialRouter`), which routes only
 the connections without one and negotiates any SLL overflow exactly as a
 cold run does.  Untouched nets keep their topology unless negotiation
-rips them up (disturbed nets are reported, never hidden).
+rips them up (disturbed nets are reported, never hidden).  Kept paths
+travel as path ids into the old solution's path table, so nothing is
+converted or validated again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Set
+
+import numpy as np
 
 from repro.arch.system import MultiFpgaSystem
 from repro.core.config import RouterConfig
@@ -30,7 +34,7 @@ from repro.core.initial_routing import InitialRouter
 from repro.core.router import TdmAssigner
 from repro.netlist.netlist import Netlist
 from repro.obs import Tracer
-from repro.route.solution import RoutingSolution
+from repro.route.solution import RoutingSolution, ranges
 from repro.timing.analysis import TimingAnalyzer
 from repro.timing.delay import DelayModel
 
@@ -97,14 +101,13 @@ class EcoRouter:
                 rerouted set stays small.
         """
         netlist = solution.netlist
-        targets = set(net_indices)
-        for net_index in sorted(targets):
+        targets = sorted(set(net_indices))
+        for net_index in targets:
             if not 0 <= net_index < netlist.num_nets:
                 raise ValueError(f"unknown net index {net_index}")
-        carried = [
-            None if conn.net_index in targets else solution.path(conn.index)
-            for conn in netlist.connections
-        ]
+        path_ids = solution.path_ids()
+        path_ids[np.isin(netlist.connection_net_indices(), targets)] = -1
+        carried = solution.with_path_ids(netlist, path_ids)
         return self._route_missing(netlist, carried, prev_incidence)
 
     def migrate(
@@ -122,8 +125,9 @@ class EcoRouter:
         old_net_by_name = old_netlist.net_by_name
         old_offsets = old_netlist.connection_offsets()
         new_offsets = new_netlist.connection_offsets()
-        old_paths = old_solution.paths()
-        carried: List[Optional[Sequence[int]]] = [None] * new_netlist.num_connections
+        new_starts: List[int] = []
+        old_starts: List[int] = []
+        lengths: List[int] = []
         for net in new_netlist.nets:
             start = new_offsets[net.index]
             stop = new_offsets[net.index + 1]
@@ -137,20 +141,29 @@ class EcoRouter:
             ):
                 continue
             # Equal source and sinks give the same connection layout.
-            old_start = old_offsets[old_net.index]
-            carried[start:stop] = old_paths[old_start : old_start + stop - start]
+            new_starts.append(start)
+            old_starts.append(old_offsets[old_net.index])
+            lengths.append(stop - start)
+        # One gather copies every carried net's slice of path ids.
+        counts = np.array(lengths, dtype=np.int64)
+        path_ids = np.full(new_netlist.num_connections, -1, dtype=np.int64)
+        old_ids = old_solution.path_ids()
+        path_ids[ranges(np.array(new_starts, dtype=np.int64), counts)] = old_ids[
+            ranges(np.array(old_starts, dtype=np.int64), counts)
+        ]
+        carried = old_solution.with_path_ids(new_netlist, path_ids)
         result = self._route_missing(new_netlist, carried)
-        result.preserved_connections = len(carried) - carried.count(None)
+        result.preserved_connections = int(np.count_nonzero(path_ids >= 0))
         return result
 
     # ------------------------------------------------------------------
     def _route_missing(
         self,
         netlist: Netlist,
-        carried: Sequence[Optional[Sequence[int]]],
+        carried: RoutingSolution,
         prev_incidence: Optional["TdmIncidence"] = None,
     ) -> EcoResult:
-        """Route every connection without a carried path, re-run phase II."""
+        """Route every connection ``carried`` leaves unrouted, re-run phase II."""
         # The router's phase I span, so traced ECO runs share its rows.
         with self.tracer.span("phase.initial_routing"):
             router = InitialRouter(
@@ -163,7 +176,8 @@ class EcoRouter:
             solution = router.route(carried=carried)
         # Phase I routed the connections without a carried path, then
         # every connection of each net negotiation ripped up.
-        rerouted = {i for i, path in enumerate(carried) if path is None}
+        carried_ids = carried.path_ids()
+        rerouted = set(np.flatnonzero(carried_ids < 0).tolist())
         for net_index in router.ripped_nets:
             rerouted.update(netlist.connection_indices_of(net_index))
         TdmAssigner(
@@ -181,10 +195,7 @@ class EcoRouter:
         disturbed = {
             net_index
             for net_index in router.ripped_nets
-            if any(
-                path is not None
-                for path in carried[offsets[net_index] : offsets[net_index + 1]]
-            )
+            if (carried_ids[offsets[net_index] : offsets[net_index + 1]] >= 0).any()
         }
         return EcoResult(
             solution=solution,

@@ -8,13 +8,13 @@ criticalities and final delay evaluation are all O(1) vectorized passes.
 This vectorization is the Python counterpart of the paper's per-edge /
 per-connection OpenMP parallelism (DESIGN.md substitution 4).
 
-Construction itself is vectorized too: the per-connection hop arrays
-(memoized on the solution per distinct die path) are concatenated into
-flat ``(hop connection, hop edge, hop direction)`` columns, the pair set
-is deduplicated with one ``np.unique`` pass in first-occurrence order,
-and the per-directed-edge grouping that legalization and wire assignment
-consume is a CSR slice (``dir_indptr`` / ``dir_pairs``) instead of a
-dict of Python lists.
+Construction itself is vectorized too: the flat ``(hop connection, hop
+edge, hop direction)`` columns and the pair set (deduplicated with one
+``np.unique`` pass in first-occurrence order) come from the solution's
+memoized :class:`~repro.route.solution.TopologyIndex`, which the timing
+analyzer reads as well, and the per-directed-edge grouping that
+legalization and wire assignment consume is a CSR slice (``dir_indptr``
+/ ``dir_pairs``) instead of a dict of Python lists.
 
 Two more entry points support the timing-reroute/ECO refine loops:
 
@@ -42,7 +42,13 @@ import numpy as np
 from repro.arch.edges import EdgeKind
 from repro.arch.system import MultiFpgaSystem
 from repro.netlist.netlist import Netlist
-from repro.route.solution import NetEdgeUse, RoutingSolution
+from repro.route.solution import (
+    NetEdgeUse,
+    RoutingSolution,
+    TdmPairs,
+    TopologyIndex,
+    tdm_pairs,
+)
 from repro.timing.delay import DelayModel
 
 
@@ -81,68 +87,21 @@ class TdmIncidence:
         self.num_connections = netlist.num_connections
         self._init_edge_columns()
 
-        num_conns = self.num_connections
-        conn_net = netlist.connection_net_indices()
-        # Connections share few distinct die paths, so gather the hop
-        # arrays once per distinct path and expand them onto connections
-        # with one fancy index instead of concatenating one tiny array
-        # pair per connection.
-        get_path = solution.path
-        hop_arrays = solution.path_hop_arrays
-        path_ids: Dict[Tuple[int, ...], int] = {}
-        uniq_edges: List[np.ndarray] = []
-        uniq_dirs: List[np.ndarray] = []
-        pid_list: List[int] = []
-        for index in range(num_conns):
-            path = get_path(index)
-            pid = path_ids.get(path)
-            if pid is None:
-                if path is None:
-                    raise ValueError(f"connection {index} is unrouted")
-                pid = len(uniq_edges)
-                path_ids[path] = pid
-                edges, dirs = hop_arrays(index)
-                uniq_edges.append(edges)
-                uniq_dirs.append(dirs)
-            pid_list.append(pid)
-        if uniq_edges:
-            path_len = np.fromiter(
-                (a.shape[0] for a in uniq_edges),
-                dtype=np.int64,
-                count=len(uniq_edges),
-            )
-            path_start = np.zeros(path_len.shape[0] + 1, dtype=np.int64)
-            np.cumsum(path_len, out=path_start[1:])
-            cat_edges = np.concatenate(uniq_edges)
-            cat_dirs = np.concatenate(uniq_dirs)
-            pid = np.array(pid_list, dtype=np.int64)
-            counts = path_len[pid]
-            indptr = np.zeros(num_conns + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            # Per-connection arange into the concatenated path arrays.
-            gather = np.repeat(path_start[pid] - indptr[:-1], counts)
-            gather += np.arange(indptr[-1], dtype=np.int64)
-            hop_edge = cat_edges[gather]
-            hop_dir = cat_dirs[gather]
-        else:
-            counts = np.zeros(num_conns, dtype=np.int64)
-            hop_edge = np.zeros(0, dtype=np.int64)
-            hop_dir = np.zeros(0, dtype=np.int64)
-        hop_conn = np.repeat(np.arange(num_conns, dtype=np.int64), counts)
-
-        tdm_mask = self._edge_is_tdm[hop_edge]
-        sll_conn = hop_conn[~tdm_mask]
+        index = solution.topology_index()
+        if index.unrouted >= 0:
+            raise ValueError(f"connection {index.unrouted} is unrouted")
+        sll_conn = index.sll_conn
         conn_sll = np.bincount(
             sll_conn,
             weights=np.full(sll_conn.size, delay_model.d_sll),
-            minlength=num_conns,
+            minlength=self.num_connections,
         )
         self._assemble(
-            inc_conn=hop_conn[tdm_mask],
-            inc_edge=hop_edge[tdm_mask],
-            inc_dir=hop_dir[tdm_mask],
-            conn_net=conn_net,
+            inc_conn=index.tdm_conn,
+            pairs=index.pairs,
+            conn_net=netlist.connection_net_indices(),
             conn_sll_delay=conn_sll,
+            index=index,
         )
 
     # ------------------------------------------------------------------
@@ -164,19 +123,20 @@ class TdmIncidence:
     def _assemble(
         self,
         inc_conn: np.ndarray,
-        inc_edge: np.ndarray,
-        inc_dir: np.ndarray,
+        pairs: TdmPairs,
         conn_net: np.ndarray,
         conn_sll_delay: np.ndarray,
+        index: Optional[TopologyIndex] = None,
     ) -> None:
-        """Derive all pair/group arrays from flat per-TDM-hop columns.
+        """Derive all pair/group arrays from the TDM hops and their pairs.
 
         ``inc_conn`` must be sorted by connection with hops in path order
-        — exactly the order a scan over connections produces — so the
-        pair set's first-occurrence order reproduces the historical
-        grouped-by-net ordering (net indices are nondecreasing over
-        connection indices by :class:`~repro.netlist.netlist.Netlist`
-        construction).
+        — exactly the order a scan over connections produces — and
+        ``pairs`` numbered from those hops by
+        :func:`~repro.route.solution.tdm_pairs`, so the pair order
+        reproduces the historical grouped-by-net ordering.  ``index`` is
+        the topology index the hops came from, if any; it supplies the
+        ``uses`` tuples.
         """
         num_conns = self.num_connections
         self.conn_net = conn_net
@@ -185,31 +145,20 @@ class TdmIncidence:
         self.conn_tdm_hops = np.bincount(inc_conn, minlength=num_conns).astype(
             np.int64, copy=False
         )
-
-        num_edges = self._edge_capacity.shape[0]
-        use_net = conn_net[inc_conn]
-        keys = (use_net * num_edges + inc_edge) * 2 + inc_dir
-        uniq, first, inverse = np.unique(
-            keys, return_index=True, return_inverse=True
-        )
-        # np.unique sorts by key; recover first-occurrence order.
-        order = np.argsort(first, kind="stable")
-        rank = np.empty(order.shape[0], dtype=np.int64)
-        rank[order] = np.arange(order.shape[0], dtype=np.int64)
-        self.inc_pair = rank[inverse] if inverse.size else np.zeros(0, np.int64)
-        first_in_order = first[order]
-        self.pair_net = use_net[first_in_order]
-        self.pair_edge = inc_edge[first_in_order]
-        self.pair_dir = inc_dir[first_in_order]
-        self.num_pairs = int(uniq.shape[0])
+        self.inc_pair = pairs.hop_pair
+        self.pair_net = pairs.net
+        self.pair_edge = pairs.edge
+        self.pair_dir = pairs.direction
+        self.num_pairs = int(pairs.sorted_keys.shape[0])
         self.pair_cap = self._edge_capacity[self.pair_edge]
         # Sorted encoded keys + their pair index, for incremental remaps.
-        self._sorted_keys = uniq
-        self._key_rank = rank
+        self._sorted_keys = pairs.sorted_keys
+        self._key_rank = pairs.key_rank
 
         # The tuple list and its reverse index are derived on demand (see
         # the `uses` / `use_index` properties): the LR/legalization hot
         # path never touches them.
+        self._index = index
         self._uses: Optional[List[NetEdgeUse]] = None
         self._use_index: Optional[Dict[NetEdgeUse, int]] = None
 
@@ -240,15 +189,22 @@ class TdmIncidence:
     # ------------------------------------------------------------------
     @property
     def uses(self) -> List[NetEdgeUse]:
-        """The (net, edge, direction) triples in pair-index order."""
+        """The (net, edge, direction) triples in pair-index order.
+
+        Shared with the solution's topology index when built from one,
+        so the timing analyzer looks ratios up by the same tuples.
+        """
         if self._uses is None:
-            self._uses = list(
-                zip(
-                    self.pair_net.tolist(),
-                    self.pair_edge.tolist(),
-                    self.pair_dir.tolist(),
+            if self._index is not None:
+                self._uses = self._index.uses
+            else:
+                self._uses = list(
+                    zip(
+                        self.pair_net.tolist(),
+                        self.pair_edge.tolist(),
+                        self.pair_dir.tolist(),
+                    )
                 )
-            )
         return self._uses
 
     @property
@@ -348,16 +304,21 @@ class TdmIncidence:
         merged_edge = np.concatenate([old_edge, ch_edge[tdm_mask]])
         merged_dir = np.concatenate([old_dir, ch_dir[tdm_mask]])
         order = np.argsort(merged_conn, kind="stable")
+        inc_conn = merged_conn[order]
+        num_edges = inc._edge_capacity.shape[0]
         inc._assemble(
-            inc_conn=merged_conn[order],
-            inc_edge=merged_edge[order],
-            inc_dir=merged_dir[order],
+            inc_conn=inc_conn,
+            pairs=tdm_pairs(
+                previous.conn_net[inc_conn],
+                merged_edge[order],
+                merged_dir[order],
+                num_edges,
+            ),
             conn_net=previous.conn_net,
             conn_sll_delay=conn_sll,
         )
 
         # Old-pair -> new-pair mapping via the sorted key tables.
-        num_edges = inc._edge_capacity.shape[0]
         old_keys = (
             previous.pair_net * num_edges + previous.pair_edge
         ) * 2 + previous.pair_dir
@@ -600,6 +561,7 @@ def build_reference(
 
     uses: List[NetEdgeUse] = solution.all_net_uses()
     use_index: Dict[NetEdgeUse, int] = {use: i for i, use in enumerate(uses)}
+    inc._index = None
     inc._uses = uses
     inc._use_index = use_index
     inc.num_pairs = len(uses)

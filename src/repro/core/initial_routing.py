@@ -22,7 +22,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Union
+
+import numpy as np
 
 from repro.arch.system import MultiFpgaSystem
 from repro.core.config import RouterConfig
@@ -122,7 +124,9 @@ class InitialRouter:
     def route(
         self,
         *,
-        carried: Optional[Sequence[Optional[Sequence[int]]]] = None,
+        carried: Optional[
+            Union[RoutingSolution, Sequence[Optional[Sequence[int]]]]
+        ] = None,
         resume: Optional[Mapping[str, Any]] = None,
         checkpoint: Optional[Any] = None,
         deadline: Optional[float] = None,
@@ -130,18 +134,24 @@ class InitialRouter:
         """Produce an overlap-free (when feasible) routing topology.
 
         Args:
-            carried: per-connection die paths kept from an earlier
-                solution, ``None`` for each connection to route (ECO,
-                :mod:`repro.core.eco`).  Each is an int tuple as
-                :meth:`RoutingSolution.path` returns it and is accounted
-                as is.  They enter the negotiation state before the first
-                pass, which then routes only the connections without one;
-                negotiation may rip them up like any other path.
+            carried: die paths kept from an earlier solution (ECO,
+                :mod:`repro.core.eco`): a topology-only
+                :class:`RoutingSolution` of this netlist, whose paths
+                enter as they are and whose unrouted connections are
+                the ones to route; or one die path per connection
+                (``None``: route it), validated as
+                :meth:`RoutingSolution.set_paths` does.  They enter the
+                negotiation state before the first pass, which then
+                routes only the connections without one; negotiation may
+                rip them up like any other path.  The returned solution
+                shares a carried solution's path table and validates
+                only the paths this run routed.
             resume: a ``phase1.round`` checkpoint payload
                 (docs/resilience.md); the first pass is skipped, the
-                checkpointed paths (JSON lists, made int tuples here)
-                and history are restored and negotiation continues at
-                the next round — bit-identical to never having stopped.
+                checkpointed paths (JSON lists made int tuples, or a
+                topology-only :class:`RoutingSolution` holding them) and
+                history are restored and negotiation continues at the
+                next round — bit-identical to never having stopped.
             checkpoint: duck-typed writer with
                 ``save(barrier, build_payload)``
                 (e.g. :class:`repro.resilience.CheckpointManager`);
@@ -186,7 +196,10 @@ class InitialRouter:
 
         state = NegotiationState(graph)
         cost_model = EdgeCostModel(graph, self.delay_model, self.config, weights)
+        # Paths this run routes; a restored topology stays in ``kept``
+        # until negotiation rips a connection out of it.
         paths: List[Optional[Sequence[int]]] = [None] * netlist.num_connections
+        kept: Optional[RoutingSolution] = None
         start_round = 0
         if resume is not None:
             # Restore the post-round snapshot *before* the kernel prices
@@ -198,18 +211,22 @@ class InitialRouter:
                     f"graph has {graph.num_edges} edges"
                 )
             cost_model.history[:] = [float(h) for h in history]
-            saved = [
-                None if path is None else tuple(map(int, path))
-                for path in resume["paths"]
-            ]
-            self._restore(saved, state, paths)
+            kept = self._kept_topology(resume["paths"])
             self.stats = InitialRoutingStats.from_dict(resume["stats"])
             start_round = int(resume["round"]) + 1
         elif carried is not None:
-            self._restore(carried, state, paths)
+            kept = self._kept_topology(carried)
+        if kept is not None:
+            state.load(*kept.topology_index().net_edge_counts())
         self._kernel = RoutingKernel(
             graph, cost_model, state, search_stats=self._search
         )
+
+        def current_path(conn_index: int) -> Optional[Sequence[int]]:
+            path = paths[conn_index]
+            if path is None and kept is not None:
+                path = kept.path(conn_index)
+            return path
 
         if resume is None:
             if checkpoint is not None:
@@ -220,11 +237,13 @@ class InitialRouter:
                         "weight_mode": self.stats.weight_mode,
                     },
                 )
-            self._first_pass(
-                [conn_index for conn_index in order if paths[conn_index] is None],
-                state,
-                paths,
-            )
+            if kept is None:
+                self._first_pass(order, state, paths)
+            else:
+                todo = np.asarray(order, dtype=np.int64)
+                self._first_pass(
+                    todo[kept.path_ids()[todo] < 0].tolist(), state, paths
+                )
 
         net_rank: Optional[List[int]] = None
         with tracer.span("ir.negotiation"):
@@ -261,7 +280,7 @@ class InitialRouter:
                         conn_index
                         for net_index in victim_nets
                         for conn_index in netlist.connection_indices_of(net_index)
-                        if paths[conn_index] is not None
+                        if current_path(conn_index) is not None
                     ),
                     key=lambda conn_index: rank[conn_index],
                 )
@@ -279,15 +298,19 @@ class InitialRouter:
                 self.ripped_nets.update(victim_nets)
                 for conn_index in victim_conns:
                     conn = netlist.connections[conn_index]
-                    state.remove_path(conn.net_index, paths[conn_index])
+                    state.remove_path(conn.net_index, current_path(conn_index))
                     paths[conn_index] = None
+                    if kept is not None:
+                        kept.clear_path(conn_index)
                 for conn_index in victim_conns:
                     paths[conn_index] = self._route_connection(conn_index, state)
                     self.stats.reroutes += 1
                 if checkpoint is not None:
                     checkpoint.save(
                         "phase1.round",
-                        lambda: self._round_payload(round_index, paths, cost_model),
+                        lambda: self._round_payload(
+                            round_index, paths, kept, cost_model
+                        ),
                     )
 
         self.stats.final_overflow = state.total_overflow()
@@ -312,22 +335,34 @@ class InitialRouter:
             checkpoint.save(
                 "phase1.done",
                 lambda: self._round_payload(
-                    self.stats.negotiation_rounds, paths, cost_model
+                    self.stats.negotiation_rounds, paths, kept, cost_model
                 ),
             )
 
-        solution = RoutingSolution(self.system, netlist)
-        solution.set_paths(paths)
-        return solution
+        if kept is None:
+            solution = RoutingSolution(self.system, netlist)
+            solution.set_paths(paths)
+            return solution
+        # The kept topology lacks exactly the paths this run routed.
+        for conn_index in kept.unrouted_connections():
+            if paths[conn_index] is not None:
+                kept.set_path(conn_index, paths[conn_index])
+        return kept
 
     # ------------------------------------------------------------------
     def _round_payload(
         self,
         round_index: int,
         paths: List[Optional[Sequence[int]]],
+        kept: Optional[RoutingSolution],
         cost_model: EdgeCostModel,
     ) -> Dict[str, Any]:
         """Checkpoint payload capturing the negotiation loop state."""
+        if kept is not None:
+            paths = [
+                path if path is not None else kept_path
+                for path, kept_path in zip(paths, kept.paths())
+            ]
         return {
             "round": round_index,
             "paths": [list(p) if p is not None else None for p in paths],
@@ -336,27 +371,33 @@ class InitialRouter:
         }
 
     # ------------------------------------------------------------------
-    def _restore(
-        self,
-        saved: Sequence[Optional[Sequence[int]]],
-        state: NegotiationState,
-        paths: List[Optional[Sequence[int]]],
-    ) -> None:
-        """Account saved per-connection int paths (resumed or carried over).
+    def _kept_topology(
+        self, saved: Union[RoutingSolution, Sequence[Optional[Sequence[int]]]]
+    ) -> RoutingSolution:
+        """A private topology-only solution holding resumed or carried paths.
 
-        The paths are kept as given; a pair of non-adjacent dies raises
-        ``ValueError`` from the edge lookup.
+        A solution is copied as is (its paths were validated when they
+        entered its table); a list of paths is validated here.
+
+        Raises:
+            ValueError: when there is not one path per connection, or a
+                listed path is malformed (as :meth:`RoutingSolution.set_paths`).
         """
-        if len(saved) != len(paths):
-            raise ValueError(
-                f"{len(saved)} saved paths for {len(paths)} connections"
-            )
-        add_path = state.add_path
-        net_of = self.netlist.connection_net_indices().tolist()
-        for conn_index, path in enumerate(saved):
-            if path is not None:
-                paths[conn_index] = path
-                add_path(net_of[conn_index], path)
+        count = self.netlist.num_connections
+        if isinstance(saved, RoutingSolution):
+            if saved.netlist.num_connections != count:
+                raise ValueError(
+                    f"{saved.netlist.num_connections} saved paths for "
+                    f"{count} connections"
+                )
+            return saved.copy_topology()
+        if len(saved) != count:
+            raise ValueError(f"{len(saved)} saved paths for {count} connections")
+        kept = RoutingSolution(self.system, self.netlist)
+        kept.set_paths(
+            [None if path is None else tuple(map(int, path)) for path in saved]
+        )
+        return kept
 
     def _first_pass(
         self,
@@ -397,14 +438,13 @@ class InitialRouter:
 
     # ------------------------------------------------------------------
     def _net_routing_weights(self, dist) -> List[float]:
-        """Per-net routing weight: the largest of its connections' weights."""
-        weights = [0.0] * self.netlist.num_nets
-        dist_rows = dist.tolist()
-        for conn in self.netlist.connections:
-            weight = dist_rows[conn.source_die][conn.sink_die]
-            if weight > weights[conn.net_index]:
-                weights[conn.net_index] = weight
-        return weights
+        """Per-net routing weight: the largest of its connections' weights
+        (0 for a net without connections)."""
+        netlist = self.netlist
+        sources, sinks = netlist.connection_dies()
+        weights = np.zeros(netlist.num_nets, dtype=np.float64)
+        np.maximum.at(weights, netlist.connection_net_indices(), dist[sources, sinks])
+        return weights.tolist()
 
     def _net_victim_ranks(self, dist) -> List[int]:
         """Per-net position in rip-up order: by routing weight, then index.
@@ -413,12 +453,9 @@ class InitialRouter:
         nets exactly as the ``(weight, net index)`` pair does.
         """
         weights = self._net_routing_weights(dist)
-        ranks = [0] * len(weights)
-        for position, net_index in enumerate(
-            sorted(range(len(weights)), key=weights.__getitem__)
-        ):
-            ranks[net_index] = position
-        return ranks
+        ranks = np.empty(len(weights), dtype=np.int64)
+        ranks[np.argsort(weights, kind="stable")] = np.arange(len(weights))
+        return ranks.tolist()
 
     def _select_victims(
         self,

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.netlist.netlist import Netlist
 from repro.route.graph import RoutingGraph
+from repro.route.solution import ranges
 
 
 class WeightMode(enum.Enum):
@@ -41,38 +42,44 @@ def estimate_sll_pressure(graph: RoutingGraph, netlist: Netlist) -> float:
     sll_edges = graph.sll_edge_indices
     if sll_edges.size == 0 or netlist.num_connections == 0:
         return 0.0
-    nets_per_edge = [set() for _ in range(graph.num_edges)]
-    prev_by_source = {}
     # Connections share (source, sink) pairs heavily — on an n-die system
     # there are at most n*(n-1) pairs — so the hop-shortest path's SLL
-    # edges are resolved once per pair, not once per connection.
-    sll_edges_of_pair = {}
+    # edges are resolved once per pair, then spread over the connections
+    # of that pair as (net, edge) columns.
+    sources, sinks = netlist.connection_dies()
+    conn_key = sources * graph.num_dies + sinks
+    present = np.zeros(graph.num_dies * graph.num_dies, dtype=bool)
+    present[conn_key] = True
+    pair_keys = np.flatnonzero(present)
+    conn_pair = (np.cumsum(present) - 1)[conn_key]
     edge_of = graph.edge_index_between
     is_tdm = graph.is_tdm.tolist()
     unit = lambda e, a, b: 1.0  # noqa: E731 - tiny local cost fn
-    for conn in netlist.connections:
-        pair = (conn.source_die, conn.sink_die)
-        edges = sll_edges_of_pair.get(pair)
-        if edges is None:
-            prev = prev_by_source.get(conn.source_die)
-            if prev is None:
-                _, prev = dijkstra_all(graph.adjacency, conn.source_die, unit)
-                prev_by_source[conn.source_die] = prev
-            path = extract_path(prev, conn.source_die, conn.sink_die)
-            edges = [
-                edge_index
-                for edge_index in (
-                    edge_of(frm, to) for frm, to in zip(path, path[1:])
-                )
-                if not is_tdm[edge_index]
-            ]
-            sll_edges_of_pair[pair] = edges
-        net_index = conn.net_index
-        for edge_index in edges:
-            nets_per_edge[edge_index].add(net_index)
-    return max(
-        len(nets_per_edge[int(e)]) / float(graph.capacity[int(e)])
-        for e in sll_edges
+    prev_by_source = {}
+    pair_edges: List[int] = []
+    pair_starts = [0]
+    for key in pair_keys.tolist():
+        source, sink = divmod(key, graph.num_dies)
+        prev = prev_by_source.get(source)
+        if prev is None:
+            _, prev = dijkstra_all(graph.adjacency, source, unit)
+            prev_by_source[source] = prev
+        path = extract_path(prev, source, sink)
+        pair_edges.extend(
+            edge_index
+            for edge_index in (edge_of(frm, to) for frm, to in zip(path, path[1:]))
+            if not is_tdm[edge_index]
+        )
+        pair_starts.append(len(pair_edges))
+    starts = np.array(pair_starts, dtype=np.int64)
+    counts = (starts[1:] - starts[:-1])[conn_pair]
+    edges = np.array(pair_edges, dtype=np.int64)[ranges(starts[conn_pair], counts)]
+    nets = np.repeat(netlist.connection_net_indices(), counts)
+    keys = np.sort(nets * graph.num_edges + edges)
+    distinct = keys[np.flatnonzero(np.diff(keys, prepend=-1))] % graph.num_edges
+    nets_per_edge = np.bincount(distinct, minlength=graph.num_edges)
+    return float(
+        np.max(nets_per_edge[sll_edges] / graph.capacity[sll_edges].astype(np.float64))
     )
 
 

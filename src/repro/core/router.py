@@ -292,7 +292,12 @@ class SynergisticRouter:
         if barrier in (None, "phase1.ordering", "phase1.round"):
             # phase1.ordering carries no loop state: the ordering is
             # recomputed deterministically, so resume == fresh run.
-            # phase1.round continues negotiation from its payload.
+            # phase1.round continues negotiation from its payload, its
+            # paths validated here.
+            if barrier == "phase1.round":
+                payload = dict(
+                    payload, paths=self._restore_topology(barrier, payload["paths"])
+                )
             with tracer.span(PHASE_IR):
                 initial = InitialRouter(
                     self.system,
@@ -309,18 +314,14 @@ class SynergisticRouter:
                 )
             initial_stats = initial.stats
         elif barrier == "phase1.done":
-            solution = self._restore_topology(payload["paths"])
+            solution = self._restore_topology(barrier, payload["paths"])
             initial_stats = InitialRoutingStats.from_dict(payload["stats"])
         elif barrier in ("phase2.lr", "phase2.legalized"):
-            solution = self._restore_topology(payload["paths"])
+            solution = self._restore_topology(barrier, payload["paths"])
             initial_stats = self._initial_stats_from(payload)
             phase2_state = ("resume", barrier, payload)
         elif barrier in ("phase2.assigned", "phase2.round", "final"):
-            from repro.io.json_format import solution_from_dict
-
-            solution = solution_from_dict(
-                payload["solution"], self.system, self.netlist
-            )
+            solution = self._restore_solution(barrier, payload["solution"])
             initial_stats = self._initial_stats_from(payload)
             multipliers = self._multipliers_from(payload.get("multipliers"))
             lr_history = (
@@ -515,21 +516,60 @@ class SynergisticRouter:
     # ------------------------------------------------------------------
     # Checkpoint payload helpers (formats in docs/resilience.md)
     # ------------------------------------------------------------------
-    def _restore_topology(self, paths: List[Optional[List[int]]]) -> RoutingSolution:
-        """A solution holding the checkpointed paths (no ratios/wires)."""
+    def _restore_topology(
+        self, barrier: str, paths: List[Optional[List[int]]]
+    ) -> RoutingSolution:
+        """A solution holding the checkpointed paths (no ratios/wires).
+
+        Raises:
+            CheckpointFormatError: when there is not one valid path per
+                connection.
+        """
+        from repro.io.checkpoint_io import CheckpointFormatError
+
         solution = RoutingSolution(self.system, self.netlist)
-        solution.set_paths(
-            [None if path is None else [int(d) for d in path] for path in paths]
-        )
+        try:
+            solution.set_paths(
+                [None if path is None else [int(d) for d in path] for path in paths]
+            )
+        except (TypeError, ValueError) as exc:
+            raise CheckpointFormatError(f"{barrier} payload paths: {exc}") from exc
+        self._require_complete(barrier, "paths", solution)
         return solution
+
+    def _restore_solution(
+        self, barrier: str, data: Mapping[str, Any]
+    ) -> RoutingSolution:
+        """The checkpointed full solution of an assigned/round/final barrier.
+
+        Raises:
+            CheckpointFormatError: when it does not route every connection
+                of the case on valid paths.
+        """
+        from repro.io.checkpoint_io import CheckpointFormatError
+        from repro.io.json_format import solution_from_dict
+
+        try:
+            solution = solution_from_dict(data, self.system, self.netlist)
+        except ValueError as exc:
+            raise CheckpointFormatError(f"{barrier} payload solution: {exc}") from exc
+        self._require_complete(barrier, "solution", solution)
+        return solution
+
+    @staticmethod
+    def _require_complete(barrier: str, key: str, solution: RoutingSolution) -> None:
+        from repro.io.checkpoint_io import CheckpointFormatError
+
+        unrouted = solution.unrouted_connections()
+        if unrouted:
+            raise CheckpointFormatError(
+                f"{barrier} payload {key} leaves connection {unrouted[0]} unrouted"
+            )
 
     @staticmethod
     def _paths_payload(solution: RoutingSolution) -> List[Optional[List[int]]]:
         """Per-connection die paths, JSON-ready."""
-        return [
-            list(solution.path(i)) if solution.path(i) is not None else None
-            for i in range(solution.netlist.num_connections)
-        ]
+        return [None if path is None else list(path) for path in solution.paths()]
 
     @staticmethod
     def _multipliers_from(data: Optional[List[float]]) -> Optional[np.ndarray]:

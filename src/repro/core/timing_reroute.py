@@ -124,9 +124,7 @@ class TimingDrivenRefiner:
 
     def _rebuild_state(self, solution: RoutingSolution) -> NegotiationState:
         state = NegotiationState(self._graph)
-        for conn in self.netlist.connections:
-            if solution.path(conn.index) is not None:
-                state.add_hops(conn.net_index, solution.path_hops(conn.index))
+        state.load(*solution.topology_index().net_edge_counts())
         return state
 
     def _reroute(

@@ -50,9 +50,7 @@ def solution_state(
     # ratios); JSON writes tuples as lists.
     return {
         "critical_delay": repr(critical_delay),
-        "paths": [
-            solution.path(i) for i in range(solution.netlist.num_connections)
-        ],
+        "paths": solution.paths(),
         "ratios": [
             (use, repr(ratio)) for use, ratio in sorted(solution.ratios.items())
         ],

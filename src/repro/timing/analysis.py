@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+import numpy as np
+
 from repro.arch.edges import EdgeKind
 from repro.arch.system import MultiFpgaSystem
 from repro.netlist.netlist import Netlist
@@ -154,53 +156,99 @@ class TimingAnalyzer:
         solution: RoutingSolution,
         assume_min_ratio: bool = False,
     ) -> TimingReport:
-        """Full timing analysis: per-connection delays and the critical delay."""
-        delays: List[float] = []
-        net_worst: Dict[int, float] = {}
+        """Full timing analysis: per-connection delays and the critical delay.
+
+        Vectorized over the solution's topology index, bit-equal to
+        :meth:`connection_timing` per connection: each connection's SLL
+        and TDM terms are two accumulators summed in path order
+        (``np.bincount`` adds its weights in input order), then added.
+
+        Raises:
+            ValueError: when a connection is unrouted.
+            KeyError: when a TDM hop has no ratio and not
+                ``assume_min_ratio``.  Either error names the first
+                offending connection, as a scan in connection order would.
+        """
+        model = self.delay_model
+        index = solution.topology_index()
+        num_conns = index.num_connections
+        tdm_conn = index.tdm_conn
+        hop_pair = index.pairs.hop_pair
+        pair_ratio = self._pair_ratios(solution, index, assume_min_ratio)
+        if index.unrouted >= 0:
+            raise ValueError(f"connection {index.unrouted} is unrouted")
+        sll_conn = index.sll_conn
+        sll_sum = np.bincount(
+            sll_conn, weights=np.full(sll_conn.size, model.d_sll), minlength=num_conns
+        )
+        pair_delay = model.d0 + model.d1 * pair_ratio
+        tdm_sum = np.bincount(
+            tdm_conn, weights=pair_delay[hop_pair], minlength=num_conns
+        )
+        delays = sll_sum + tdm_sum
         critical = 0.0
         critical_index = -1
-        # Inlined connection_timing: this runs per connection on every
-        # analysis (several times per routing), so it avoids the
-        # per-connection dataclass and per-hop edge-object lookups.
-        model = self.delay_model
-        d_sll = model.d_sll
-        tdm_delay = model.tdm_delay
-        min_ratio = model.tdm_step
-        is_tdm = [e.kind is EdgeKind.TDM for e in self.system.edges]
-        ratios = solution.ratios
-        ratio_get = ratios.get
-        for conn in self.netlist.connections:
-            net_index = conn.net_index
-            # Two accumulators summed at the end, exactly like
-            # connection_timing, so both paths yield bit-equal delays.
-            sll_sum = 0.0
-            tdm_sum = 0.0
-            for edge_index, direction in solution.path_hops(conn.index):
-                if is_tdm[edge_index]:
-                    ratio = ratio_get((net_index, edge_index, direction))
-                    if ratio is None:
-                        if not assume_min_ratio:
-                            raise KeyError(
-                                f"no TDM ratio for net {net_index} on edge "
-                                f"{edge_index} direction {direction}"
-                            )
-                        ratio = min_ratio
-                    tdm_sum += tdm_delay(ratio)
-                else:
-                    sll_sum += d_sll
-            delay = sll_sum + tdm_sum
-            delays.append(delay)
-            worst = net_worst.get(net_index, 0.0)
-            if delay > worst:
-                net_worst[net_index] = delay
-            if delay > critical:
-                critical = delay
-                critical_index = conn.index
+        net_worst: Dict[int, float] = {}
+        if num_conns:
+            # fmax skips NaN as the scalar ``delay > worst`` test does.
+            peak = float(np.fmax.reduce(delays))
+            if peak > 0.0:
+                critical = peak
+                critical_index = int(np.argmax(delays == peak))
+            # Connections come grouped by net, in ascending net order.
+            conn_net = index.conn_net
+            starts = np.flatnonzero(np.diff(conn_net, prepend=-1))
+            worst = np.fmax.reduceat(delays, starts)
+            positive = worst > 0.0
+            net_worst = dict(
+                zip(conn_net[starts][positive].tolist(), worst[positive].tolist())
+            )
         return TimingReport(
             critical_delay=critical,
             critical_connection=critical_index,
-            delays=delays,
+            delays=delays.tolist(),
             net_worst_delay=net_worst,
+        )
+
+    def _pair_ratios(
+        self, solution: RoutingSolution, index, assume_min_ratio: bool
+    ) -> np.ndarray:
+        """Each TDM use pair's ratio, looked up once by its use tuple.
+
+        A missing ratio takes the minimum legal ratio under
+        ``assume_min_ratio``; otherwise the first hop (in connection
+        order) without one raises ``KeyError`` — unless an unrouted
+        connection comes first, which raises ``ValueError``.
+        """
+        ratios = solution.ratios
+        num_pairs = int(index.pairs.sorted_keys.shape[0])
+        try:
+            return np.fromiter(
+                map(ratios.__getitem__, index.use_keys()),
+                dtype=np.float64,
+                count=num_pairs,
+            )
+        except KeyError:
+            pass
+        uses = list(index.use_keys())
+        looked_up = [ratios.get(use) for use in uses]
+        missing = np.fromiter(
+            (ratio is None for ratio in looked_up), dtype=bool, count=num_pairs
+        )
+        if not assume_min_ratio:
+            hop = int(np.argmax(missing[index.pairs.hop_pair]))
+            conn = int(index.tdm_conn[hop])
+            if 0 <= index.unrouted < conn:
+                raise ValueError(f"connection {index.unrouted} is unrouted")
+            net_index, edge_index, direction = uses[index.pairs.hop_pair[hop]]
+            raise KeyError(
+                f"no TDM ratio for net {net_index} on edge "
+                f"{edge_index} direction {direction}"
+            )
+        min_ratio = self.delay_model.tdm_step
+        return np.array(
+            [min_ratio if ratio is None else ratio for ratio in looked_up],
+            dtype=np.float64,
         )
 
     def critical_delay(

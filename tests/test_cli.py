@@ -491,6 +491,92 @@ class TestResumeErrors:
         assert line.startswith(f"repro resume: invalid checkpoint: {barrier} ")
         assert message in line
 
+    @pytest.mark.parametrize(
+        "barrier,edit,message",
+        [
+            (
+                "phase1.done",
+                lambda paths: [paths[0][::-1]] + paths[1:],
+                "phase1.done payload paths: "
+                "path [3, 2] does not run from die 2 to die 3",
+            ),
+            ("phase1.done", lambda paths: paths[:-1], "paths for"),
+            (
+                "phase1.done",
+                lambda paths: [[2, 5, 3]] + paths[1:],
+                "dies 2 and 5 are not adjacent",
+            ),
+            ("phase1.done", lambda paths: [[2, "x"]] + paths[1:], "invalid literal"),
+            (
+                "phase1.done",
+                lambda paths: [None] + paths[1:],
+                "phase1.done payload paths leaves connection 0 unrouted",
+            ),
+            (
+                "phase1.round",
+                lambda paths: [paths[0][::-1]] + paths[1:],
+                "phase1.round payload paths: path [3, 2] does not run",
+            ),
+            (
+                "phase2.lr",
+                lambda paths: [paths[0][::-1]] + paths[1:],
+                "phase2.lr payload paths: path [3, 2] does not run",
+            ),
+        ],
+        ids=[
+            "done-reversed",
+            "done-one-short",
+            "done-not-adjacent",
+            "done-not-an-int",
+            "done-unrouted",
+            "round-reversed",
+            "lr-reversed",
+        ],
+    )
+    def test_malformed_paths(
+        self, case02_checkpoints, barrier, edit, message, tmp_path, capsys
+    ):
+        # case02 negotiates no round; a phase1.done payload is the
+        # phase1.round payload of its last round.
+        source = case02_checkpoints[
+            "phase1.done" if barrier == "phase1.round" else barrier
+        ]
+        doc = json.loads(source.read_text())
+        doc["barrier"] = barrier
+        doc["payload"]["paths"] = edit(doc["payload"]["paths"])
+        path = tmp_path / source.name
+        path.write_text(json.dumps(doc))
+        line = self._resume_error(path, capsys)
+        assert line.startswith(f"repro resume: invalid checkpoint: {barrier} ")
+        assert message in line
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (
+                lambda entries: [dict(entries[0], dies=entries[0]["dies"][::-1])]
+                + entries[1:],
+                "phase2.assigned payload solution: malformed JSON solution: "
+                "path [3, 2] does not run from die 2 to die 3",
+            ),
+            (
+                lambda entries: entries[1:],
+                "phase2.assigned payload solution leaves connection 0 unrouted",
+            ),
+        ],
+        ids=["reversed", "one-short"],
+    )
+    def test_malformed_solution_paths(
+        self, case02_checkpoints, edit, message, tmp_path, capsys
+    ):
+        source = case02_checkpoints["phase2.assigned"]
+        doc = json.loads(source.read_text())
+        solution = doc["payload"]["solution"]
+        solution["paths"] = edit(solution["paths"])
+        path = tmp_path / source.name
+        path.write_text(json.dumps(doc))
+        assert message in self._resume_error(path, capsys)
+
     def test_old_schema_version(self, tmp_path, capsys):
         from repro import RouterConfig
 

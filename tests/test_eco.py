@@ -259,7 +259,7 @@ class TestCarryOver:
         original = EcoRouter._route_missing
 
         def spy(self, netlist, carried, prev_incidence=None):
-            seen.append(list(carried))
+            seen.append(carried.paths())
             return original(self, netlist, carried, prev_incidence)
 
         monkeypatch.setattr(EcoRouter, "_route_missing", spy)
