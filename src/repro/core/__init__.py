@@ -4,18 +4,13 @@ Phase I (:mod:`repro.core.initial_routing`) produces a delay-demand-balanced
 routing topology; phase II (:mod:`repro.core.lagrangian`,
 :mod:`repro.core.legalization`, :mod:`repro.core.wire_assignment`) assigns
 TDM ratios and physical wires.  :class:`repro.core.router.SynergisticRouter`
-ties the phases together; :class:`repro.core.router.TdmAssigner` exposes
-phase II standalone so it can refine any router's topology (the Fig. 5(a)
-experiment).
+ties the phases together; :class:`repro.core.router.TdmAssigner` runs
+phase II for cold routes, timing rounds, resume and ECO, and refines any
+router's topology (the Fig. 5(a) experiment).
 """
 
 from repro.core.config import RouterConfig
-from repro.core.incidence import (
-    IncidenceDelta,
-    TdmIncidence,
-    build_incidence,
-    build_reference,
-)
+from repro.core.incidence import TdmIncidence, build_incidence, build_reference
 from repro.core.ordering import (
     WeightMode,
     estimate_edge_weights,
@@ -33,7 +28,6 @@ from repro.core.timing_reroute import TimingDrivenRefiner
 __all__ = [
     "EcoResult",
     "EcoRouter",
-    "IncidenceDelta",
     "InitialRouter",
     "TdmIncidence",
     "TimingDrivenRefiner",

@@ -19,13 +19,14 @@ legalization and wire assignment consume is a CSR slice (``dir_indptr``
 Two more entry points support the timing-reroute/ECO refine loops:
 
 * :meth:`TdmIncidence.incremental` patches only the rows of connections
-  that were actually rerouted and returns an :class:`IncidenceDelta`
-  that remaps per-pair state (ratios, criticalities) and the LR
-  multipliers onto the new pair index space, so each refine round
-  warm-starts instead of cold-rebuilding.
-* :func:`build_incidence` is the gated front door used by the router and
-  the standalone assigner: it picks the incremental path when few enough
-  connections changed and publishes the ``incidence.*`` obs counters.
+  that were actually rerouted, so each refine round rebuilds in
+  proportion to its moves.  LR multipliers live in connection space
+  (one per connection, Eq. 8) and a reroute changes paths, not the
+  connection set, so they warm-start the next solve unchanged.
+* :func:`build_incidence` is the gated front door used by phase II
+  (:class:`~repro.core.router.TdmAssigner`): it picks the incremental
+  path when few enough connections changed and publishes the
+  ``incidence.*`` obs counters.
 
 :func:`build_reference` keeps the original pure-Python construction; the
 equivalence property tests (and the phase II benchmark's reference
@@ -34,7 +35,6 @@ pipeline) compare against it bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -149,11 +149,8 @@ class TdmIncidence:
         self.pair_net = pairs.net
         self.pair_edge = pairs.edge
         self.pair_dir = pairs.direction
-        self.num_pairs = int(pairs.sorted_keys.shape[0])
+        self.num_pairs = int(self.pair_net.shape[0])
         self.pair_cap = self._edge_capacity[self.pair_edge]
-        # Sorted encoded keys + their pair index, for incremental remaps.
-        self._sorted_keys = pairs.sorted_keys
-        self._key_rank = pairs.key_rank
 
         # The tuple list and its reverse index are derived on demand (see
         # the `uses` / `use_index` properties): the LR/legalization hot
@@ -223,7 +220,7 @@ class TdmIncidence:
         previous: "TdmIncidence",
         solution: RoutingSolution,
         changed_connections: Iterable[int],
-    ) -> "IncidenceDelta":
+    ) -> "TdmIncidence":
         """Patch a previous incidence onto a partially rerouted solution.
 
         Args:
@@ -235,9 +232,8 @@ class TdmIncidence:
             changed_connections: indices of the rerouted connections.
 
         Returns:
-            An :class:`IncidenceDelta` whose ``incidence`` equals a cold
-            :class:`TdmIncidence` build on ``solution`` bit-for-bit, plus
-            the old-to-new pair index mapping.
+            An incidence equal to a cold :class:`TdmIncidence` build on
+            ``solution`` bit-for-bit.
 
         Raises:
             ValueError: when the solution belongs to a different netlist
@@ -305,37 +301,18 @@ class TdmIncidence:
         merged_dir = np.concatenate([old_dir, ch_dir[tdm_mask]])
         order = np.argsort(merged_conn, kind="stable")
         inc_conn = merged_conn[order]
-        num_edges = inc._edge_capacity.shape[0]
         inc._assemble(
             inc_conn=inc_conn,
             pairs=tdm_pairs(
                 previous.conn_net[inc_conn],
                 merged_edge[order],
                 merged_dir[order],
-                num_edges,
+                inc._edge_capacity.shape[0],
             ),
             conn_net=previous.conn_net,
             conn_sll_delay=conn_sll,
         )
-
-        # Old-pair -> new-pair mapping via the sorted key tables.
-        old_keys = (
-            previous.pair_net * num_edges + previous.pair_edge
-        ) * 2 + previous.pair_dir
-        pair_map = np.full(previous.num_pairs, -1, dtype=np.int64)
-        if inc._sorted_keys.size:
-            pos = np.searchsorted(inc._sorted_keys, old_keys)
-            pos = np.minimum(pos, inc._sorted_keys.size - 1)
-            found = inc._sorted_keys[pos] == old_keys
-            pair_map[found] = inc._key_rank[pos[found]]
-        new_pair_mask = np.ones(inc.num_pairs, dtype=bool)
-        new_pair_mask[pair_map[pair_map >= 0]] = False
-        return IncidenceDelta(
-            incidence=inc,
-            pair_map=pair_map,
-            new_pair_mask=new_pair_mask,
-            changed_connections=changed,
-        )
+        return inc
 
     # ------------------------------------------------------------------
     # Vectorized evaluations
@@ -448,53 +425,6 @@ class TdmIncidence:
         solution.ratios.update(zip(self.uses, pair_ratios.tolist()))
 
 
-@dataclass
-class IncidenceDelta:
-    """An incrementally rebuilt incidence plus the pair-space remapping.
-
-    Attributes:
-        incidence: the new incidence (bit-equal to a cold rebuild).
-        pair_map: per *old* pair index, the new pair index, or ``-1`` when
-            the pair no longer exists (its net left the edge).
-        new_pair_mask: per *new* pair, ``True`` when the pair did not
-            exist in the previous incidence.
-        changed_connections: sorted connection indices that were patched.
-    """
-
-    incidence: TdmIncidence
-    pair_map: np.ndarray
-    new_pair_mask: np.ndarray
-    changed_connections: np.ndarray
-
-    def map_pair_values(
-        self, old_values: np.ndarray, default: float = 0.0
-    ) -> np.ndarray:
-        """Remap a per-old-pair array onto the new pair index space.
-
-        Pairs that survived keep their value; pairs new to this topology
-        get ``default``.  Used to carry legalized ratios/criticalities
-        across refine rounds.
-        """
-        new_values = np.full(self.incidence.num_pairs, default, dtype=np.float64)
-        kept = self.pair_map >= 0
-        new_values[self.pair_map[kept]] = np.asarray(
-            old_values, dtype=np.float64
-        )[kept]
-        return new_values
-
-    def map_multipliers(
-        self, multipliers: Optional[np.ndarray]
-    ) -> Optional[np.ndarray]:
-        """Carry LR multipliers across the rebuild.
-
-        λ lives in *connection* space (one multiplier per connection, Eq.
-        8), and a reroute changes paths, not the connection set — so the
-        warm start passes through unchanged.  Kept as an explicit step so
-        a future per-pair multiplier scheme has one place to remap.
-        """
-        return multipliers
-
-
 def build_incidence(
     system: MultiFpgaSystem,
     netlist: Netlist,
@@ -504,7 +434,7 @@ def build_incidence(
     changed_connections: Optional[Iterable[int]] = None,
     incremental_fraction: float = 0.0,
     tracer: Optional[object] = None,
-) -> Tuple[TdmIncidence, Optional[IncidenceDelta]]:
+) -> TdmIncidence:
     """Build an incidence, incrementally when few connections changed.
 
     The incremental path runs when a previous incidence and the changed
@@ -513,9 +443,6 @@ def build_incidence(
     ``RouterConfig.incremental_rebuild_fraction``, 20% by default;
     ``0.0`` forces cold rebuilds).  Publishes the ``incidence.*``
     counters on ``tracer`` when one is given.
-
-    Returns:
-        ``(incidence, delta)``; ``delta`` is ``None`` on a cold build.
     """
     changed: Optional[List[int]] = None
     if changed_connections is not None:
@@ -527,15 +454,15 @@ def build_incidence(
         and previous.netlist is netlist
         and len(changed) < incremental_fraction * netlist.num_connections
     ):
-        delta = TdmIncidence.incremental(previous, solution, changed)
+        incidence = TdmIncidence.incremental(previous, solution, changed)
         if tracer is not None:
             tracer.add("incidence.incremental_builds", 1)
             tracer.add("incidence.patched_connections", len(changed))
-        return delta.incidence, delta
+        return incidence
     incidence = TdmIncidence(system, netlist, solution, delay_model)
     if tracer is not None:
         tracer.add("incidence.cold_builds", 1)
-    return incidence, None
+    return incidence
 
 
 def build_reference(
@@ -628,11 +555,4 @@ def build_reference(
     inc.dir_pairs = np.asarray(flat, dtype=np.int64)
     inc.dir_indptr = np.asarray(indptr, dtype=np.int64)
     inc._dir_group_index = {key: g for g, key in enumerate(group_keys)}
-
-    # Sorted key tables for incremental remaps (as in _assemble).
-    num_edges = inc._edge_capacity.shape[0]
-    pair_keys = (inc.pair_net * num_edges + inc.pair_edge) * 2 + inc.pair_dir
-    key_order = np.argsort(pair_keys, kind="stable")
-    inc._sorted_keys = pair_keys[key_order]
-    inc._key_rank = key_order.astype(np.int64, copy=False)
     return inc

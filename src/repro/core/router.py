@@ -1,10 +1,11 @@
-"""Top-level synergistic router (Fig. 3's overall flow) and the standalone
-phase II assigner used to refine foreign topologies (Fig. 5(a))."""
+"""Top-level synergistic router (Fig. 3's overall flow) and the one phase
+II pipeline that cold routes, timing rounds, resume, ECO and the Fig. 5(a)
+refinement of foreign topologies share."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import asdict, dataclass, fields
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -15,6 +16,8 @@ from repro.core.lagrangian import LagrangianTdmAssigner, LrHistory
 from repro.core.legalization import TdmLegalizer
 from repro.core.wire_assignment import WireAssigner, WireAssignmentStats
 from repro.arch.system import MultiFpgaSystem
+from repro.io.checkpoint_io import CheckpointFormatError
+from repro.io.json_format import solution_from_dict, solution_to_dict
 from repro.netlist.netlist import Netlist
 from repro.obs import TelemetrySnapshot, Tracer, get_logger
 from repro.route.solution import RoutingSolution
@@ -32,6 +35,9 @@ PHASE_LGWA = "phase.legalization_wire_assignment"
 #: Not part of the Fig. 5(b) phase accounting, but without it the trace
 #: profiler would attribute analysis time to ``(untracked)``.
 SPAN_TIMING = "timing.analysis"
+
+#: Checkpoint barriers whose payload holds the full solution (phase II done).
+_SOLUTION_BARRIERS = ("phase2.assigned", "phase2.round", "final")
 
 
 @dataclass
@@ -136,10 +142,21 @@ class RoutingResult:
 
 
 class TdmAssigner:
-    """Phase II standalone: LR ratios, legalization, wire assignment.
+    """Phase II: LR ratios (Alg. 1), legalization (Alg. 2), wire assignment.
 
-    Runs the paper's full TDM ratio pipeline on *any* routed topology —
-    ours or a baseline's (the Fig. 5(a) experiment).
+    The one phase II pipeline.  It runs the paper's full TDM ratio
+    assignment on *any* routed topology — a cold route's, a timing-round
+    candidate, an ECO result or a baseline's (the Fig. 5(a) experiment)
+    — and finishes it from a ``phase2.lr`` or ``phase2.legalized``
+    checkpoint.  Each stage runs under its phase span
+    (``phase.tdm_assignment`` / ``phase.legalization_wire_assignment``),
+    so repeated calls accumulate into the same phase timers.
+
+    After :meth:`assign`, ``incidence`` is the topology's incidence (the
+    next round's ``prev_incidence``), ``multipliers`` are the final LR
+    multipliers (the next round's ``warm_start``) and ``wire_stats`` the
+    wire-assignment counters; the last two are ``None`` when no net
+    crosses a TDM edge.
     """
 
     def __init__(
@@ -155,39 +172,54 @@ class TdmAssigner:
         self.delay_model = delay_model if delay_model is not None else DelayModel()
         self.config = config if config is not None else RouterConfig()
         self.tracer = tracer if tracer is not None else Tracer()
+        self.incidence: Optional[TdmIncidence] = None
+        self.multipliers: Optional[np.ndarray] = None
+        self.wire_stats: Optional[WireAssignmentStats] = None
 
     def assign(
         self,
         solution: RoutingSolution,
         prev_incidence: Optional[TdmIncidence] = None,
         changed_connections: Optional[list] = None,
+        *,
+        warm_start: Optional[np.ndarray] = None,
+        deadline: Optional[float] = None,
+        checkpoint: Optional[Any] = None,
+        initial_stats: Optional[InitialRoutingStats] = None,
+        resume: Optional[Mapping[str, Any]] = None,
     ) -> Optional[LrHistory]:
-        """Assign ratios and wires in place; returns the LR history."""
-        history, _ = self.assign_with_stats(
-            solution,
-            prev_incidence=prev_incidence,
-            changed_connections=changed_connections,
-        )
-        return history
-
-    def assign_with_stats(
-        self,
-        solution: RoutingSolution,
-        prev_incidence: Optional[TdmIncidence] = None,
-        changed_connections: Optional[list] = None,
-    ) -> "tuple[Optional[LrHistory], Optional[WireAssignmentStats]]":
-        """Like :meth:`assign` but also returns wire-assignment counters.
+        """Assign ratios and wires in place; returns the LR history.
 
         Args:
             solution: the routed topology to assign ratios and wires for.
             prev_incidence: incidence of the topology this solution was
-                derived from (e.g. before an ECO); enables the incremental
-                rebuild when few connections changed.
+                derived from (a timing round's incumbent, the solution
+                before an ECO); with ``changed_connections`` it enables
+                the incremental rebuild (gated on
+                ``config.incremental_rebuild_fraction``).
             changed_connections: connection indices whose path differs
                 from ``prev_incidence``'s topology.
+            warm_start: multipliers of a previous LR solve.
+            deadline: wall-clock budget forwarded to the LR solve.
+            checkpoint: writer offered ``phase2.lr`` and
+                ``phase2.legalized`` for the stages this call runs.  A
+                timing-round candidate passes none: it may be rejected,
+                so its states are not resumable.
+            initial_stats: phase I diagnostics embedded in those payloads.
+            resume: the ``{"barrier": ..., "payload": ...}`` of a
+                ``phase2.lr`` or ``phase2.legalized`` checkpoint; its
+                payload replaces the LR solve and, from
+                ``phase2.legalized``, legalization too.
+
+        Returns ``None`` when no net crosses a TDM edge.
+
+        Raises:
+            CheckpointFormatError: when a resume payload does not fit the
+                topology.
         """
         tracer = self.tracer
-        incidence, _ = build_incidence(
+        self.multipliers = self.wire_stats = None
+        self.incidence = incidence = build_incidence(
             self.system,
             self.netlist,
             solution,
@@ -197,19 +229,78 @@ class TdmAssigner:
             incremental_fraction=self.config.incremental_rebuild_fraction,
             tracer=tracer,
         )
-        if incidence.num_pairs == 0:
-            return None, None
-        with tracer.span(PHASE_TA):
-            lr = LagrangianTdmAssigner(incidence, self.config, tracer=tracer)
-            lr_result = lr.solve()
+        if not incidence.num_pairs:
+            return None
+        barrier = resume["barrier"] if resume is not None else None
+        payload = resume["payload"] if resume is not None else None
+
+        def stage_payload(**arrays: Any) -> Dict[str, Any]:
+            return {
+                "paths": [list(path) for path in solution.paths()],
+                "multipliers": _floats(multipliers),
+                "lr_history": history.to_dict(),
+                "initial_stats": (
+                    initial_stats.to_dict() if initial_stats is not None else None
+                ),
+                **arrays,
+            }
+
+        if barrier is None:
+            with tracer.span(PHASE_TA):
+                lr_result = LagrangianTdmAssigner(
+                    incidence, self.config, tracer=tracer
+                ).solve(warm_start=warm_start, deadline=deadline)
+            history, multipliers = lr_result.history, lr_result.multipliers
+            ratios = lr_result.ratios
+            if checkpoint is not None:
+                checkpoint.save(
+                    "phase2.lr", lambda: stage_payload(ratios=_floats(ratios))
+                )
+        else:
+            history = _payload_record(
+                payload, barrier, "lr_history", LrHistory.from_dict
+            )
+            multipliers = _payload_floats(
+                payload, barrier, "multipliers", incidence.num_connections, "connection"
+            )
+            if barrier == "phase2.lr":
+                ratios = _payload_pair_values(payload, barrier, "ratios", incidence)
+
         with tracer.span(PHASE_LGWA):
-            legal = TdmLegalizer(incidence, self.config, tracer=tracer).legalize(
-                lr_result.ratios
-            )
-            stats = WireAssigner(incidence, self.config, tracer=tracer).assign(
-                solution, legal.ratios, legal.wire_budgets, legal.criticality
-            )
-        return lr_result.history, stats
+            if barrier == "phase2.legalized":
+                legal_ratios = _payload_pair_values(
+                    payload, barrier, "legal_ratios", incidence
+                )
+                wire_budgets = _payload_wire_budgets(payload, barrier, incidence)
+                criticality = _payload_pair_values(
+                    payload, barrier, "criticality", incidence
+                )
+            else:
+                legal = TdmLegalizer(incidence, self.config, tracer=tracer).legalize(
+                    ratios
+                )
+                legal_ratios = legal.ratios
+                wire_budgets = legal.wire_budgets
+                criticality = legal.criticality
+                if checkpoint is not None:
+                    checkpoint.save(
+                        "phase2.legalized",
+                        lambda: stage_payload(
+                            legal_ratios=_floats(legal_ratios),
+                            wire_budgets=[
+                                [edge, direction, budget]
+                                for (edge, direction), budget in sorted(
+                                    wire_budgets.items()
+                                )
+                            ],
+                            criticality=_floats(criticality),
+                        ),
+                    )
+            self.wire_stats = WireAssigner(
+                incidence, self.config, tracer=tracer
+            ).assign(solution, legal_ratios, wire_budgets, criticality)
+        self.multipliers = multipliers
+        return history
 
 
 class SynergisticRouter:
@@ -266,9 +357,14 @@ class SynergisticRouter:
                 barrier's state and falls through into the ordinary
                 control flow, so the result is bit-identical to an
                 uninterrupted run.
+
+        Raises:
+            CheckpointFormatError: when a resume payload field does not
+                fit the case.
         """
         tracer = self.tracer
         checkpoint = self.checkpoint
+        config = self.config
         # Timer values before the run: route() may be called repeatedly on
         # one tracer, and PhaseTimes must cover this run only.
         baseline = (
@@ -276,34 +372,70 @@ class SynergisticRouter:
             tracer.timer(PHASE_TA),
             tracer.timer(PHASE_LGWA),
         )
-        budget = self.config.wall_clock_budget_seconds
+        budget = config.wall_clock_budget_seconds
         deadline = tracer.elapsed() + budget if budget is not None else None
-        degraded = False
-
         barrier = resume["barrier"] if resume is not None else None
         payload = resume["payload"] if resume is not None else None
 
-        # --- Phase I (run, resume mid-negotiation, or restore) ---------
-        initial_stats: Optional[InitialRoutingStats] = None
-        lr_history = wire_stats = multipliers = incidence = None
-        moves = 0
-        start_round = 0
-        phase2_state = "run"
-        if barrier in (None, "phase1.ordering", "phase1.round"):
-            # phase1.ordering carries no loop state: the ordering is
-            # recomputed deterministically, so resume == fresh run.
-            # phase1.round continues negotiation from its payload, its
-            # paths validated here.
-            if barrier == "phase1.round":
-                payload = dict(
-                    payload, paths=self._restore_topology(barrier, payload["paths"])
-                )
+        # --- Restore the barrier's state, each field checked as it enters.
+        # phase1.ordering carries no loop state: the ordering is
+        # recomputed deterministically, so resume == fresh run.
+        solution: Optional[RoutingSolution] = None
+        initial_stats = lr_history = wire_stats = multipliers = None
+        moves = start_round = 0
+        degraded = False
+        if barrier == "phase1.round":
+            # Negotiation continues from the payload: phase I reads its
+            # paths (restored here), history and stats (checked here).
+            payload = dict(
+                payload, paths=self._restore_topology(barrier, payload["paths"])
+            )
+            _payload_floats(
+                payload, barrier, "history", self.system.num_edges, "edge"
+            )
+            _payload_record(payload, barrier, "stats", InitialRoutingStats.from_dict)
+        elif barrier in ("phase1.done", "phase2.lr", "phase2.legalized"):
+            solution = self._restore_topology(barrier, payload["paths"])
+            initial_stats = _payload_record(
+                payload,
+                barrier,
+                "stats" if barrier == "phase1.done" else "initial_stats",
+                InitialRoutingStats.from_dict,
+            )
+        elif barrier in _SOLUTION_BARRIERS:
+            solution = self._restore_solution(barrier, payload["solution"])
+            initial_stats = _payload_record(
+                payload, barrier, "initial_stats", InitialRoutingStats.from_dict
+            )
+            lr_history = _payload_record(
+                payload, barrier, "lr_history", LrHistory.from_dict
+            )
+            wire_stats = _payload_record(payload, barrier, "wire_stats", _wire_stats)
+            multipliers = _payload_floats(
+                payload,
+                barrier,
+                "multipliers",
+                self.netlist.num_connections,
+                "connection",
+            )
+            moves = _payload_record(payload, barrier, "moves", int, 0)
+            degraded = bool(payload.get("degraded", False))
+            start_round = (
+                config.timing_reroute_rounds
+                if barrier == "final"
+                else _payload_record(payload, barrier, "timing_round", int, -1) + 1
+            )
+        elif barrier not in (None, "phase1.ordering"):
+            raise ValueError(f"unknown resume barrier {barrier!r}")
+
+        # --- Phase I (run, or continue negotiation from phase1.round) ---
+        if solution is None:
             with tracer.span(PHASE_IR):
                 initial = InitialRouter(
                     self.system,
                     self.netlist,
                     self.delay_model,
-                    self.config,
+                    config,
                     tracer=tracer,
                     artifacts=self.artifacts,
                 )
@@ -313,84 +445,68 @@ class SynergisticRouter:
                     deadline=deadline,
                 )
             initial_stats = initial.stats
-        elif barrier == "phase1.done":
-            solution = self._restore_topology(barrier, payload["paths"])
-            initial_stats = InitialRoutingStats.from_dict(payload["stats"])
-        elif barrier in ("phase2.lr", "phase2.legalized"):
-            solution = self._restore_topology(barrier, payload["paths"])
-            initial_stats = self._initial_stats_from(payload)
-            phase2_state = ("resume", barrier, payload)
-        elif barrier in ("phase2.assigned", "phase2.round", "final"):
-            solution = self._restore_solution(barrier, payload["solution"])
-            initial_stats = self._initial_stats_from(payload)
-            multipliers = self._multipliers_from(payload.get("multipliers"))
-            lr_history = (
-                LrHistory.from_dict(payload["lr_history"])
-                if payload.get("lr_history") is not None
-                else None
-            )
-            wire_stats = self._wire_stats_from(payload.get("wire_stats"))
-            moves = int(payload.get("moves", 0))
-            degraded |= bool(payload.get("degraded", False))
-            if barrier == "final":
-                phase2_state = "done"
-                start_round = self.config.timing_reroute_rounds
-            else:
-                phase2_state = "assigned"
-                start_round = int(payload.get("timing_round", -1)) + 1
-        else:
-            raise ValueError(f"unknown resume barrier {barrier!r}")
         if initial_stats is not None:
             degraded |= initial_stats.degraded
 
-        analyzer = TimingAnalyzer(self.system, self.netlist, self.delay_model)
-        if phase2_state == "run":
-            lr_history, wire_stats, multipliers, incidence = self._run_phase2(
+        def offer(name: str, timing_round: int) -> None:
+            """Offer a full-solution barrier (assigned/round/final)."""
+            if checkpoint is not None:
+                checkpoint.save(
+                    name,
+                    lambda: {
+                        "solution": solution_to_dict(solution),
+                        "multipliers": _floats(multipliers),
+                        "lr_history": (
+                            lr_history.to_dict() if lr_history is not None else None
+                        ),
+                        "wire_stats": (
+                            asdict(wire_stats) if wire_stats is not None else None
+                        ),
+                        "initial_stats": (
+                            initial_stats.to_dict()
+                            if initial_stats is not None
+                            else None
+                        ),
+                        "timing_round": timing_round,
+                        "moves": moves,
+                        "degraded": degraded,
+                    },
+                )
+
+        # --- Phase II (run, or finish from phase2.lr/phase2.legalized) --
+        phase2 = TdmAssigner(
+            self.system, self.netlist, self.delay_model, config, tracer=tracer
+        )
+        if barrier not in _SOLUTION_BARRIERS:
+            lr_history = phase2.assign(
                 solution,
-                checkpoint=checkpoint,
                 deadline=deadline,
+                checkpoint=checkpoint,
                 initial_stats=initial_stats,
-            )
-        elif isinstance(phase2_state, tuple):
-            _, p2_barrier, p2_payload = phase2_state
-            lr_history, wire_stats, multipliers, incidence = (
-                self._resume_phase2(solution, p2_barrier, p2_payload)
-            )
-        if lr_history is not None and lr_history.budget_stopped:
-            degraded = True
-        phase2_ran = phase2_state == "run" or isinstance(phase2_state, tuple)
-        if checkpoint is not None and phase2_ran and lr_history is not None:
-            checkpoint.save(
-                "phase2.assigned",
-                lambda: self._phase2_payload(
-                    solution,
-                    multipliers,
-                    lr_history,
-                    wire_stats,
-                    initial_stats,
-                    timing_round=-1,
-                    moves=0,
-                    degraded=degraded,
+                resume=(
+                    resume if barrier in ("phase2.lr", "phase2.legalized") else None
                 ),
             )
+            multipliers, wire_stats = phase2.multipliers, phase2.wire_stats
+        if lr_history is not None and lr_history.budget_stopped:
+            degraded = True
+        if lr_history is not None and barrier not in _SOLUTION_BARRIERS:
+            offer("phase2.assigned", timing_round=-1)
+        analyzer = TimingAnalyzer(self.system, self.netlist, self.delay_model)
         with tracer.span(SPAN_TIMING):
             timing = analyzer.analyze(solution)
 
-        # Timing-driven outer loop: reroute measured-critical
+        # --- Timing-driven outer loop: reroute measured-critical
         # connections, re-assign ratios, keep only strict improvements.
-        if (
-            phase2_state != "done"
-            and timing.critical_connection >= 0
-            and self.config.timing_reroute_rounds
-        ):
+        rounds = config.timing_reroute_rounds
+        if start_round < rounds and timing.critical_connection >= 0:
             from repro.core.timing_reroute import TimingDrivenRefiner
 
             refiner = TimingDrivenRefiner(
-                self.system, self.netlist, self.delay_model, self.config
+                self.system, self.netlist, self.delay_model, config
             )
-            for round_index in range(
-                start_round, self.config.timing_reroute_rounds
-            ):
+            incidence = phase2.incidence
+            for round_index in range(start_round, rounds):
                 if deadline is not None and tracer.elapsed() > deadline:
                     degraded = True
                     logger.warning(
@@ -408,18 +524,16 @@ class SynergisticRouter:
                 if outcome.solution is None:
                     break
                 candidate = outcome.solution
-                # The previous round's multipliers warm-start the
-                # re-solve (the topology barely changed, so λ is nearly
-                # right already), and the round's changed-connection
-                # set lets the incidence rebuild incrementally.
-                cand_lr, cand_wires, cand_multipliers, cand_incidence = (
-                    self._run_phase2(
-                        candidate,
-                        warm_start=multipliers,
-                        prev_incidence=incidence,
-                        changed_connections=outcome.changed_connections,
-                        deadline=deadline,
-                    )
+                # The incumbent's multipliers warm-start the re-solve (the
+                # topology barely changed, so λ is nearly right already),
+                # and the round's changed-connection set lets the
+                # incidence rebuild incrementally.
+                cand_lr = phase2.assign(
+                    candidate,
+                    incidence,
+                    outcome.changed_connections,
+                    warm_start=multipliers,
+                    deadline=deadline,
                 )
                 if cand_lr is not None and cand_lr.budget_stopped:
                     degraded = True
@@ -437,36 +551,14 @@ class SynergisticRouter:
                         incumbent_delay=timing.critical_delay,
                         accepted=improved,
                     )
-                if improved:
-                    solution = candidate
-                    timing = cand_timing
-                    incidence = cand_incidence
-                    lr_history = cand_lr if cand_lr is not None else lr_history
-                    wire_stats = (
-                        cand_wires if cand_wires is not None else wire_stats
-                    )
-                    multipliers = (
-                        cand_multipliers
-                        if cand_multipliers is not None
-                        else multipliers
-                    )
-                    moves += outcome.moves
-                    if checkpoint is not None:
-                        checkpoint.save(
-                            "phase2.round",
-                            lambda: self._phase2_payload(
-                                solution,
-                                multipliers,
-                                lr_history,
-                                wire_stats,
-                                initial_stats,
-                                timing_round=round_index,
-                                moves=moves,
-                                degraded=degraded,
-                            ),
-                        )
-                else:
+                if not improved:
                     break
+                solution, timing, incidence = candidate, cand_timing, phase2.incidence
+                if cand_lr is not None:
+                    lr_history = cand_lr
+                    wire_stats, multipliers = phase2.wire_stats, phase2.multipliers
+                moves += outcome.moves
+                offer("phase2.round", timing_round=round_index)
         tracer.add("timing_reroute.moves", moves)
 
         times = PhaseTimes.from_tracer(tracer, baseline)
@@ -497,24 +589,11 @@ class SynergisticRouter:
             telemetry=tracer.snapshot(),
             degraded=degraded,
         )
-        if checkpoint is not None:
-            checkpoint.save(
-                "final",
-                lambda: self._phase2_payload(
-                    solution,
-                    multipliers,
-                    lr_history,
-                    wire_stats,
-                    initial_stats,
-                    timing_round=self.config.timing_reroute_rounds,
-                    moves=moves,
-                    degraded=degraded,
-                ),
-            )
+        offer("final", timing_round=rounds)
         return result
 
     # ------------------------------------------------------------------
-    # Checkpoint payload helpers (formats in docs/resilience.md)
+    # Restoring checkpointed solutions (formats in docs/resilience.md)
     # ------------------------------------------------------------------
     def _restore_topology(
         self, barrier: str, paths: List[Optional[List[int]]]
@@ -525,8 +604,6 @@ class SynergisticRouter:
             CheckpointFormatError: when there is not one valid path per
                 connection.
         """
-        from repro.io.checkpoint_io import CheckpointFormatError
-
         solution = RoutingSolution(self.system, self.netlist)
         try:
             solution.set_paths(
@@ -534,7 +611,7 @@ class SynergisticRouter:
             )
         except (TypeError, ValueError) as exc:
             raise CheckpointFormatError(f"{barrier} payload paths: {exc}") from exc
-        self._require_complete(barrier, "paths", solution)
+        _require_complete(barrier, "paths", solution)
         return solution
 
     def _restore_solution(
@@ -544,251 +621,96 @@ class SynergisticRouter:
 
         Raises:
             CheckpointFormatError: when it does not route every connection
-                of the case on valid paths.
+                of the case on valid paths, or leaves a TDM use of its
+                topology without a ratio or a wire.
         """
-        from repro.io.checkpoint_io import CheckpointFormatError
-        from repro.io.json_format import solution_from_dict
-
         try:
             solution = solution_from_dict(data, self.system, self.netlist)
         except ValueError as exc:
             raise CheckpointFormatError(f"{barrier} payload solution: {exc}") from exc
-        self._require_complete(barrier, "solution", solution)
+        _require_complete(barrier, "solution", solution)
+        for use in solution.topology_index().use_keys():
+            if use not in solution.ratios or use not in solution.net_wire:
+                raise CheckpointFormatError(
+                    f"{barrier} payload solution leaves net {use[0]} on edge "
+                    f"{use[1]} direction {use[2]} without a TDM ratio and wire"
+                )
         return solution
 
-    @staticmethod
-    def _require_complete(barrier: str, key: str, solution: RoutingSolution) -> None:
-        from repro.io.checkpoint_io import CheckpointFormatError
 
-        unrouted = solution.unrouted_connections()
-        if unrouted:
-            raise CheckpointFormatError(
-                f"{barrier} payload {key} leaves connection {unrouted[0]} unrouted"
-            )
+def _floats(values: Optional[Any]) -> Optional[List[float]]:
+    """A float array as a JSON-ready list (``None`` stays ``None``)."""
+    return None if values is None else [float(x) for x in values]
 
-    @staticmethod
-    def _paths_payload(solution: RoutingSolution) -> List[Optional[List[int]]]:
-        """Per-connection die paths, JSON-ready."""
-        return [None if path is None else list(path) for path in solution.paths()]
 
-    @staticmethod
-    def _multipliers_from(data: Optional[List[float]]) -> Optional[np.ndarray]:
-        return None if data is None else np.asarray(data, dtype=np.float64)
+def _wire_stats(data: Mapping[str, Any]) -> WireAssignmentStats:
+    """Inverse of ``dataclasses.asdict`` on :class:`WireAssignmentStats`."""
+    return WireAssignmentStats(
+        **{f.name: int(data[f.name]) for f in fields(WireAssignmentStats)}
+    )
 
-    @staticmethod
-    def _multipliers_payload(multipliers) -> Optional[List[float]]:
-        return None if multipliers is None else [float(x) for x in multipliers]
 
-    @staticmethod
-    def _wire_stats_from(data: Optional[Mapping[str, int]]):
-        if data is None:
-            return None
-        return WireAssignmentStats(**{k: int(v) for k, v in data.items()})
-
-    @staticmethod
-    def _wire_stats_payload(stats: Optional[WireAssignmentStats]):
-        if stats is None:
-            return None
-        return {
-            "wires_used": stats.wires_used,
-            "nets_assigned": stats.nets_assigned,
-            "overflow_bumps": stats.overflow_bumps,
-            "critical_moves": stats.critical_moves,
-        }
-
-    @staticmethod
-    def _initial_stats_from(
-        payload: Mapping[str, Any]
-    ) -> Optional[InitialRoutingStats]:
-        data = payload.get("initial_stats")
-        return InitialRoutingStats.from_dict(data) if data is not None else None
-
-    def _phase2_payload(
-        self,
-        solution: RoutingSolution,
-        multipliers,
-        lr_history: Optional[LrHistory],
-        wire_stats: Optional[WireAssignmentStats],
-        initial_stats: Optional[InitialRoutingStats],
-        *,
-        timing_round: int,
-        moves: int,
-        degraded: bool,
-    ) -> Dict[str, Any]:
-        """Payload of the full-solution barriers (assigned/round/final)."""
-        from repro.io.json_format import solution_to_dict
-
-        return {
-            "solution": solution_to_dict(solution),
-            "multipliers": self._multipliers_payload(multipliers),
-            "lr_history": lr_history.to_dict() if lr_history is not None else None,
-            "wire_stats": self._wire_stats_payload(wire_stats),
-            "initial_stats": (
-                initial_stats.to_dict() if initial_stats is not None else None
-            ),
-            "timing_round": timing_round,
-            "moves": moves,
-            "degraded": degraded,
-        }
-
-    def _resume_phase2(
-        self,
-        solution: RoutingSolution,
-        barrier: str,
-        payload: Mapping[str, Any],
-    ) -> "tuple[Optional[LrHistory], Optional[WireAssignmentStats], object, TdmIncidence]":
-        """Finish phase II from a ``phase2.lr``/``phase2.legalized`` payload.
-
-        The incidence is cold-rebuilt (bit-equal to any incremental
-        build), the checkpointed ratios replace the skipped LR solve, and
-        legalization/wire assignment continue exactly as the uninterrupted
-        run would have.
-        """
-        tracer = self.tracer
-        incidence, _ = build_incidence(
-            self.system, self.netlist, solution, self.delay_model, tracer=tracer
+def _require_complete(barrier: str, key: str, solution: RoutingSolution) -> None:
+    unrouted = solution.unrouted_connections()
+    if unrouted:
+        raise CheckpointFormatError(
+            f"{barrier} payload {key} leaves connection {unrouted[0]} unrouted"
         )
-        multipliers = self._multipliers_from(payload.get("multipliers"))
-        lr_history = LrHistory.from_dict(payload["lr_history"])
-        with tracer.span(PHASE_LGWA):
-            if barrier == "phase2.lr":
-                ratios = _payload_pair_values(payload, barrier, "ratios", incidence)
-                legal = TdmLegalizer(incidence, self.config, tracer=tracer).legalize(
-                    ratios
-                )
-                legal_ratios = legal.ratios
-                wire_budgets = legal.wire_budgets
-                criticality = legal.criticality
-            else:
-                legal_ratios = _payload_pair_values(
-                    payload, barrier, "legal_ratios", incidence
-                )
-                wire_budgets = _payload_wire_budgets(payload, barrier, incidence)
-                criticality = (
-                    _payload_pair_values(payload, barrier, "criticality", incidence)
-                    if payload.get("criticality") is not None
-                    else None
-                )
-            wire_stats = WireAssigner(incidence, self.config, tracer=tracer).assign(
-                solution, legal_ratios, wire_budgets, criticality
-            )
-        return lr_history, wire_stats, multipliers, incidence
 
-    def _run_phase2(
-        self,
-        solution: RoutingSolution,
-        warm_start=None,
-        prev_incidence: Optional[TdmIncidence] = None,
-        changed_connections=None,
-        checkpoint: Optional[Any] = None,
-        deadline: Optional[float] = None,
-        initial_stats: Optional[InitialRoutingStats] = None,
-    ) -> "tuple[Optional[LrHistory], Optional[WireAssignmentStats], object, TdmIncidence]":
-        """LR + legalization + wire assignment on one topology.
 
-        Each stage runs under its phase span (``phase.tdm_assignment`` /
-        ``phase.legalization_wire_assignment``), so repeated calls from
-        the timing-driven loop accumulate into the same phase timers.
+def _payload_record(
+    payload: Mapping[str, Any],
+    barrier: str,
+    key: str,
+    decode: Callable[[Any], Any],
+    default: Any = None,
+) -> Any:
+    """``decode(payload[key])``, or ``default`` when the key is absent or null.
 
-        Args:
-            solution: the topology to assign ratios and wires for.
-            warm_start: multipliers from the previous round's solve.
-            prev_incidence: the previous round's incidence; together with
-                ``changed_connections`` it enables the incremental
-                rebuild (gated on
-                ``config.incremental_rebuild_fraction``).
-            changed_connections: connection indices rerouted since
-                ``prev_incidence`` was built.
-            checkpoint: when set (initial pass only — timing-round
-                candidates may be rejected, so their intermediate states
-                are not resumable), offered the ``phase2.lr`` and
-                ``phase2.legalized`` barriers.
-            deadline: wall-clock budget forwarded to the LR solve.
-            initial_stats: phase I diagnostics embedded into checkpoint
-                payloads.
+    Raises:
+        CheckpointFormatError: naming the barrier and key when the value
+            does not decode.
+    """
+    data = payload.get(key)
+    if data is None:
+        return default
+    try:
+        return decode(data)
+    except KeyError as exc:
+        raise CheckpointFormatError(f"{barrier} payload {key} lacks {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"{barrier} payload {key}: {exc}") from exc
 
-        Returns the LR history, wire stats, the final multipliers (a warm
-        start for the next timing-reroute round) and the incidence (the
-        next round's ``prev_incidence``).
-        """
-        tracer = self.tracer
-        incidence, delta = build_incidence(
-            self.system,
-            self.netlist,
-            solution,
-            self.delay_model,
-            previous=prev_incidence,
-            changed_connections=changed_connections,
-            incremental_fraction=self.config.incremental_rebuild_fraction,
-            tracer=tracer,
+
+def _payload_floats(
+    payload: Mapping[str, Any], barrier: str, key: str, size: int, per: str
+) -> Optional[np.ndarray]:
+    """A checkpointed array of one finite float per ``per`` (``None``
+    when the key is absent or null).
+
+    Raises:
+        CheckpointFormatError: when the array does not fit.
+    """
+    data = payload.get(key)
+    if data is None:
+        return None
+    where = f"{barrier} payload {key}"
+    try:
+        values = np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"{where}: {exc}") from exc
+    if values.shape != (size,):
+        raise CheckpointFormatError(
+            f"{where} has {values.size} entries, expected one per {per} ({size})"
         )
-        if not incidence.num_pairs:
-            return None, None, None, incidence
-        if delta is not None:
-            warm_start = delta.map_multipliers(warm_start)
-        with tracer.span(PHASE_TA):
-            lr_result = LagrangianTdmAssigner(
-                incidence, self.config, tracer=tracer
-            ).solve(warm_start=warm_start, deadline=deadline)
-        if checkpoint is not None:
-            checkpoint.save(
-                "phase2.lr",
-                lambda: {
-                    "paths": self._paths_payload(solution),
-                    "ratios": [float(r) for r in lr_result.ratios],
-                    "multipliers": self._multipliers_payload(
-                        lr_result.multipliers
-                    ),
-                    "lr_history": lr_result.history.to_dict(),
-                    "initial_stats": (
-                        initial_stats.to_dict()
-                        if initial_stats is not None
-                        else None
-                    ),
-                },
-            )
-
-        with tracer.span(PHASE_LGWA):
-            legal = TdmLegalizer(incidence, self.config, tracer=tracer).legalize(
-                lr_result.ratios
-            )
-            if checkpoint is not None:
-                checkpoint.save(
-                    "phase2.legalized",
-                    lambda: {
-                        "paths": self._paths_payload(solution),
-                        "legal_ratios": [float(r) for r in legal.ratios],
-                        "wire_budgets": [
-                            [edge, direction, budget]
-                            for (edge, direction), budget in sorted(
-                                legal.wire_budgets.items()
-                            )
-                        ],
-                        "criticality": (
-                            [float(c) for c in legal.criticality]
-                            if legal.criticality is not None
-                            else None
-                        ),
-                        "multipliers": self._multipliers_payload(
-                            lr_result.multipliers
-                        ),
-                        "lr_history": lr_result.history.to_dict(),
-                        "initial_stats": (
-                            initial_stats.to_dict()
-                            if initial_stats is not None
-                            else None
-                        ),
-                    },
-                )
-            wire_stats = WireAssigner(incidence, self.config, tracer=tracer).assign(
-                solution, legal.ratios, legal.wire_budgets, legal.criticality
-            )
-        return lr_result.history, wire_stats, lr_result.multipliers, incidence
+    if not np.all(np.isfinite(values)):
+        raise CheckpointFormatError(f"{where} must be finite")
+    return values
 
 
 def _payload_pair_values(
     payload: Mapping[str, Any], barrier: str, key: str, incidence: TdmIncidence
-) -> np.ndarray:
+) -> Optional[np.ndarray]:
     """A checkpointed per-pair array, checked against the rebuilt incidence.
 
     Ratios must be finite and positive, and legalized ones positive
@@ -797,20 +719,8 @@ def _payload_pair_values(
     Raises:
         CheckpointFormatError: when the array does not fit.
     """
-    from repro.io.checkpoint_io import CheckpointFormatError
-
+    values = _payload_floats(payload, barrier, key, incidence.num_pairs, "TDM use")
     where = f"{barrier} payload {key}"
-    try:
-        values = np.asarray(payload[key], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointFormatError(f"{where}: {exc}") from exc
-    if values.shape != (incidence.num_pairs,):
-        raise CheckpointFormatError(
-            f"{where} has {values.size} entries, expected one per "
-            f"TDM use ({incidence.num_pairs})"
-        )
-    if not np.all(np.isfinite(values)):
-        raise CheckpointFormatError(f"{where} must be finite")
     if key != "criticality" and not np.all(values > 0):
         raise CheckpointFormatError(f"{where} must be positive")
     step = incidence.delay_model.tdm_step
@@ -832,8 +742,6 @@ def _payload_wire_budgets(
     Raises:
         CheckpointFormatError: when the budgets do not fit.
     """
-    from repro.io.checkpoint_io import CheckpointFormatError
-
     where = f"{barrier} payload wire_budgets"
     budgets: Dict[Tuple[int, int], int] = {}
     for entry in payload["wire_budgets"]:

@@ -158,16 +158,12 @@ class TdmPairs(NamedTuple):
         net / edge / direction: per-pair components; the position of a
             (net, edge, direction) use is its *pair index*.
         hop_pair: pair index of every input hop.
-        sorted_keys: the encoded use keys, ascending.
-        key_rank: pair index of each entry of ``sorted_keys``.
     """
 
     net: np.ndarray
     edge: np.ndarray
     direction: np.ndarray
     hop_pair: np.ndarray
-    sorted_keys: np.ndarray
-    key_rank: np.ndarray
 
 
 def tdm_pairs(
@@ -181,7 +177,7 @@ def tdm_pairs(
     connection indices) and matches the historical per-connection scan.
     """
     keys = (hop_net * num_edges + hop_edge) * 2 + hop_dir
-    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     # np.unique sorts by key; recover first-occurrence order.
     order = np.argsort(first, kind="stable")
     rank = np.empty(order.shape[0], dtype=np.int64)
@@ -193,8 +189,6 @@ def tdm_pairs(
         edge=hop_edge[first_in_order],
         direction=hop_dir[first_in_order],
         hop_pair=hop_pair,
-        sorted_keys=uniq,
-        key_rank=rank,
     )
 
 

@@ -221,7 +221,7 @@ class TimingAnalyzer:
         connection comes first, which raises ``ValueError``.
         """
         ratios = solution.ratios
-        num_pairs = int(index.pairs.sorted_keys.shape[0])
+        num_pairs = int(index.pairs.net.shape[0])
         try:
             return np.fromiter(
                 map(ratios.__getitem__, index.use_keys()),

@@ -577,6 +577,95 @@ class TestResumeErrors:
         path.write_text(json.dumps(doc))
         assert message in self._resume_error(path, capsys)
 
+    @pytest.mark.parametrize(
+        "barrier,key,edit,message",
+        [
+            (
+                "phase1.round",
+                "history",
+                lambda v: v[:-1],
+                "phase1.round payload history has 7 entries, "
+                "expected one per edge (8)",
+            ),
+            (
+                "phase1.done",
+                "stats",
+                lambda v: {},
+                "phase1.done payload stats lacks 'negotiation_rounds'",
+            ),
+            (
+                "phase2.lr",
+                "lr_history",
+                lambda v: {},
+                "phase2.lr payload lr_history lacks 'iterations'",
+            ),
+            (
+                "phase2.assigned",
+                "initial_stats",
+                lambda v: {},
+                "phase2.assigned payload initial_stats lacks 'negotiation_rounds'",
+            ),
+            (
+                "phase2.assigned",
+                "wire_stats",
+                lambda v: {"bogus": 1},
+                "phase2.assigned payload wire_stats lacks 'wires_used'",
+            ),
+            (
+                "final",
+                "solution",
+                lambda v: dict(v, wires=v["wires"][1:]),
+                "without a TDM ratio and wire",
+            ),
+            (
+                "phase2.lr",
+                "multipliers",
+                lambda v: [1.0],
+                "phase2.lr payload multipliers has 1 entries, "
+                "expected one per connection (155)",
+            ),
+            (
+                "phase2.round",
+                "multipliers",
+                lambda v: v[:-1] + [float("inf")],
+                "phase2.round payload multipliers must be finite",
+            ),
+            (
+                "phase2.round",
+                "moves",
+                lambda v: "two",
+                "phase2.round payload moves: invalid literal for int()",
+            ),
+        ],
+        ids=[
+            "round-history-one-short",
+            "done-stats-empty",
+            "lr-history-empty",
+            "assigned-initial-stats-empty",
+            "assigned-wire-stats-bogus",
+            "final-one-wire-dropped",
+            "lr-multipliers-one-entry",
+            "round-multipliers-infinite",
+            "round-moves-not-an-int",
+        ],
+    )
+    def test_malformed_payload_fields(
+        self, case02_checkpoints, barrier, key, edit, message, tmp_path, capsys
+    ):
+        # case02 negotiates no round; a phase1.done payload is the
+        # phase1.round payload of its last round.
+        source = case02_checkpoints[
+            "phase1.done" if barrier == "phase1.round" else barrier
+        ]
+        doc = json.loads(source.read_text())
+        doc["barrier"] = barrier
+        doc["payload"][key] = edit(doc["payload"][key])
+        path = tmp_path / source.name
+        path.write_text(json.dumps(doc))
+        line = self._resume_error(path, capsys)
+        assert line.startswith(f"repro resume: invalid checkpoint: {barrier} ")
+        assert message in line
+
     def test_old_schema_version(self, tmp_path, capsys):
         from repro import RouterConfig
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro import DelayModel, Net, Netlist
 from repro.core.incidence import TdmIncidence, build_incidence, build_reference
+from repro.obs import Tracer
 from repro.route.solution import RoutingSolution
 from repro.timing import TimingAnalyzer
 from tests.conftest import build_two_fpga_system, random_netlist
@@ -249,61 +250,16 @@ class TestIncrementalRebuild:
         model = DelayModel()
         previous = TdmIncidence(system, netlist, solution, model)
         rerouted, changed = _reroute_some(system, netlist, solution, 100 + seed, 8)
-        delta = TdmIncidence.incremental(previous, rerouted, changed)
+        patched = TdmIncidence.incremental(previous, rerouted, changed)
         cold = TdmIncidence(system, netlist, rerouted, model)
-        _assert_incidences_bit_equal(delta.incidence, cold)
-
-    def test_pair_map_tracks_surviving_pairs(self):
-        system, netlist, solution = _routed_case(3)
-        model = DelayModel()
-        previous = TdmIncidence(system, netlist, solution, model)
-        rerouted, changed = _reroute_some(system, netlist, solution, 33, 10)
-        delta = TdmIncidence.incremental(previous, rerouted, changed)
-        new = delta.incidence
-        for old_index, use in enumerate(previous.uses):
-            mapped = delta.pair_map[old_index]
-            if use in new.use_index:
-                assert mapped == new.use_index[use]
-            else:
-                assert mapped == -1
-        for new_index, use in enumerate(new.uses):
-            assert delta.new_pair_mask[new_index] == (use not in previous.use_index)
-
-    def test_map_pair_values_carries_state(self):
-        system, netlist, solution = _routed_case(4)
-        model = DelayModel()
-        previous = TdmIncidence(system, netlist, solution, model)
-        rerouted, changed = _reroute_some(system, netlist, solution, 44, 10)
-        delta = TdmIncidence.incremental(previous, rerouted, changed)
-        new = delta.incidence
-        values = np.arange(previous.num_pairs, dtype=np.float64) + 1.0
-        mapped = delta.map_pair_values(values, default=-5.0)
-        for new_index, use in enumerate(new.uses):
-            if use in previous.use_index:
-                assert mapped[new_index] == values[previous.use_index[use]]
-            else:
-                assert mapped[new_index] == -5.0
-
-    def test_map_multipliers_is_connection_space_identity(self):
-        system, netlist, solution = _routed_case(5)
-        model = DelayModel()
-        previous = TdmIncidence(system, netlist, solution, model)
-        rerouted, changed = _reroute_some(system, netlist, solution, 55, 5)
-        delta = TdmIncidence.incremental(previous, rerouted, changed)
-        lam = np.full(netlist.num_connections, 1.0 / netlist.num_connections)
-        assert delta.map_multipliers(lam) is lam
-        assert delta.map_multipliers(None) is None
+        _assert_incidences_bit_equal(patched, cold)
 
     def test_no_changes_is_identity(self):
         system, netlist, solution = _routed_case(6)
         model = DelayModel()
         previous = TdmIncidence(system, netlist, solution, model)
-        delta = TdmIncidence.incremental(previous, solution, [])
-        _assert_incidences_bit_equal(delta.incidence, previous)
-        assert np.array_equal(
-            delta.pair_map, np.arange(previous.num_pairs, dtype=np.int64)
-        )
-        assert not delta.new_pair_mask.any()
+        patched = TdmIncidence.incremental(previous, solution, [])
+        _assert_incidences_bit_equal(patched, previous)
 
     def test_rejects_foreign_netlist(self):
         system, netlist, solution = _routed_case(7)
@@ -323,12 +279,20 @@ class TestIncrementalRebuild:
 
 
 class TestBuildIncidenceGate:
+    @staticmethod
+    def _builds(tracer):
+        return (
+            tracer.counter("incidence.incremental_builds"),
+            tracer.counter("incidence.cold_builds"),
+        )
+
     def test_incremental_below_fraction(self):
         system, netlist, solution = _routed_case(9)
         model = DelayModel()
         previous = TdmIncidence(system, netlist, solution, model)
         rerouted, changed = _reroute_some(system, netlist, solution, 99, 3)
-        inc, delta = build_incidence(
+        tracer = Tracer()
+        inc = build_incidence(
             system,
             netlist,
             rerouted,
@@ -336,8 +300,9 @@ class TestBuildIncidenceGate:
             previous=previous,
             changed_connections=changed,
             incremental_fraction=0.2,
+            tracer=tracer,
         )
-        assert delta is not None
+        assert self._builds(tracer) == (1, 0)
         _assert_incidences_bit_equal(inc, TdmIncidence(system, netlist, rerouted, model))
 
     def test_cold_at_or_above_fraction(self):
@@ -345,7 +310,8 @@ class TestBuildIncidenceGate:
         model = DelayModel()
         previous = TdmIncidence(system, netlist, solution, model)
         rerouted, changed = _reroute_some(system, netlist, solution, 99, 3)
-        inc, delta = build_incidence(
+        tracer = Tracer()
+        build_incidence(
             system,
             netlist,
             rerouted,
@@ -353,11 +319,13 @@ class TestBuildIncidenceGate:
             previous=previous,
             changed_connections=changed,
             incremental_fraction=0.0,
+            tracer=tracer,
         )
-        assert delta is None
+        assert self._builds(tracer) == (0, 1)
 
     def test_cold_without_previous(self):
         system, netlist, solution = _routed_case(9)
-        inc, delta = build_incidence(system, netlist, solution, DelayModel())
-        assert delta is None
+        tracer = Tracer()
+        inc = build_incidence(system, netlist, solution, DelayModel(), tracer=tracer)
+        assert self._builds(tracer) == (0, 1)
         assert inc.num_pairs > 0

@@ -76,6 +76,17 @@ def checkpointed_run(request, tmp_path_factory, cache):
     )
 
 
+def _barrier_of(path):
+    """The barrier in a checkpoint file name (``ckpt_0003_phase2-lr.json``)."""
+    return path.stem.split("_", 2)[2]
+
+
+def _unsequenced(path):
+    """A checkpoint file's bytes up to its sequence number, the last key."""
+    data = path.read_bytes()
+    return data[: data.rindex(b', "sequence": ')]
+
+
 class TestResumeBitEquality:
     def test_checkpointing_does_not_perturb_the_run(
         self, checkpointed_run, cache
@@ -119,6 +130,39 @@ class TestResumeBitEquality:
             read_checkpoint(p)["barrier"] for p in checkpointed_run.checkpoints
         ]
         assert barriers.count("phase1.round") >= 2
+
+    def test_resumed_run_writes_the_checkpoints_after_its_own(
+        self, checkpointed_run, tmp_path
+    ):
+        """Resumed into a fresh directory, a run writes the checkpoints the
+        uninterrupted run wrote after the one it resumed, byte for byte
+        but for the sequence number; ``phase1.ordering`` restarts the run
+        and ``final`` rewrites ``final``."""
+        run = checkpointed_run
+        for index, path in enumerate(run.checkpoints):
+            barrier = read_checkpoint(path)["barrier"]
+            if barrier == "phase1.ordering":
+                expected = run.checkpoints
+            elif barrier == "final":
+                expected = [path]
+            else:
+                expected = run.checkpoints[index + 1 :]
+            directory = tmp_path / f"resumed_{index}"
+            execute_request(
+                RouteRequest(
+                    resume_from=str(path),
+                    checkpoint_dir=str(directory),
+                    warm_cache=False,
+                )
+            )
+            written = sorted(directory.glob("ckpt_*.json"))
+            where = f"{run.name}: resume from {path.name}"
+            assert [_barrier_of(p) for p in written] == [
+                _barrier_of(p) for p in expected
+            ], where
+            assert [_unsequenced(p) for p in written] == [
+                _unsequenced(p) for p in expected
+            ], where
 
     def test_resume_from_directory_uses_latest(self, checkpointed_run):
         run = checkpointed_run
