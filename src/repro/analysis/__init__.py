@@ -1,17 +1,10 @@
-"""Design-space exploration utilities.
+"""Analyses around the router.
 
-Formalizes the sweeps a prototyping architect runs when sizing a system:
-TDM capacity vs critical delay, TDM step granularity, and delay-constant
-sensitivity.  Used by the examples and the robustness benchmarks.
+Table II netlist statistics, the Table III comparison harness, the
+feasibility precheck, and the exact solver and certified lower bounds
+that serve as test oracles.
 """
 
-from repro.analysis.sweep import (
-    SweepPoint,
-    SweepResult,
-    sweep_delay_models,
-    sweep_tdm_capacity,
-    sweep_tdm_step,
-)
 from repro.analysis.netlist_stats import NetlistStats, netlist_stats
 from repro.analysis.exact import ExactResult, ExactSolver, InstanceTooLarge
 from repro.analysis.feasibility import (
@@ -41,10 +34,5 @@ __all__ = [
     "ExactSolver",
     "InstanceTooLarge",
     "NetlistStats",
-    "SweepPoint",
-    "SweepResult",
     "netlist_stats",
-    "sweep_delay_models",
-    "sweep_tdm_capacity",
-    "sweep_tdm_step",
 ]

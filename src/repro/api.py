@@ -636,7 +636,8 @@ class Evaluation:
         is_legal: complete and DRC-clean.
         conflict_count: SLL capacity conflicts (#CONF).
         critical_delay: system critical delay, or ``None`` when the
-            solution is incomplete.
+            solution is incomplete or leaves a TDM use without a ratio
+            and wire.
         unrouted: connection indices with no path.
         violations: human-readable DRC violation strings.
     """
@@ -680,7 +681,7 @@ def evaluate(
     )
     report = checker.check(solution)
     critical_delay = None
-    if solution.is_complete:
+    if solution.is_complete and solution.unassigned_use() is None:
         timing = analyzer.analyze(solution)
         critical_delay = float(timing.critical_delay)
     return Evaluation(

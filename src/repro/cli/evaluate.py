@@ -6,8 +6,8 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.cli import read_case, read_solution, reports_input_errors
 from repro.drc import DesignRuleChecker
-from repro.io import parse_case_file, parse_solution_file
 from repro.timing.analysis import TimingAnalyzer
 from repro import __version__
 
@@ -32,11 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="how many of the worst connections to print",
     )
     parser.add_argument(
-        "--report",
-        action="store_true",
-        help="print the full utilization/timing report",
-    )
-    parser.add_argument(
         "--json",
         action="store_true",
         help="the solution file is JSON (repro route --json output)",
@@ -44,23 +39,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@reports_input_errors("repro evaluate")
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    system, netlist, delay_model = parse_case_file(args.case_file)
-    if args.json:
-        from repro.io import read_solution_json
-
-        solution = read_solution_json(args.solution_file, system, netlist)
-    else:
-        solution = parse_solution_file(args.solution_file, system, netlist)
+    system, netlist, delay_model = read_case(args.case_file)
+    solution = read_solution(args.solution_file, system, netlist, as_json=args.json)
 
     report = DesignRuleChecker(system, netlist, delay_model).check(solution)
     print(report.summary())
     for violation in report.violations[:20]:
         print(f"  {violation}")
 
-    if solution.is_complete:
+    if not solution.is_complete:
+        missing = len(solution.unrouted_connections())
+        print(f"incomplete solution: {missing} unrouted connections")
+    elif (use := solution.unassigned_use()) is not None:
+        net, edge, direction = use
+        print(
+            f"critical delay : unknown (net {netlist.net(net).name} on edge "
+            f"{edge} direction {direction} has no TDM ratio and wire)"
+        )
+    else:
         analyzer = TimingAnalyzer(system, netlist, delay_model)
         timing = analyzer.analyze(solution)
         print(f"critical delay : {timing.critical_delay:.2f}")
@@ -73,14 +73,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"{worst.delay:.2f} (SLL {worst.sll_delay:.2f}, TDM "
                 f"{worst.tdm_delay:.2f})"
             )
-    else:
-        missing = len(solution.unrouted_connections())
-        print(f"incomplete solution: {missing} unrouted connections")
-    if args.report:
-        from repro.report import solution_report
-
-        print()
-        print(solution_report(solution, delay_model), end="")
     return 0 if report.is_clean and solution.is_complete else 1
 
 

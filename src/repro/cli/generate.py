@@ -7,7 +7,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.benchgen import case_names, load_case
+from repro.benchgen import case_names
+from repro.cli import contest_case, reports_input_errors
 from repro.io import write_case_file
 from repro.timing.delay import DelayModel
 from repro import __version__
@@ -47,20 +48,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@reports_input_errors("repro generate")
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
     names = args.cases if args.cases else case_names()
     out_dir = Path(args.out_dir)
-    if not args.stats:
-        out_dir.mkdir(parents=True, exist_ok=True)
     header = (
         f"{'case':8s} {'fpgas':>5s} {'dies':>5s} {'sll_e':>6s} {'sll_w':>9s} "
         f"{'tdm_e':>6s} {'tdm_w':>8s} {'nets':>9s} {'conns':>9s}"
     )
-    print(header)
-    for name in names:
-        case = load_case(name, scale=args.scale)
+    for position, name in enumerate(names):
+        case = contest_case(name, args.scale)
+        if position == 0:  # a bad first name or scale prints nothing
+            print(header)
         stats = case.stats()
         print(
             f"{case.spec.name:8s} {stats['fpgas']:5d} {stats['dies']:5d} "
@@ -69,6 +70,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{stats['nets']:9d} {stats['connections']:9d}"
         )
         if not args.stats:
+            out_dir.mkdir(parents=True, exist_ok=True)
             path = out_dir / f"{case.spec.name}.case"
             write_case_file(path, case.system, case.netlist, DelayModel())
     if not args.stats:

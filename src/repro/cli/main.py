@@ -1,4 +1,4 @@
-"""``repro route``: route a case and report/emit the solution."""
+"""``repro route``: route a case and emit the solution."""
 
 from __future__ import annotations
 
@@ -13,9 +13,8 @@ from repro import (
     __version__,
     execute_request,
 )
-from repro.benchgen import load_case
-from repro.io import parse_case_file, write_solution_file
-from repro.io.contest_format import CaseFormatError
+from repro.cli import contest_case, read_case, reports_input_errors
+from repro.io import write_solution_file
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,29 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--drc", action="store_true", help="run the design-rule checker afterwards"
     )
     parser.add_argument(
-        "--report",
-        action="store_true",
-        help="print the full utilization/timing report",
-    )
-    parser.add_argument(
         "--json",
         action="store_true",
         help="write the solution (and any generated case) as JSON",
-    )
-    parser.add_argument(
-        "--summary-json",
-        metavar="PATH",
-        help="write a machine-readable result summary to this JSON file",
-    )
-    parser.add_argument(
-        "--svg",
-        metavar="PATH",
-        help="render the system with live utilization to this SVG file",
-    )
-    parser.add_argument(
-        "--html",
-        metavar="PATH",
-        help="write a self-contained HTML report to this file",
     )
     parser.add_argument(
         "--checkpoint-dir",
@@ -124,6 +103,7 @@ def _resolve_router(name: str):
     return routers[name]
 
 
+@reports_input_errors("repro route")
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
@@ -142,19 +122,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     # whatever was traced before the failure durable on disk.
     try:
         if args.case_file:
-            try:
-                system, netlist, delay_model = parse_case_file(args.case_file)
-            except FileNotFoundError as exc:
-                print(f"repro route: no such file: {exc.filename}", file=sys.stderr)
-                return 2
-            except OSError as exc:
-                print(f"repro route: cannot read case file: {exc}", file=sys.stderr)
-                return 2
-            except CaseFormatError as exc:
-                print(f"repro route: invalid case file: {exc}", file=sys.stderr)
-                return 2
+            system, netlist, delay_model = read_case(args.case_file)
         else:
-            case = load_case(args.contest_case, scale=args.scale)
+            case = contest_case(args.contest_case, args.scale)
             system, netlist = case.system, case.netlist
             delay_model = DelayModel()
 
@@ -195,11 +165,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"(IR {fractions['IR']:.0%}, TA {fractions['TA']:.0%}, "
             f"LG&WA {fractions['LG & WA']:.0%})"
         )
-    if args.report:
-        from repro.report import solution_report
-
-        print()
-        print(solution_report(result.solution, delay_model), end="")
     if args.drc:
         report = DesignRuleChecker(system, netlist, delay_model).check(result.solution)
         print(report.summary())
@@ -224,24 +189,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         if not args.quiet:
             print(f"run report written : {args.metrics_out}")
-    if args.summary_json:
-        from repro.report import write_summary_json
-
-        write_summary_json(args.summary_json, result.solution, delay_model)
-        if not args.quiet:
-            print(f"summary written    : {args.summary_json}")
-    if args.svg:
-        from repro.report import write_svg
-
-        write_svg(args.svg, system, result.solution)
-        if not args.quiet:
-            print(f"svg written        : {args.svg}")
-    if args.html:
-        from repro.report import write_html
-
-        write_html(args.html, result.solution, delay_model)
-        if not args.quiet:
-            print(f"html written       : {args.html}")
     if args.output:
         if args.json:
             from repro.io import write_solution_json

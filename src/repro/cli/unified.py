@@ -4,8 +4,7 @@ One executable, one subcommand per task::
 
     repro route --contest-case case02 --drc
     repro evaluate case.txt solution.txt
-    repro generate --case case05 --out-dir cases/
-    repro partition design.hgr --parts 4
+    repro generate case05 --out-dir cases/
     repro lint src/
     repro resume runs/ckpt_0003_phase2-lr.json
     repro trace trace.jsonl --critical-path --export chrome
@@ -27,7 +26,6 @@ _SUBCOMMANDS: Dict[str, str] = {
     "route": "repro.cli.main",
     "evaluate": "repro.cli.evaluate",
     "generate": "repro.cli.generate",
-    "partition": "repro.cli.partition_cli",
     "lint": "repro.cli.lint_cli",
     "resume": "repro.cli.resume_cli",
     "serve": "repro.cli.serve_cli",
@@ -36,10 +34,9 @@ _SUBCOMMANDS: Dict[str, str] = {
 }
 
 _DESCRIPTIONS: Dict[str, str] = {
-    "route": "route a case and report/emit the solution",
+    "route": "route a case and emit the solution",
     "evaluate": "independently check a solution file (DRC + timing)",
     "generate": "generate contest-suite case files",
-    "partition": "partition a hypergraph across dies",
     "lint": "run the AST invariant linter",
     "resume": "continue a checkpointed routing run",
     "serve": "replay a deterministic load through the routing service",

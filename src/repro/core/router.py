@@ -629,12 +629,12 @@ class SynergisticRouter:
         except ValueError as exc:
             raise CheckpointFormatError(f"{barrier} payload solution: {exc}") from exc
         _require_complete(barrier, "solution", solution)
-        for use in solution.topology_index().use_keys():
-            if use not in solution.ratios or use not in solution.net_wire:
-                raise CheckpointFormatError(
-                    f"{barrier} payload solution leaves net {use[0]} on edge "
-                    f"{use[1]} direction {use[2]} without a TDM ratio and wire"
-                )
+        use = solution.unassigned_use()
+        if use is not None:
+            raise CheckpointFormatError(
+                f"{barrier} payload solution leaves net {use[0]} on edge "
+                f"{use[1]} direction {use[2]} without a TDM ratio and wire"
+            )
         return solution
 
 

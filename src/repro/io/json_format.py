@@ -215,7 +215,7 @@ def solution_from_dict(
             for net_index in wire.net_indices:
                 solution.net_wire[(net_index, edge.index, wire.direction)] = position
         return solution
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, JsonFormatError):
             raise
         raise JsonFormatError(f"malformed JSON solution: {exc}") from exc

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterator, Set, Tuple
+from typing import Iterator, Set
 
 from repro.lint.engine import (
     FileContext,
@@ -42,7 +42,7 @@ from repro.lint.finding import Finding
 _DETERMINISTIC_SCOPES = ("repro.core", "repro.route")
 
 #: Layers allowed to talk to the terminal directly.
-_TERMINAL_SCOPES = ("repro.cli", "repro.report")
+_TERMINAL_SCOPES = ("repro.cli",)
 
 
 @register
@@ -90,16 +90,16 @@ class WallClockRule(Rule):
 
 @register
 class PrintRule(Rule):
-    """REPRO002: no ``print()`` outside the CLI and report layers.
+    """REPRO002: no ``print()`` outside the CLI layer.
 
     Progress belongs to ``repro.obs.get_logger`` (filterable, stderr,
-    machine-parsable); deliverable text belongs to ``repro.report`` /
-    ``repro.cli``.  A stray ``print`` in a library layer corrupts piped
-    stdout (solution files, JSON) and cannot be silenced by log level.
+    machine-parsable); deliverable text belongs to ``repro.cli``.  A
+    stray ``print`` in a library layer corrupts piped stdout (solution
+    files, JSON) and cannot be silenced by log level.
     """
 
     rule_id = "REPRO002"
-    title = "no print outside cli/report"
+    title = "no print outside cli"
     rationale = (
         "stray prints corrupt piped solution/JSON output and bypass "
         "log-level control"
@@ -123,8 +123,8 @@ class UnseededRandomRule(Rule):
     anywhere").  The module-level ``random.*`` functions share hidden
     global state; ``random.Random()`` / ``numpy.random.default_rng()``
     without a seed draw from the OS.  Generators and tie-breakers must
-    construct ``random.Random(seed)`` (benchgen/partition style) and
-    thread it down explicitly.
+    construct ``random.Random(seed)`` (benchgen style) and thread it
+    down explicitly.
     """
 
     rule_id = "REPRO003"
@@ -414,13 +414,12 @@ class StdStreamRule(Rule):
     """REPRO009: no direct ``sys.stdout``/``sys.stderr`` use in libraries.
 
     Companion to REPRO002: writing to the process streams from a library
-    layer bypasses both the logging configuration and the report
-    renderers.  Only ``repro.cli``, ``repro.report`` and the obs logging
-    setup may touch them.
+    layer bypasses the logging configuration.  Only ``repro.cli`` and
+    the obs logging setup may touch them.
     """
 
     rule_id = "REPRO009"
-    title = "no sys.stdout/stderr outside cli/report/obs"
+    title = "no sys.stdout/stderr outside cli/obs"
     rationale = (
         "direct stream writes bypass log-level control and corrupt "
         "piped output, same failure mode as print()"
@@ -624,8 +623,3 @@ class ConfigConstructionRule(Rule):
         name = dotted_name(node.func)
         if name is not None and self._is_banned(name):
             yield ctx.finding(self, node, f"{name}() outside the facade")
-
-
-#: Scope tuples re-exported for the docs generator and tests.
-DETERMINISTIC_SCOPES: Tuple[str, ...] = _DETERMINISTIC_SCOPES
-TERMINAL_SCOPES: Tuple[str, ...] = _TERMINAL_SCOPES

@@ -577,6 +577,15 @@ class RoutingSolution:
         """
         return self.ratios[(net_index, edge_index, direction)]
 
+    def unassigned_use(self) -> Optional[NetEdgeUse]:
+        """The first TDM use of the topology (in pair order) without a
+        ratio or a wire, or ``None`` when phase II covered every use."""
+        ratios, net_wire = self.ratios, self.net_wire
+        for use in self.topology_index().use_keys():
+            if use not in ratios or use not in net_wire:
+                return use
+        return None
+
     def copy_topology(self) -> "RoutingSolution":
         """A new solution with the same paths but no ratios or wires.
 

@@ -9,13 +9,10 @@ the maximum over all connections.
 
 from repro.timing.delay import DelayModel
 from repro.timing.analysis import ConnectionTiming, TimingAnalyzer, TimingReport
-from repro.timing.frequency import FrequencyEstimate, FrequencyEstimator
 
 __all__ = [
     "ConnectionTiming",
     "DelayModel",
-    "FrequencyEstimate",
-    "FrequencyEstimator",
     "TimingAnalyzer",
     "TimingReport",
 ]

@@ -1,95 +1,10 @@
-"""Tests for the analysis package (sweeps + netlist statistics)."""
+"""Tests for the Table II netlist statistics."""
 
 import pytest
 
-from repro import DelayModel, Net, Netlist, SystemBuilder
-from repro.analysis import (
-    netlist_stats,
-    sweep_delay_models,
-    sweep_tdm_capacity,
-    sweep_tdm_step,
-)
-from tests.conftest import build_two_fpga_system, random_netlist
-
-
-def cross_traffic_netlist(system, count=60, seed=5):
-    import random
-
-    rng = random.Random(seed)
-    nets = []
-    for i in range(count):
-        src = rng.randrange(4)
-        dst = 4 + rng.randrange(4)
-        if rng.random() < 0.5:
-            src, dst = dst, src
-        nets.append(Net(f"n{i}", src, (dst,)))
-    return Netlist(nets)
-
-
-class TestCapacitySweep:
-    def test_delay_monotone_in_capacity(self):
-        def build(capacity):
-            builder = SystemBuilder()
-            a = builder.add_fpga(num_dies=4, sll_capacity=500)
-            b = builder.add_fpga(num_dies=4, sll_capacity=500)
-            builder.add_tdm_edge(a.die(3), b.die(0), capacity)
-            builder.add_tdm_edge(a.die(0), b.die(3), capacity)
-            return builder.build()
-
-        result = sweep_tdm_capacity(
-            build,
-            lambda system: cross_traffic_netlist(system),
-            capacities=[4, 16, 64],
-        )
-        delays = [p.critical_delay for p in result.points]
-        # More wires never hurt (weakly monotone).
-        assert delays[0] >= delays[1] >= delays[2]
-        assert result.best().parameter == 64 or delays[1] == delays[2]
-
-    def test_rows_render(self):
-        def build(capacity):
-            return build_two_fpga_system(tdm_capacity=capacity)
-
-        result = sweep_tdm_capacity(
-            build, lambda s: random_netlist(s, 20), capacities=[8]
-        )
-        rows = result.as_rows()
-        assert len(rows) == 2
-        assert "delay" in rows[0]
-
-
-class TestStepSweep:
-    def test_smaller_step_never_worse(self):
-        system = build_two_fpga_system(tdm_capacity=16)
-        netlist = cross_traffic_netlist(system, count=80)
-        result = sweep_tdm_step(system, netlist, steps=[1, 8])
-        fine, coarse = result.points
-        assert fine.critical_delay <= coarse.critical_delay + 1e-9
-
-    def test_parameters_recorded(self):
-        system = build_two_fpga_system()
-        netlist = random_netlist(system, 10)
-        result = sweep_tdm_step(system, netlist, steps=[2, 4])
-        assert [p.parameter for p in result.points] == [2, 4]
-
-
-class TestDelayModelSweep:
-    def test_labels_preserved(self):
-        system = build_two_fpga_system()
-        netlist = random_netlist(system, 15)
-        models = {
-            "default": DelayModel(),
-            "fine": DelayModel(d_sll=1.0, d0=1.0, d1=1.0, tdm_step=4),
-        }
-        result = sweep_delay_models(system, netlist, models)
-        assert [p.parameter for p in result.points] == ["default", "fine"]
-        assert all(p.conflict_count == 0 for p in result.points)
-
-    def test_legal_points_filter(self):
-        system = build_two_fpga_system()
-        netlist = random_netlist(system, 15)
-        result = sweep_delay_models(system, netlist, {"m": DelayModel()})
-        assert len(result.legal_points()) == 1
+from repro import Net, Netlist
+from repro.analysis import netlist_stats
+from tests.conftest import build_two_fpga_system
 
 
 class TestNetlistStats:

@@ -217,6 +217,21 @@ class TestEvaluateCaching:
         assert first.critical_delay == second.critical_delay
 
 
+class TestEvaluateUnassigned:
+    def test_missing_wire_leaves_the_delay_unknown(self):
+        """A TDM use without a wire is a DRC violation, not a KeyError."""
+        from repro.io.json_format import solution_to_dict
+
+        request = RouteRequest(contest_case="case02", warm_cache=False)
+        doc = solution_to_dict(api.execute_request(request).solution)
+        doc["wires"] = doc["wires"][1:]
+        evaluation = api.evaluate(request, solution=doc)
+        assert not evaluation.is_legal
+        assert evaluation.critical_delay is None
+        assert evaluation.unrouted == []
+        assert any("has no wire" in v for v in evaluation.violations)
+
+
 class TestCaseDigest:
     """An inline case is digested only when a cache will be consulted."""
 

@@ -158,12 +158,10 @@ class TestTopLevelReExports:
         subpackage and its modules stay importable through it."""
         import types
 
-        import repro.route.diff
         import repro.route.dijkstra as dijkstra
 
         assert isinstance(repro.route, types.ModuleType)
         assert dijkstra.__name__ == "repro.route.dijkstra"
-        assert callable(repro.route.diff.diff_solutions)
 
     def test_facade_functions_are_the_same_objects(self):
         for name in (

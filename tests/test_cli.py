@@ -8,7 +8,22 @@ from repro import __version__
 from repro.cli.evaluate import main as eval_main
 from repro.cli.generate import main as gen_main
 from repro.cli.main import main as route_main
+from repro.cli.unified import _SUBCOMMANDS
 from repro.cli.unified import main as unified_main
+
+
+def one_line_error(argv, capsys):
+    """Run ``repro <argv>``; assert exit 2 with one stderr line and
+    nothing on stdout, and return that line."""
+    capsys.readouterr()  # drop what fixtures printed
+    code = unified_main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    return lines[0]
 
 
 @pytest.fixture
@@ -62,12 +77,6 @@ class TestReproRoute:
 
 
 class TestReportAndJsonFlags:
-    def test_route_report_flag(self, case_file, capsys):
-        code = route_main(["--case-file", str(case_file), "--report", "--quiet"])
-        assert code == 0
-        printed = capsys.readouterr().out
-        assert "Edge utilization" in printed
-
     def test_json_solution_round_trip(self, case_file, tmp_path, capsys):
         out = tmp_path / "sol.json"
         assert (
@@ -83,18 +92,6 @@ class TestReportAndJsonFlags:
         assert code == 0
         assert "DRC clean" in capsys.readouterr().out
 
-    def test_summary_json_flag(self, case_file, tmp_path):
-        import json
-
-        out = tmp_path / "summary.json"
-        code = route_main(
-            ["--case-file", str(case_file), "--summary-json", str(out), "--quiet"]
-        )
-        assert code == 0
-        data = json.loads(out.read_text())
-        assert data["conflicts"] == 0
-        assert data["critical_delay"] > 0
-
     def test_precheck_passes_on_feasible_case(self, case_file, capsys):
         code = route_main(["--case-file", str(case_file), "--precheck", "--quiet"])
         assert code == 0
@@ -109,21 +106,6 @@ class TestReportAndJsonFlags:
         code = route_main(["--case-file", str(case), "--precheck", "--quiet"])
         assert code == 2
         assert "INFEASIBLE" in capsys.readouterr().out
-
-    def test_svg_flag(self, case_file, tmp_path):
-        out = tmp_path / "system.svg"
-        code = route_main(
-            ["--case-file", str(case_file), "--svg", str(out), "--quiet"]
-        )
-        assert code == 0
-        assert out.read_text().startswith("<svg")
-
-    def test_eval_report_flag(self, case_file, tmp_path, capsys):
-        out = tmp_path / "sol.txt"
-        route_main(["--case-file", str(case_file), "-o", str(out), "--quiet"])
-        code = eval_main([str(case_file), str(out), "--report"])
-        assert code == 0
-        assert "Edge utilization" in capsys.readouterr().out
 
 
 class TestObservabilityFlags:
@@ -250,13 +232,38 @@ class TestReproEval:
         printed = capsys.readouterr().out
         assert "unrouted" in printed
 
+    def test_eval_flags_a_tdm_use_without_a_wire(self, case_file, tmp_path, capsys):
+        sol = tmp_path / "sol.txt"
+        assert route_main(["--case-file", str(case_file), "-o", str(sol), "--quiet"]) == 0
+        lines = sol.read_text().splitlines(keepends=True)
+        first_wire = next(i for i, line in enumerate(lines) if line.startswith("WIRE"))
+        sol.write_text("".join(lines[:first_wire] + lines[first_wire + 1 :]))
+        capsys.readouterr()
+        code = eval_main([str(case_file), str(sol)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        assert "[tdm_assignment]" in captured.out
+        assert "critical delay : unknown" in captured.out
+
 
 class TestUnifiedCli:
     def test_help_lists_every_subcommand(self, capsys):
         assert unified_main([]) == 0
         out = capsys.readouterr().out
-        for name in ("route", "evaluate", "generate", "partition", "lint", "resume"):
+        for name in ("route", "evaluate", "generate", "lint", "resume"):
             assert name in out
+
+    @pytest.mark.parametrize("name", sorted(_SUBCOMMANDS))
+    def test_every_subcommand_loads(self, name, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            unified_main([name, "--help"])
+        assert excinfo.value.code == 0
+        assert f"repro {name}" in capsys.readouterr().out
+
+    def test_partition_is_an_unknown_command(self, capsys):
+        assert unified_main(["partition"]) == 2
+        assert "unknown command 'partition'" in capsys.readouterr().err
 
     def test_unknown_command_fails_with_usage(self, capsys):
         assert unified_main(["frobnicate"]) == 2
@@ -323,20 +330,17 @@ def case02_checkpoints(tmp_path_factory):
     }
 
 
+BAD_SCALE = "scale must be in (0, 1]"
+
+
 class TestRouteErrors:
-    """A bad ``--case-file`` fails with one stderr line and exit 2."""
+    """A bad case file, case name or scale fails with one stderr line
+    and exit 2."""
 
     SYSTEM = "FPGA f 2\nFPGA g 2\nSLL 0 1 4\nSLL 2 3 4\nTDM 1 2 4\n"
 
     def _route_error(self, path, capsys):
-        code = unified_main(["route", "--case-file", str(path), "--quiet"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "Traceback" not in captured.err
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1
-        return lines[0]
+        return one_line_error(["route", "--case-file", str(path), "--quiet"], capsys)
 
     def test_missing_file(self, tmp_path, capsys):
         path = tmp_path / "nope.case"
@@ -373,6 +377,80 @@ class TestRouteErrors:
         assert self._route_error(path, capsys) == (
             f"repro route: invalid case file: {message}"
         )
+
+    def test_unknown_contest_case(self, capsys):
+        line = one_line_error(["route", "--contest-case", "case99"], capsys)
+        assert line.startswith("repro route: unknown contest case 'case99'; valid: ")
+
+    @pytest.mark.parametrize("scale", ["-1", "0"])
+    def test_scale_out_of_range(self, scale, capsys):
+        line = one_line_error(
+            ["route", "--contest-case", "case02", "--scale", scale], capsys
+        )
+        assert line == f"repro route: invalid --scale {float(scale)}: {BAD_SCALE}"
+
+
+class TestEvaluateErrors:
+    """A bad case or solution file fails with one stderr line and exit 2."""
+
+    def _evaluate_error(self, case, solution, capsys, *flags):
+        return one_line_error(["evaluate", str(case), str(solution), *flags], capsys)
+
+    def test_missing_case_file(self, tmp_path, capsys):
+        path = tmp_path / "nope.case"
+        assert self._evaluate_error(path, tmp_path / "sol.txt", capsys) == (
+            f"repro evaluate: no such file: {path}"
+        )
+
+    def test_malformed_case_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.case"
+        path.write_text(TestRouteErrors.SYSTEM + "NET a -1 1\n")
+        assert self._evaluate_error(path, tmp_path / "sol.txt", capsys) == (
+            "repro evaluate: invalid case file: line 6: net 'a': source die "
+            "must be non-negative"
+        )
+
+    def test_missing_solution_file(self, case_file, tmp_path, capsys):
+        path = tmp_path / "nope.txt"
+        assert self._evaluate_error(case_file, path, capsys) == (
+            f"repro evaluate: no such file: {path}"
+        )
+
+    def test_malformed_text_solution(self, case_file, tmp_path, capsys):
+        path = tmp_path / "sol.txt"
+        path.write_text("garbage line\n")
+        assert self._evaluate_error(case_file, path, capsys) == (
+            "repro evaluate: invalid solution file: line 1: unknown keyword 'garbage'"
+        )
+
+    def test_json_solution_that_is_not_json(self, case_file, tmp_path, capsys):
+        path = tmp_path / "sol.json"
+        path.write_text("garbage line\n")
+        line = self._evaluate_error(case_file, path, capsys, "--json")
+        assert line.startswith("repro evaluate: invalid solution file: Expecting value")
+
+    @pytest.mark.parametrize("doc", [{"paths": 5}, []], ids=["paths_not_a_list", "list"])
+    def test_json_solution_of_the_wrong_shape(self, doc, case_file, tmp_path, capsys):
+        path = tmp_path / "sol.json"
+        path.write_text(json.dumps(doc))
+        line = self._evaluate_error(case_file, path, capsys, "--json")
+        assert line.startswith(
+            "repro evaluate: invalid solution file: malformed JSON solution: "
+        )
+
+
+class TestGenerateErrors:
+    """A bad case name or scale fails with one stderr line and exit 2."""
+
+    def test_unknown_contest_case(self, tmp_path, capsys):
+        line = one_line_error(["generate", "case99", "--out-dir", str(tmp_path)], capsys)
+        assert line.startswith("repro generate: unknown contest case 'case99'")
+
+    def test_scale_out_of_range(self, tmp_path, capsys):
+        line = one_line_error(
+            ["generate", "--scale", "-2", "case02", "--out-dir", str(tmp_path)], capsys
+        )
+        assert line == f"repro generate: invalid --scale -2.0: {BAD_SCALE}"
 
 
 class TestResumeErrors:

@@ -28,8 +28,6 @@ def test_examples_exist():
     assert {
         "quickstart.py",
         "contest_flow.py",
-        "tdm_exploration.py",
         "topology_refinement.py",
-        "full_flow.py",
         "eco_flow.py",
     } <= names
