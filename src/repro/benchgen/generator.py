@@ -37,10 +37,6 @@ class BenchmarkSpec:
             nearest same-FPGA die.  Emulation workloads are TDM-heavy (the
             partitioner keeps SLL-connected logic together), so the large
             contest cases use values > 1.
-        traffic_profile: sink-distribution shape — ``"emulation"`` (the
-            locality/cross-weight model above, the default), ``"uniform"``
-            (every other die equally likely) or ``"hotspot"`` (half of all
-            sinks drawn to two hub dies).
     """
 
     name: str
@@ -53,13 +49,6 @@ class BenchmarkSpec:
     seed: int = 2023
     locality: float = 1.0
     cross_weight: float = 4.0
-    traffic_profile: str = "emulation"
-
-    def __post_init__(self) -> None:
-        if self.traffic_profile not in ("emulation", "uniform", "hotspot"):
-            raise ValueError(
-                f"unknown traffic profile {self.traffic_profile!r}"
-            )
 
     @property
     def num_dies(self) -> int:
@@ -227,13 +216,11 @@ def _sink_weights(
     system: MultiFpgaSystem,
     dist: List[List[int]],
 ) -> List[List[float]]:
-    """Per-source sink sampling weights for the spec's traffic profile.
+    """Per-source sink sampling weights.
 
-    ``"emulation"``: same-FPGA sinks decay with SLL hop distance while
-    cross-FPGA sinks get a flat (usually heavier) weight — emulation
-    traffic is dominated by inter-FPGA nets riding TDM wires.
-    ``"uniform"``: every other die equally likely.  ``"hotspot"``: the
-    emulation weights, plus two hub dies attracting half of all sinks.
+    Same-FPGA sinks decay with SLL hop distance while cross-FPGA sinks
+    get a flat (usually heavier) weight — emulation traffic is dominated
+    by inter-FPGA nets riding TDM wires.
     """
     num_dies = system.num_dies
     fpga_of = [system.dies[die].fpga_index for die in range(num_dies)]
@@ -243,26 +230,11 @@ def _sink_weights(
         for die in range(num_dies):
             if die == src:
                 row.append(0.0)
-            elif spec.traffic_profile == "uniform":
-                row.append(1.0)
             elif fpga_of[die] == fpga_of[src]:
                 row.append(math.exp(-spec.locality * dist[src][die]))
             else:
                 row.append(spec.cross_weight * math.exp(-spec.locality))
         weights_by_source.append(row)
-    if spec.traffic_profile == "hotspot":
-        # Two hubs (the first die of the first two FPGAs) soak up weight
-        # equal to everything else combined.
-        hubs = [system.fpgas[0].die_indices[0]]
-        if system.num_fpgas > 1:
-            hubs.append(system.fpgas[1].die_indices[0])
-        for src in range(num_dies):
-            row = weights_by_source[src]
-            rest = sum(row)
-            boost = rest / len(hubs) if rest else 1.0
-            for hub in hubs:
-                if hub != src:
-                    row[hub] += boost
     return weights_by_source
 
 

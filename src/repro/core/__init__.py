@@ -10,7 +10,7 @@ router's topology (the Fig. 5(a) experiment).
 """
 
 from repro.core.config import RouterConfig
-from repro.core.incidence import TdmIncidence, build_incidence, build_reference
+from repro.core.incidence import TdmIncidence, build_incidence
 from repro.core.ordering import (
     WeightMode,
     estimate_edge_weights,
@@ -32,7 +32,6 @@ __all__ = [
     "TdmIncidence",
     "TimingDrivenRefiner",
     "build_incidence",
-    "build_reference",
     "LagrangianTdmAssigner",
     "LrHistory",
     "PhaseTimes",

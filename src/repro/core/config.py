@@ -56,12 +56,6 @@ class RouterConfig:
         lr_epsilon: relative primal-dual gap threshold (Algorithm 1's ε).
         refine_margin_epsilon: Algorithm 2 stops once the margin between a
             directed edge's wire budget and its demand drops below this.
-        incremental_rebuild_fraction: when a timing-reroute/ECO round
-            changed strictly fewer than this fraction of the connections,
-            phase II patches the previous
-            :class:`~repro.core.incidence.TdmIncidence` instead of
-            cold-rebuilding it (bit-identical either way).  ``0.0``
-            forces cold rebuilds.
 
     Resilience (docs/resilience.md):
 
@@ -85,7 +79,6 @@ class RouterConfig:
     lr_max_iterations: int = 100
     lr_epsilon: float = 1e-3
     refine_margin_epsilon: float = 1e-6
-    incremental_rebuild_fraction: float = 0.2
 
     wall_clock_budget_seconds: Optional[float] = None
 
@@ -110,8 +103,6 @@ class RouterConfig:
             raise ValueError("lr_epsilon must be positive")
         if self.refine_margin_epsilon < 0:
             raise ValueError("refine_margin_epsilon must be non-negative")
-        if not 0.0 <= self.incremental_rebuild_fraction <= 1.0:
-            raise ValueError("incremental_rebuild_fraction must be in [0, 1]")
         if (
             self.wall_clock_budget_seconds is not None
             and self.wall_clock_budget_seconds < 0

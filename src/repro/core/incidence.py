@@ -25,12 +25,8 @@ Two more entry points support the timing-reroute/ECO refine loops:
   connection set, so they warm-start the next solve unchanged.
 * :func:`build_incidence` is the gated front door used by phase II
   (:class:`~repro.core.router.TdmAssigner`): it picks the incremental
-  path when few enough connections changed and publishes the
-  ``incidence.*`` obs counters.
-
-:func:`build_reference` keeps the original pure-Python construction; the
-equivalence property tests (and the phase II benchmark's reference
-pipeline) compare against it bit-for-bit.
+  path when fewer than :data:`INCREMENTAL_REBUILD_FRACTION` of the
+  connections changed and publishes the ``incidence.*`` obs counters.
 """
 
 from __future__ import annotations
@@ -50,6 +46,12 @@ from repro.route.solution import (
     tdm_pairs,
 )
 from repro.timing.delay import DelayModel
+
+#: :func:`build_incidence` patches the previous incidence when strictly
+#: fewer than this fraction of the connections changed, and cold-builds
+#: otherwise.  Both builds are bit-identical; the gate only picks the
+#: cheaper one.
+INCREMENTAL_REBUILD_FRACTION = 0.2
 
 
 class TdmIncidence:
@@ -409,21 +411,6 @@ class TdmIncidence:
                 indptr[group] : indptr[group + 1]
             ]
 
-    # ------------------------------------------------------------------
-    # Solution scatter/gather
-    # ------------------------------------------------------------------
-    def ratios_from_solution(self, solution: RoutingSolution) -> np.ndarray:
-        """Gather ``solution.ratios`` into a per-pair array."""
-        return np.fromiter(
-            map(solution.ratios.__getitem__, self.uses),
-            dtype=np.float64,
-            count=self.num_pairs,
-        )
-
-    def write_ratios(self, solution: RoutingSolution, pair_ratios: np.ndarray) -> None:
-        """Scatter a per-pair ratio array into ``solution.ratios``."""
-        solution.ratios.update(zip(self.uses, pair_ratios.tolist()))
-
 
 def build_incidence(
     system: MultiFpgaSystem,
@@ -432,16 +419,13 @@ def build_incidence(
     delay_model: DelayModel,
     previous: Optional[TdmIncidence] = None,
     changed_connections: Optional[Iterable[int]] = None,
-    incremental_fraction: float = 0.0,
     tracer: Optional[object] = None,
 ) -> TdmIncidence:
     """Build an incidence, incrementally when few connections changed.
 
     The incremental path runs when a previous incidence and the changed
     connection set are given and the changed share is strictly below
-    ``incremental_fraction`` (the router's
-    ``RouterConfig.incremental_rebuild_fraction``, 20% by default;
-    ``0.0`` forces cold rebuilds).  Publishes the ``incidence.*``
+    :data:`INCREMENTAL_REBUILD_FRACTION`.  Publishes the ``incidence.*``
     counters on ``tracer`` when one is given.
     """
     changed: Optional[List[int]] = None
@@ -452,7 +436,7 @@ def build_incidence(
         and changed is not None
         and netlist.num_connections > 0
         and previous.netlist is netlist
-        and len(changed) < incremental_fraction * netlist.num_connections
+        and len(changed) < INCREMENTAL_REBUILD_FRACTION * netlist.num_connections
     ):
         incidence = TdmIncidence.incremental(previous, solution, changed)
         if tracer is not None:
@@ -463,96 +447,3 @@ def build_incidence(
     if tracer is not None:
         tracer.add("incidence.cold_builds", 1)
     return incidence
-
-
-def build_reference(
-    system: MultiFpgaSystem,
-    netlist: Netlist,
-    solution: RoutingSolution,
-    delay_model: DelayModel,
-) -> TdmIncidence:
-    """The original pure-Python incidence construction, kept as an oracle.
-
-    Builds a fully functional :class:`TdmIncidence` (including the CSR
-    grouping, derived from the historical dict-of-lists) with per-hop
-    Python loops.  The equivalence property tests assert the vectorized
-    constructor matches this bit-for-bit; the phase II benchmark uses it
-    as the reference pipeline's construction stage.
-    """
-    inc = TdmIncidence.__new__(TdmIncidence)
-    inc.system = system
-    inc.netlist = netlist
-    inc.delay_model = delay_model
-    inc.num_connections = netlist.num_connections
-    inc._init_edge_columns()
-
-    uses: List[NetEdgeUse] = solution.all_net_uses()
-    use_index: Dict[NetEdgeUse, int] = {use: i for i, use in enumerate(uses)}
-    inc._index = None
-    inc._uses = uses
-    inc._use_index = use_index
-    inc.num_pairs = len(uses)
-
-    num_pairs = inc.num_pairs
-    inc.pair_net = np.fromiter(
-        (u[0] for u in uses), dtype=np.int64, count=num_pairs
-    )
-    inc.pair_edge = np.fromiter(
-        (u[1] for u in uses), dtype=np.int64, count=num_pairs
-    )
-    inc.pair_dir = np.fromiter(
-        (u[2] for u in uses), dtype=np.int64, count=num_pairs
-    )
-    capacities = [edge.capacity for edge in system.edges]
-    inc.pair_cap = np.fromiter(
-        (capacities[u[1]] for u in uses), dtype=np.int64, count=num_pairs
-    )
-
-    inc_conn: List[int] = []
-    inc_pair: List[int] = []
-    conn_sll = np.zeros(inc.num_connections, dtype=np.float64)
-    conn_tdm = np.zeros(inc.num_connections, dtype=np.int64)
-    conn_net = np.zeros(inc.num_connections, dtype=np.int64)
-    is_tdm = [edge.kind is EdgeKind.TDM for edge in system.edges]
-    d_sll = delay_model.d_sll
-    for conn in netlist.connections:
-        index = conn.index
-        net_index = conn.net_index
-        conn_net[index] = net_index
-        sll_sum = 0.0
-        tdm_hops = 0
-        for edge_index, direction in solution.path_hops(index):
-            if is_tdm[edge_index]:
-                inc_conn.append(index)
-                inc_pair.append(use_index[(net_index, edge_index, direction)])
-                tdm_hops += 1
-            else:
-                sll_sum += d_sll
-        conn_sll[index] = sll_sum
-        conn_tdm[index] = tdm_hops
-    inc.inc_conn = np.asarray(inc_conn, dtype=np.int64)
-    inc.inc_pair = np.asarray(inc_pair, dtype=np.int64)
-    inc.conn_sll_delay = conn_sll
-    inc.conn_tdm_hops = conn_tdm
-    inc.conn_net = conn_net
-
-    # Historical dict-of-lists grouping, converted to the CSR layout.
-    edge_dir_pairs: Dict[Tuple[int, int], List[int]] = {}
-    for i, (net, edge_index, direction) in enumerate(uses):
-        edge_dir_pairs.setdefault((edge_index, direction), []).append(i)
-    group_keys = sorted(edge_dir_pairs.keys())
-    inc.dir_edge = np.fromiter(
-        (key[0] for key in group_keys), dtype=np.int64, count=len(group_keys)
-    )
-    inc.dir_dir = np.fromiter(
-        (key[1] for key in group_keys), dtype=np.int64, count=len(group_keys)
-    )
-    flat: List[int] = []
-    indptr = [0]
-    for key in group_keys:
-        flat.extend(edge_dir_pairs[key])
-        indptr.append(len(flat))
-    inc.dir_pairs = np.asarray(flat, dtype=np.int64)
-    inc.dir_indptr = np.asarray(indptr, dtype=np.int64)
-    inc._dir_group_index = {key: g for g, key in enumerate(group_keys)}
-    return inc

@@ -16,6 +16,7 @@ of :class:`repro.core.incidence.TdmIncidence`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -28,12 +29,27 @@ from repro.obs import Tracer, get_logger
 _LAMBDA_FLOOR = 1e-16
 _ETA_FLOOR = 1e-30
 
+#: Lower clamp on the continuous Eq. 12 ratios.  Clamping a ratio *up*
+#: only decreases ``Σ 1/r``, so edge capacity constraints still hold.
+MIN_RATIO = 1.0
+
 logger = get_logger(__name__)
 
 
 @dataclass
 class LrIteration:
-    """Diagnostics of one LR iteration."""
+    """Diagnostics of one LR iteration.
+
+    ``lower_bound`` is the dual value ``λ·d`` at the iteration's ratios,
+    and ``gap`` is ``(critical_delay - lower_bound) / lower_bound``.
+    Neither is a certificate: Eq. 12 is solved under ``cap_e - 1``, which
+    is not a relaxation of the wire rule, and the ratios are clamped up to
+    :data:`MIN_RATIO` after the closed form, which can lift ``λ·d`` above
+    the subproblem's optimum.  So ``lower_bound`` is not a lower bound on
+    the critical delay of any legal solution; the sound bounds live in
+    :mod:`repro.analysis.lower_bound`.  The field names stay because
+    checkpoint payloads carry them.
+    """
 
     iteration: int
     critical_delay: float
@@ -62,7 +78,12 @@ class LrHistory:
 
     @property
     def final_gap(self) -> float:
-        """Relative primal-dual gap of the last iteration (inf when empty)."""
+        """Relative gap of the last iteration (inf when empty).
+
+        The LR's stopping test, not an optimality certificate: its dual
+        value is not a lower bound on any legal solution's critical delay
+        (see :class:`LrIteration`).
+        """
         if not self.iterations:
             return float("inf")
         return self.iterations[-1].gap
@@ -117,20 +138,15 @@ class LrHistory:
 class LagrangianTdmAssigner:
     """Runs Algorithm 1 over a :class:`TdmIncidence`.
 
+    The loop reuses preallocated √η/ratio/delay buffers and the
+    precomputed per-pair capacity gather across iterations.  Its
+    reductions are ``np.bincount`` scatters and pairwise ``ndarray.sum``
+    calls, never a BLAS product, so every float is independent of the
+    host's BLAS thread count.
+
     Args:
         incidence: the solution's TDM incidence arrays.
         config: router configuration (LR iteration cap and ε).
-        min_ratio: lower clamp on continuous ratios.  Clamping a ratio *up*
-            only decreases ``Σ 1/r``, so edge capacity constraints are
-            preserved.
-        update: multiplier update rule, ``"accelerated"`` (Eq. 13) or
-            ``"subgradient"`` (the classic comparison point).
-        buffered: reuse preallocated √η/ratio/delay buffers and the
-            precomputed per-pair capacity gather across iterations instead
-            of allocating fresh arrays each step.  The scatter-adds stay
-            ``np.bincount`` (the fastest scatter at these sizes), so the
-            accumulation order — and hence every result — is bit-identical
-            to the unbuffered allocation-per-iteration reference path.
         tracer: optional obs tracer; each iteration emits an
             ``lr.iteration`` event (gap, bounds, acceleration, ‖λ‖) when a
             sink is attached.
@@ -140,21 +156,11 @@ class LagrangianTdmAssigner:
         self,
         incidence: TdmIncidence,
         config: Optional[RouterConfig] = None,
-        min_ratio: float = 1.0,
-        update: str = "accelerated",
-        buffered: bool = True,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.incidence = incidence
         self.config = config if config is not None else RouterConfig()
         self.tracer = tracer if tracer is not None else Tracer()
-        if min_ratio <= 0:
-            raise ValueError("min_ratio must be positive")
-        if update not in ("accelerated", "subgradient"):
-            raise ValueError("update must be 'accelerated' or 'subgradient'")
-        self.min_ratio = min_ratio
-        self.update = update
-        self.buffered = buffered
         # Compact per-edge grouping of pairs (the Eq. 12 solve is per edge).
         self._edge_ids, self._pair_group = np.unique(
             incidence.pair_edge, return_inverse=True
@@ -164,17 +170,13 @@ class LagrangianTdmAssigner:
             group_caps = np.empty(self._num_groups, dtype=np.float64)
             # All pairs of a group share the edge, hence the capacity.
             group_caps[self._pair_group] = incidence.pair_cap
-            self._group_cap_minus_1 = group_caps - 1.0
-        else:
-            self._group_cap_minus_1 = np.zeros(0, dtype=np.float64)
-        if buffered and incidence.num_pairs:
-            num_pairs = incidence.num_pairs
             # Per-pair gather of the per-group divisor, fixed for the run.
-            self._cap_pp = self._group_cap_minus_1[self._pair_group]
-            self._sqrt_buf = np.empty(num_pairs, dtype=np.float64)
-            self._ratio_buf = np.empty(num_pairs, dtype=np.float64)
-            self._delay_buf = np.empty(incidence.num_connections, dtype=np.float64)
-            self._lam_work = np.empty(incidence.num_connections, dtype=np.float64)
+            self._cap_pp = (group_caps - 1.0)[self._pair_group]
+        num_pairs = incidence.num_pairs
+        self._sqrt_buf = np.empty(num_pairs, dtype=np.float64)
+        self._ratio_buf = np.empty(num_pairs, dtype=np.float64)
+        self._delay_buf = np.empty(incidence.num_connections, dtype=np.float64)
+        self._lam_work = np.empty(incidence.num_connections, dtype=np.float64)
 
     # ------------------------------------------------------------------
     def solve(
@@ -215,16 +217,14 @@ class LagrangianTdmAssigner:
         best_ratios: Optional[np.ndarray] = None
         best_delays: Optional[np.ndarray] = None
         prev_lower_bound = -np.inf
+        work = self._lam_work
 
-        buffered = self.buffered
         for iteration in range(cfg.lr_max_iterations):
             ratios = self._solve_lrs(lam)
-            if buffered:
-                delays = inc.connection_delays(ratios, out=self._delay_buf)
-            else:
-                delays = inc.connection_delays(ratios)
+            delays = inc.connection_delays(ratios, out=self._delay_buf)
             critical = float(delays.max())
-            lower_bound = float(np.dot(lam, delays))
+            # The dual value λ·d (see LrIteration: not a certificate).
+            lower_bound = float(np.multiply(lam, delays, out=work).sum())
             gap = (critical - lower_bound) / max(lower_bound, 1e-12)
             history.iterations.append(
                 LrIteration(
@@ -243,14 +243,14 @@ class LagrangianTdmAssigner:
                     lower_bound=lower_bound,
                     gap=gap,
                     acceleration=acceleration,
-                    lambda_norm=float(np.linalg.norm(lam)),
+                    lambda_norm=math.sqrt(np.square(lam, out=work).sum()),
                 )
             if critical < best_delay:
                 best_delay = critical
-                # The buffered loop reuses the ratio/delay buffers on the
-                # next iteration, so the best-so-far state is snapshotted.
-                best_ratios = ratios.copy() if buffered else ratios
-                best_delays = delays.copy() if buffered else delays
+                # The ratio/delay buffers are reused on the next
+                # iteration, so the best-so-far state is snapshotted.
+                best_ratios = ratios.copy()
+                best_delays = delays.copy()
             if gap < cfg.lr_epsilon:
                 history.converged = True
                 break
@@ -263,41 +263,21 @@ class LagrangianTdmAssigner:
                     gap,
                 )
                 break
-            if self.update == "accelerated":
-                # Acceleration factor (the paper follows [15]): speed up
-                # while the dual bound keeps improving, damp otherwise.
-                if lower_bound > prev_lower_bound:
-                    acceleration = min(acceleration * 1.1, 4.0)
-                else:
-                    acceleration = max(acceleration * 0.8, 0.25)
-                prev_lower_bound = max(prev_lower_bound, lower_bound)
-                # Eq. 13 multiplicative update, then re-normalize to
-                # satisfy the KKT condition Σλ = 1 (Eq. 8).
-                if critical > 0:
-                    if buffered:
-                        work = self._lam_work
-                        np.maximum(delays, 1e-12, out=work)
-                        np.divide(work, critical, out=work)
-                        np.power(work, acceleration, out=work)
-                        np.multiply(lam, work, out=lam)
-                    else:
-                        lam = lam * np.power(
-                            np.maximum(delays, 1e-12) / critical, acceleration
-                        )
+            # Acceleration factor (the paper follows [15]): speed up
+            # while the dual value keeps improving, damp otherwise.
+            if lower_bound > prev_lower_bound:
+                acceleration = min(acceleration * 1.1, 4.0)
             else:
-                # Classic projected subgradient with a 1/k step: the
-                # comparison point the [15]-style acceleration is measured
-                # against (see benchmarks/bench_lr_update.py).
-                subgradient = delays - lower_bound
-                norm = float(np.linalg.norm(subgradient))
-                if norm > 0 and critical > 0:
-                    step = 1.0 / ((iteration + 1) * norm)
-                    lam = lam + step * subgradient
-                prev_lower_bound = max(prev_lower_bound, lower_bound)
-            if buffered:
-                np.maximum(lam, _LAMBDA_FLOOR, out=lam)
-            else:
-                lam = np.maximum(lam, _LAMBDA_FLOOR)
+                acceleration = max(acceleration * 0.8, 0.25)
+            prev_lower_bound = max(prev_lower_bound, lower_bound)
+            # Eq. 13 multiplicative update, then re-normalize to satisfy
+            # the KKT condition Σλ = 1 (Eq. 8).
+            if critical > 0:
+                np.maximum(delays, 1e-12, out=work)
+                np.divide(work, critical, out=work)
+                np.power(work, acceleration, out=work)
+                np.multiply(lam, work, out=lam)
+            np.maximum(lam, _LAMBDA_FLOOR, out=lam)
             lam /= lam.sum()
 
         assert best_ratios is not None and best_delays is not None
@@ -320,44 +300,24 @@ class LagrangianTdmAssigner:
 
     # ------------------------------------------------------------------
     def _solve_lrs(self, lam: np.ndarray) -> np.ndarray:
-        """Closed-form optimum of the LR subproblem (Eq. 12) per TDM edge.
-
-        The buffered path runs the identical operation sequence, reusing
-        the √η/ratio buffers and the precomputed capacity gather; the
-        scatter-adds are the same ``np.bincount`` calls either way.
-        """
+        """Closed-form optimum of the LR subproblem (Eq. 12) per TDM edge."""
         inc = self.incidence
-        if self.buffered:
-            # Eq. 10: η_ne = d1 * Σ_{c of n using e} λ_c.
-            eta = np.bincount(
-                inc.inc_pair, weights=lam[inc.inc_conn], minlength=inc.num_pairs
-            )
-            np.multiply(eta, inc.delay_model.d1, out=eta)
-            np.maximum(eta, _ETA_FLOOR, out=eta)
-            sqrt_eta = np.sqrt(eta, out=self._sqrt_buf)
-            group_sum = np.bincount(
-                self._pair_group, weights=sqrt_eta, minlength=self._num_groups
-            )
-            # Eq. 12: r_ne = (Σ_{n'} sqrt(η_{n'e})) / (sqrt(η_ne) (cap_e - 1)).
-            numer = group_sum[self._pair_group]
-            np.multiply(sqrt_eta, self._cap_pp, out=sqrt_eta)
-            np.divide(numer, sqrt_eta, out=self._ratio_buf)
-            np.maximum(self._ratio_buf, self.min_ratio, out=self._ratio_buf)
-            return self._ratio_buf
         # Eq. 10: η_ne = d1 * Σ_{c of n using e} λ_c.
-        eta = inc.delay_model.d1 * np.bincount(
+        eta = np.bincount(
             inc.inc_pair, weights=lam[inc.inc_conn], minlength=inc.num_pairs
         )
-        eta = np.maximum(eta, _ETA_FLOOR)
-        sqrt_eta = np.sqrt(eta)
+        np.multiply(eta, inc.delay_model.d1, out=eta)
+        np.maximum(eta, _ETA_FLOOR, out=eta)
+        sqrt_eta = np.sqrt(eta, out=self._sqrt_buf)
         group_sum = np.bincount(
             self._pair_group, weights=sqrt_eta, minlength=self._num_groups
         )
         # Eq. 12: r_ne = (Σ_{n'} sqrt(η_{n'e})) / (sqrt(η_ne) (cap_e - 1)).
-        ratios = group_sum[self._pair_group] / (
-            sqrt_eta * self._group_cap_minus_1[self._pair_group]
-        )
-        return np.maximum(ratios, self.min_ratio)
+        numer = group_sum[self._pair_group]
+        np.multiply(sqrt_eta, self._cap_pp, out=sqrt_eta)
+        np.divide(numer, sqrt_eta, out=self._ratio_buf)
+        np.maximum(self._ratio_buf, MIN_RATIO, out=self._ratio_buf)
+        return self._ratio_buf
 
 
 @dataclass

@@ -196,7 +196,7 @@ class TdmAssigner:
                 derived from (a timing round's incumbent, the solution
                 before an ECO); with ``changed_connections`` it enables
                 the incremental rebuild (gated on
-                ``config.incremental_rebuild_fraction``).
+                :data:`~repro.core.incidence.INCREMENTAL_REBUILD_FRACTION`).
             changed_connections: connection indices whose path differs
                 from ``prev_incidence``'s topology.
             warm_start: multipliers of a previous LR solve.
@@ -226,7 +226,6 @@ class TdmAssigner:
             self.delay_model,
             previous=prev_incidence,
             changed_connections=changed_connections,
-            incremental_fraction=self.config.incremental_rebuild_fraction,
             tracer=tracer,
         )
         if not incidence.num_pairs:

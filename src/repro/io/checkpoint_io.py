@@ -14,7 +14,7 @@ Schema::
 
     {
       "kind": "repro.checkpoint",
-      "schema_version": 4,
+      "schema_version": 5,
       "barrier": "<one of KNOWN_BARRIERS>",
       "sequence": <int, write order within a run>,
       "case": {...},          # case_to_dict
@@ -31,9 +31,10 @@ from pathlib import Path
 from typing import Any, Dict, List, Union
 
 CHECKPOINT_KIND = "repro.checkpoint"
-#: v2, v3 and v4 each dropped ``RouterConfig`` fields (three, four, then
-#: four more) that every document of the version before embeds.
-CHECKPOINT_SCHEMA_VERSION = 4
+#: v2, v3, v4 and v5 each dropped ``RouterConfig`` fields (three, four,
+#: four more, then the incremental-rebuild gate) that every document of
+#: the version before embeds.
+CHECKPOINT_SCHEMA_VERSION = 5
 
 #: Barrier -> the payload keys resuming from it reads, with the barriers
 #: in the order a full run reaches them.  ``phase1.round`` and

@@ -108,7 +108,7 @@ def case_from_dict(data: Dict[str, Any]):
         netlist = Netlist(nets)
         netlist.validate_against(system.num_dies)
         return system, netlist, model
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, JsonFormatError):
             raise
         raise JsonFormatError(f"malformed JSON case: {exc}") from exc

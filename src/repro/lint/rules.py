@@ -6,8 +6,9 @@ rely on.  The three themes:
 * **Determinism** — bit-identical reruns and thread-count-independent
   results (CONTRIBUTING's "determinism is a feature") need seeded RNGs
   (REPRO003), ordered iteration in routing decisions (REPRO005), no
-  tie-breaking on float equality (REPRO006) and order-independent
-  serialization (REPRO007).
+  tie-breaking on float equality (REPRO006), order-independent
+  serialization (REPRO007) and no BLAS reductions, whose last bits
+  follow the BLAS thread count (REPRO015).
 * **Observability discipline** — spans are the sanctioned clock
   (REPRO001), loggers the sanctioned progress channel (REPRO002,
   REPRO009), and metric names a closed, documentable vocabulary
@@ -623,3 +624,68 @@ class ConfigConstructionRule(Rule):
         name = dotted_name(node.func)
         if name is not None and self._is_banned(name):
             yield ctx.finding(self, node, f"{name}() outside the facade")
+
+
+@register
+class BlasCallRule(Rule):
+    """REPRO015: no BLAS-backed numpy calls in the bit-identity layers.
+
+    numpy hands ``dot``, ``vdot``, ``inner``, ``matmul`` (the ``@``
+    operator) and ``numpy.linalg`` to the host's BLAS library, which may
+    split a long reduction across its threads.  The summation order, and
+    so the last bits of the result, then depend on the host's BLAS thread
+    count.  Core, route and timing values feed fingerprints and delays
+    that must be bit-identical on every host, so those layers reduce with
+    ``ndarray.sum`` (numpy's own pairwise sum) or ``np.bincount``.
+
+    Detection is syntactic: ``@``/``@=``, any ``.dot(...)`` call, the
+    four functions and ``linalg`` reached through ``np``/``numpy``, and
+    imports of them from numpy.
+    """
+
+    rule_id = "REPRO015"
+    title = "no BLAS-backed numpy calls in core/route/timing"
+    rationale = (
+        "BLAS splits long reductions across its threads, so the last bits "
+        "of a dot product or norm depend on the host's BLAS thread count"
+    )
+    remedy = (
+        "np.multiply(a, b).sum() for a dot product, "
+        "math.sqrt(np.square(x).sum()) for a norm"
+    )
+    node_types = (ast.Call, ast.BinOp, ast.AugAssign, ast.Import, ast.ImportFrom)
+    include = ("repro.core", "repro.route", "repro.timing")
+
+    _NUMPY = ("np", "numpy")
+    _BLAS_NAMES = frozenset({"dot", "vdot", "inner", "matmul", "linalg"})
+
+    def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
+        """Flag ``@``, ``.dot(...)``, numpy BLAS functions and imports."""
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            if isinstance(node.op, ast.MatMult):
+                yield ctx.finding(self, node, "matrix product operator @")
+        elif isinstance(node, ast.Call):
+            name = dotted_name(node.func)
+            parts = name.split(".") if name is not None else []
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "dot":
+                yield ctx.finding(self, node, f"{name or '.dot'}() goes to BLAS")
+            elif (
+                len(parts) >= 2
+                and parts[0] in self._NUMPY
+                and parts[1] in self._BLAS_NAMES
+            ):
+                yield ctx.finding(self, node, f"{name}() goes to BLAS")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("numpy.linalg"):
+                    yield ctx.finding(self, node, f"import {alias.name}")
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.startswith("numpy.linalg"):
+                yield ctx.finding(self, node, f"import from {module}")
+            elif module == "numpy":
+                for alias in node.names:
+                    if alias.name in self._BLAS_NAMES:
+                        yield ctx.finding(
+                            self, node, f"import of numpy.{alias.name}"
+                        )

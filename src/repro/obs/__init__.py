@@ -42,10 +42,8 @@ from repro.obs.profile import (
 )
 from repro.obs.quantiles import (
     DEFAULT_RELATIVE_ERROR,
-    ExactQuantiles,
     HistogramSummary,
     QuantileSketch,
-    quantile_accumulator,
 )
 from repro.obs.report import (
     REPORT_KIND,
@@ -73,7 +71,6 @@ from repro.obs.tracer import Span, TelemetrySnapshot, Tracer
 __all__ = [
     "AttributionRow",
     "DEFAULT_RELATIVE_ERROR",
-    "ExactQuantiles",
     "HistogramSummary",
     "InMemorySink",
     "JsonlSink",
@@ -99,7 +96,6 @@ __all__ = [
     "get_logger",
     "iter_jsonl",
     "load_profile",
-    "quantile_accumulator",
     "read_jsonl",
     "validate_run_report",
     "write_run_report",

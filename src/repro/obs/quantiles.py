@@ -11,15 +11,12 @@ module provides the bounded-memory replacement:
   O(number of occupied buckets) memory regardless of observation count.
   Negative values get a mirrored bucket store; values with magnitude at
   or below :data:`ZERO_EPSILON` share one zero bucket.
-* :class:`ExactQuantiles` — the exact-mode fallback that retains every
-  observation.  Tests and the hypothesis error-bound properties use it
-  as the oracle; memory is O(n).
 
-Both expose the same surface (``observe`` / ``quantile`` / ``merge`` /
-``summary``) so :class:`~repro.obs.tracer.Tracer` can swap them via its
-``histogram_mode``.  Quantiles use the **nearest-rank** definition: for
-``q`` in (0, 1], the quantile is the value at rank ``ceil(q * count)``
-of the sorted observations; ``q = 0`` is the minimum.
+Every :class:`~repro.obs.tracer.Tracer` histogram is one.  Quantiles use
+the **nearest-rank** definition: for ``q`` in (0, 1], the quantile is
+the value at rank ``ceil(q * count)`` of the sorted observations;
+``q = 0`` is the minimum.  The tests hold the sketch to an exact
+accumulator that retains every observation.
 
 A :class:`HistogramSummary` is the frozen, JSON-ready digest
 (count/sum/min/max/p50/p90/p99) that
@@ -30,12 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional
 
 #: Magnitudes at or below this collapse into the sketch's zero bucket.
 ZERO_EPSILON = 1e-12
 
-#: Default relative error of sketch-mode tracer histograms (1%).
+#: Default relative error of the sketch, and of every tracer histogram (1%).
 DEFAULT_RELATIVE_ERROR = 0.01
 
 #: The quantiles surfaced in summaries and run reports.
@@ -49,15 +46,16 @@ class HistogramSummary:
     Attributes:
         count: number of observations.
         total: sum of observations.
-        minimum: smallest observation (exact in both modes).
-        maximum: largest observation (exact in both modes).
+        minimum: smallest observation (tracked exactly).
+        maximum: largest observation (tracked exactly).
         p50: median estimate (nearest-rank).
         p90: 90th-percentile estimate.
         p99: 99th-percentile estimate.
-        mode: ``"sketch"`` or ``"exact"``.
-        relative_error: the sketch's error bound ``alpha`` (0.0 in exact
-            mode) — quantile estimates are within ``alpha * |true|`` of
-            the true nearest-rank quantile.
+        mode: the accumulator kind; ``"sketch"`` for every tracer
+            histogram (the run report carries it).
+        relative_error: the sketch's error bound ``alpha`` — quantile
+            estimates are within ``alpha * |true|`` of the true
+            nearest-rank quantile.
     """
 
     count: int
@@ -110,86 +108,6 @@ def _nearest_rank(q: float, count: int) -> int:
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q}")
     return max(1, min(count, int(math.ceil(q * count - 1e-12))))
-
-
-class ExactQuantiles:
-    """Exact quantile accumulator retaining every observation.
-
-    The test oracle and the ``histogram_mode="exact"`` tracer backend.
-    """
-
-    __slots__ = ("_values", "_sorted", "_total")
-
-    mode = "exact"
-    relative_error = 0.0
-
-    def __init__(self) -> None:
-        self._values: List[float] = []
-        self._sorted = True
-        self._total = 0.0
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        value = float(value)
-        if self._values and value < self._values[-1]:
-            self._sorted = False
-        self._values.append(value)
-        self._total += value
-
-    @property
-    def count(self) -> int:
-        return len(self._values)
-
-    @property
-    def total(self) -> float:
-        return self._total
-
-    @property
-    def minimum(self) -> float:
-        return min(self._values) if self._values else 0.0
-
-    @property
-    def maximum(self) -> float:
-        return max(self._values) if self._values else 0.0
-
-    @property
-    def values(self) -> List[float]:
-        """The raw observations, in observation order."""
-        return list(self._values)
-
-    def quantile(self, q: float) -> float:
-        """Exact nearest-rank quantile.
-
-        Raises:
-            ValueError: on an empty accumulator or ``q`` outside [0, 1].
-        """
-        if not self._values:
-            raise ValueError("quantile of an empty histogram")
-        if not self._sorted:
-            self._values.sort()
-            self._sorted = True
-        return self._values[_nearest_rank(q, len(self._values)) - 1]
-
-    def merge(self, other: "ExactQuantiles") -> None:
-        """Fold another exact accumulator into this one."""
-        for value in other._values:
-            self.observe(value)
-
-    def summary(self) -> HistogramSummary:
-        """The JSON-ready digest of the current state."""
-        if not self._values:
-            return HistogramSummary.empty(self.mode, self.relative_error)
-        return HistogramSummary(
-            count=self.count,
-            total=self._total,
-            minimum=self.minimum,
-            maximum=self.maximum,
-            p50=self.quantile(0.50),
-            p90=self.quantile(0.90),
-            p99=self.quantile(0.99),
-            mode=self.mode,
-            relative_error=self.relative_error,
-        )
 
 
 class QuantileSketch:
@@ -358,27 +276,3 @@ class QuantileSketch:
             mode=self.mode,
             relative_error=self.relative_error,
         )
-
-
-#: Either histogram backend (what ``Tracer._histograms`` stores).
-QuantileAccumulator = Union[ExactQuantiles, QuantileSketch]
-
-#: The tracer histogram modes and their accumulator factories.
-HISTOGRAM_MODES = ("sketch", "exact")
-
-
-def quantile_accumulator(
-    mode: str, relative_error: float = DEFAULT_RELATIVE_ERROR
-) -> QuantileAccumulator:
-    """Construct the accumulator for a tracer ``histogram_mode``.
-
-    Raises:
-        ValueError: on an unknown mode.
-    """
-    if mode == "sketch":
-        return QuantileSketch(relative_error)
-    if mode == "exact":
-        return ExactQuantiles()
-    raise ValueError(
-        f"unknown histogram mode {mode!r}; expected one of {HISTOGRAM_MODES}"
-    )

@@ -8,9 +8,10 @@ plays two roles at once:
   recorded, whatever the sink: they are cheap (they are only touched at
   phase/round granularity, never per node pop) and they feed the run
   report (:mod:`repro.obs.report`) even when no trace file is requested.
-  Histograms are streaming quantile sketches by default
+  Histograms are streaming quantile sketches
   (:mod:`repro.obs.quantiles` — O(sketch) memory however long the run);
-  ``histogram_mode="exact"`` retains raw observations for tests.
+  a reader that needs the raw values attaches a sink and reads the
+  ``observe`` events.
 * an **event emitter** — per-iteration events (PathFinder rounds, LR
   iterations) and span records streamed to a :class:`~repro.obs.sinks
   .TraceSink`.  Emission is gated on :attr:`Tracer.enabled`; with the
@@ -42,13 +43,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.obs.quantiles import (
-    DEFAULT_RELATIVE_ERROR,
-    HISTOGRAM_MODES,
-    HistogramSummary,
-    QuantileAccumulator,
-    quantile_accumulator,
-)
+from repro.obs.quantiles import HistogramSummary, QuantileSketch
 from repro.obs.sinks import NullSink, TraceSink
 
 
@@ -135,37 +130,24 @@ class Tracer:
             :class:`~repro.obs.sinks.NullSink` and leaves
             :attr:`enabled` False so hot call sites skip event
             construction after a single attribute check.
-        histogram_mode: ``"sketch"`` (default) keeps each histogram as a
-            bounded-memory :class:`~repro.obs.quantiles.QuantileSketch`;
-            ``"exact"`` retains every raw observation (tests, oracles).
-        histogram_relative_error: sketch-mode error bound ``alpha`` —
-            reported quantiles are within ``alpha * |true quantile|``.
+
+    Each histogram is a bounded-memory
+    :class:`~repro.obs.quantiles.QuantileSketch` with the default error
+    bound (:data:`~repro.obs.quantiles.DEFAULT_RELATIVE_ERROR`).
     """
 
     _NULL = NullSink()
 
-    def __init__(
-        self,
-        sink: Optional[TraceSink] = None,
-        histogram_mode: str = "sketch",
-        histogram_relative_error: float = DEFAULT_RELATIVE_ERROR,
-    ) -> None:
-        if histogram_mode not in HISTOGRAM_MODES:
-            raise ValueError(
-                f"unknown histogram_mode {histogram_mode!r}; "
-                f"expected one of {HISTOGRAM_MODES}"
-            )
+    def __init__(self, sink: Optional[TraceSink] = None) -> None:
         self.sink: TraceSink = sink if sink is not None else self._NULL
         #: One attribute check is all a disabled call site pays.
         self.enabled: bool = not isinstance(self.sink, NullSink)
-        self.histogram_mode = histogram_mode
-        self.histogram_relative_error = histogram_relative_error
         self.epoch = time.perf_counter()
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
         self._timers: Dict[str, float] = {}
-        self._histograms: Dict[str, QuantileAccumulator] = {}
+        self._histograms: Dict[str, QuantileSketch] = {}
         self._local = threading.local()
         self._num_spans = 0
         self._num_events = 0
@@ -236,19 +218,12 @@ class Tracer:
             )
 
     def observe(self, name: str, value: float) -> None:
-        """Record one observation into a named histogram.
-
-        Sketch mode (the default) folds the value into a bounded-memory
-        quantile sketch; exact mode retains it raw.
-        """
+        """Fold one observation into a named histogram's quantile sketch."""
         with self._lock:
-            accumulator = self._histograms.get(name)
-            if accumulator is None:
-                accumulator = quantile_accumulator(
-                    self.histogram_mode, self.histogram_relative_error
-                )
-                self._histograms[name] = accumulator
-            accumulator.observe(value)
+            sketch = self._histograms.get(name)
+            if sketch is None:
+                sketch = self._histograms[name] = QuantileSketch()
+            sketch.observe(value)
         if self.enabled:
             self._emit(
                 {
@@ -298,36 +273,17 @@ class Tracer:
         """Last value written to a gauge."""
         return self._gauges.get(name, default)
 
-    def histogram(self, name: str) -> List[float]:
-        """All raw observations of a histogram (exact mode only).
-
-        Raises:
-            ValueError: in sketch mode — raw observations are not
-                retained; use :meth:`histogram_summary` or
-                :meth:`quantile` instead.
-        """
-        accumulator = self._histograms.get(name)
-        if accumulator is None:
-            return []
-        if self.histogram_mode != "exact":
-            raise ValueError(
-                "raw observations are only retained in exact histogram "
-                "mode; use histogram_summary()/quantile() or construct "
-                'Tracer(histogram_mode="exact")'
-            )
-        return accumulator.values
-
     def histogram_summary(self, name: str) -> Optional[HistogramSummary]:
         """Digest (count/sum/min/max/p50/p90/p99) of a histogram.
 
         Returns ``None`` when the name was never observed.
         """
         with self._lock:
-            accumulator = self._histograms.get(name)
-            return accumulator.summary() if accumulator is not None else None
+            sketch = self._histograms.get(name)
+            return sketch.summary() if sketch is not None else None
 
     def quantile(self, name: str, q: float) -> float:
-        """Quantile ``q`` of a histogram (sketch estimate or exact).
+        """Quantile ``q`` of a histogram (a sketch estimate).
 
         Raises:
             KeyError: when the name was never observed.

@@ -168,6 +168,13 @@ class TestRouteRequestExecution:
         assert response.error and "missing.txt" in response.error
         assert response.fingerprint is None
 
+    def test_case_file_holding_a_list_fails_as_a_format_error(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("[]")
+        response = api.route_request(RouteRequest(case_file=str(path)))
+        assert response.status == "failed"
+        assert response.error.startswith("JsonFormatError")
+
     def test_execute_request_raises_instead(self, tmp_path):
         request = RouteRequest(case_file=str(tmp_path / "missing.txt"))
         with pytest.raises(FileNotFoundError):

@@ -205,5 +205,3 @@ class TestRouterConfigContract:
     def test_invalid_resilience_knobs_rejected(self):
         with pytest.raises(ValueError):
             repro.RouterConfig(wall_clock_budget_seconds=-1.0)
-        with pytest.raises(ValueError):
-            repro.RouterConfig(incremental_rebuild_fraction=1.5)

@@ -97,52 +97,6 @@ class TestGeneration:
         case.netlist.validate_against(case.system.num_dies)
 
 
-class TestTrafficProfiles:
-    def make_spec(self, profile):
-        return BenchmarkSpec(
-            "tp",
-            num_fpgas=2,
-            sll_wires_total=6000,
-            num_tdm_edges=2,
-            tdm_wires_total=40,
-            num_nets=200,
-            num_connections=300,
-            seed=5,
-            traffic_profile=profile,
-        )
-
-    def test_unknown_profile_rejected(self):
-        with pytest.raises(ValueError, match="profile"):
-            self.make_spec("bogus")
-
-    def test_uniform_spreads_pins(self):
-        from repro.analysis import netlist_stats
-
-        case = generate_case(self.make_spec("uniform"))
-        stats = netlist_stats(case.system, case.netlist)
-        pins = stats.die_pin_counts
-        assert max(pins) <= 2.2 * min(pins)  # near-uniform load
-
-    def test_hotspot_concentrates_pins(self):
-        from repro.analysis import netlist_stats
-
-        case = generate_case(self.make_spec("hotspot"))
-        stats = netlist_stats(case.system, case.netlist)
-        pins = stats.die_pin_counts
-        hubs = {0, 4}
-        assert stats.busiest_die() in hubs
-        hub_share = sum(pins[h] for h in hubs) / sum(pins)
-        assert hub_share > 0.35
-
-    def test_profiles_route_legally(self):
-        from repro import SynergisticRouter
-
-        for profile in ("uniform", "hotspot"):
-            case = generate_case(self.make_spec(profile))
-            result = SynergisticRouter(case.system, case.netlist).route()
-            assert result.conflict_count == 0, profile
-
-
 class TestFanoutPlan:
     def test_exact_connection_budget(self):
         spec = BenchmarkSpec(

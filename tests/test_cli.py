@@ -490,6 +490,12 @@ class TestResumeErrors:
         path = self._edited(case02_checkpoints["final"], tmp_path, case={})
         assert "case: " in self._resume_error(path, capsys)
 
+    def test_case_params_not_an_object(self, case02_checkpoints, tmp_path, capsys):
+        source = case02_checkpoints["final"]
+        case = json.loads(source.read_text())["case"]
+        path = self._edited(source, tmp_path, case=dict(case, params=[]))
+        assert "case: malformed JSON case" in self._resume_error(path, capsys)
+
     def test_malformed_config(self, case02_checkpoints, tmp_path, capsys):
         path = self._edited(
             case02_checkpoints["final"], tmp_path, config={"mu": 0.5}
@@ -750,7 +756,7 @@ class TestResumeErrors:
         # Each version bump dropped config fields that every document of
         # the older version embeds.
         path = tmp_path / "ckpt_0000.json"
-        for version in (1, 2, 3):
+        for version in (1, 2, 3, 4):
             doc = {
                 "kind": "repro.checkpoint",
                 "schema_version": version,

@@ -45,8 +45,6 @@ class TestRouterConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"incremental_rebuild_fraction": -0.1},
-            {"incremental_rebuild_fraction": 1.1},
             {"wall_clock_budget_seconds": -1.0},
             {"wall_clock_budget_seconds": -1e-9},
             {"wall_clock_budget_seconds": float("-inf")},
@@ -77,7 +75,6 @@ config_mappings = st.fixed_dictionaries(
         "lr_max_iterations": st.integers(min_value=1, max_value=500),
         "lr_epsilon": st.floats(min_value=1e-9, max_value=1.0),
         "refine_margin_epsilon": st.floats(min_value=0.0, max_value=1.0),
-        "incremental_rebuild_fraction": st.floats(min_value=0.0, max_value=1.0),
         "wall_clock_budget_seconds": st.none()
         | st.floats(min_value=0.0, max_value=3600.0),
     },

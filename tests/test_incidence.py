@@ -1,14 +1,26 @@
 """Unit tests for the TDM incidence arrays."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro import DelayModel, Net, Netlist
-from repro.core.incidence import TdmIncidence, build_incidence, build_reference
+from repro.core.incidence import (
+    INCREMENTAL_REBUILD_FRACTION,
+    TdmIncidence,
+    build_incidence,
+)
 from repro.obs import Tracer
 from repro.route.solution import RoutingSolution
 from repro.timing import TimingAnalyzer
 from tests.conftest import build_two_fpga_system, random_netlist
+from tests.oracles import (
+    assert_incidences_bit_equal,
+    build_reference,
+    ratios_from_solution,
+    write_ratios,
+)
 from repro.core.initial_routing import InitialRouter
 
 
@@ -92,8 +104,8 @@ class TestEvaluations:
         system, netlist, model, solution = incidence_case
         inc = TdmIncidence(system, netlist, solution, model)
         ratios = np.array([8.0, 16.0])
-        inc.write_ratios(solution, ratios)
-        back = inc.ratios_from_solution(solution)
+        write_ratios(inc, solution, ratios)
+        back = ratios_from_solution(inc, solution)
         assert np.allclose(back, ratios)
 
     def test_empty_case(self):
@@ -111,45 +123,11 @@ class TestEvaluations:
 # ----------------------------------------------------------------------
 # Vectorized construction vs. the pure-Python reference builder
 # ----------------------------------------------------------------------
-
-#: Every array attribute the phase II pipeline consumes.
-_ARRAY_ATTRS = [
-    "inc_conn",
-    "inc_pair",
-    "conn_sll_delay",
-    "conn_tdm_hops",
-    "conn_net",
-    "pair_net",
-    "pair_edge",
-    "pair_dir",
-    "pair_cap",
-    "dir_pairs",
-    "dir_indptr",
-    "dir_edge",
-    "dir_dir",
-]
-
-
 def _routed_case(seed, num_nets=60):
     system = build_two_fpga_system(sll_capacity=20, tdm_capacity=8, num_tdm_edges=3)
     netlist = random_netlist(system, num_nets, seed=seed)
     solution = InitialRouter(system, netlist).route()
     return system, netlist, solution
-
-
-def _assert_incidences_bit_equal(fast, ref):
-    assert fast.uses == ref.uses
-    assert fast.use_index == ref.use_index
-    assert fast.num_pairs == ref.num_pairs
-    for name in _ARRAY_ATTRS:
-        a, b = getattr(fast, name), getattr(ref, name)
-        assert a.dtype == b.dtype, name
-        assert np.array_equal(a, b), name
-    assert fast.directed_edges() == ref.directed_edges()
-    for edge_index, direction in ref.directed_edges():
-        assert fast.pairs_of_directed_edge(
-            edge_index, direction
-        ) == ref.pairs_of_directed_edge(edge_index, direction)
 
 
 class TestVectorizedEquivalence:
@@ -161,7 +139,7 @@ class TestVectorizedEquivalence:
         model = DelayModel()
         fast = TdmIncidence(system, netlist, solution, model)
         ref = build_reference(system, netlist, solution, model)
-        _assert_incidences_bit_equal(fast, ref)
+        assert_incidences_bit_equal(fast, ref)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_evaluations_bit_equal(self, seed):
@@ -199,11 +177,11 @@ class TestVectorizedEquivalence:
         ratios = np.arange(fast.num_pairs, dtype=np.float64) + 2.0
         fast_sol = solution.copy_topology()
         ref_sol = solution.copy_topology()
-        fast.write_ratios(fast_sol, ratios)
-        ref.write_ratios(ref_sol, ratios)
+        write_ratios(fast, fast_sol, ratios)
+        write_ratios(ref, ref_sol, ratios)
         assert fast_sol.ratios == ref_sol.ratios
         assert np.array_equal(
-            fast.ratios_from_solution(fast_sol), ref.ratios_from_solution(ref_sol)
+            ratios_from_solution(fast, fast_sol), ratios_from_solution(ref, ref_sol)
         )
 
     def test_directed_edge_groups_are_csr_slices(self):
@@ -252,14 +230,14 @@ class TestIncrementalRebuild:
         rerouted, changed = _reroute_some(system, netlist, solution, 100 + seed, 8)
         patched = TdmIncidence.incremental(previous, rerouted, changed)
         cold = TdmIncidence(system, netlist, rerouted, model)
-        _assert_incidences_bit_equal(patched, cold)
+        assert_incidences_bit_equal(patched, cold)
 
     def test_no_changes_is_identity(self):
         system, netlist, solution = _routed_case(6)
         model = DelayModel()
         previous = TdmIncidence(system, netlist, solution, model)
         patched = TdmIncidence.incremental(previous, solution, [])
-        _assert_incidences_bit_equal(patched, previous)
+        assert_incidences_bit_equal(patched, previous)
 
     def test_rejects_foreign_netlist(self):
         system, netlist, solution = _routed_case(7)
@@ -299,29 +277,32 @@ class TestBuildIncidenceGate:
             model,
             previous=previous,
             changed_connections=changed,
-            incremental_fraction=0.2,
             tracer=tracer,
         )
         assert self._builds(tracer) == (1, 0)
-        _assert_incidences_bit_equal(inc, TdmIncidence(system, netlist, rerouted, model))
+        assert_incidences_bit_equal(inc, TdmIncidence(system, netlist, rerouted, model))
 
     def test_cold_at_or_above_fraction(self):
         system, netlist, solution = _routed_case(9)
         model = DelayModel()
         previous = TdmIncidence(system, netlist, solution, model)
-        rerouted, changed = _reroute_some(system, netlist, solution, 99, 3)
+        # Exactly the gate's share of the connections: not strictly below.
+        count = math.ceil(INCREMENTAL_REBUILD_FRACTION * netlist.num_connections)
+        rerouted, changed = _reroute_some(system, netlist, solution, 99, count)
         tracer = Tracer()
-        build_incidence(
+        inc = build_incidence(
             system,
             netlist,
             rerouted,
             model,
             previous=previous,
             changed_connections=changed,
-            incremental_fraction=0.0,
             tracer=tracer,
         )
         assert self._builds(tracer) == (0, 1)
+        assert_incidences_bit_equal(
+            inc, TdmIncidence.incremental(previous, rerouted, changed)
+        )
 
     def test_cold_without_previous(self):
         system, netlist, solution = _routed_case(9)

@@ -51,6 +51,13 @@ class TestCaseRoundTrip:
         with pytest.raises(JsonFormatError):
             case_from_dict({"nets": []})
 
+    @pytest.mark.parametrize(
+        "data", [[], "x", {"params": []}], ids=["list", "string", "params-list"]
+    )
+    def test_non_object_rejected(self, data):
+        with pytest.raises(JsonFormatError, match="malformed JSON case"):
+            case_from_dict(data)
+
     def test_bad_net_rejected(self, case):
         system, netlist, model = case
         data = case_to_dict(system, netlist, model)

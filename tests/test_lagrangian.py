@@ -9,6 +9,7 @@ from repro.core.initial_routing import InitialRouter
 from repro.core.lagrangian import LagrangianTdmAssigner
 from repro.route.solution import RoutingSolution
 from tests.conftest import build_two_fpga_system, random_netlist
+from tests.oracles import assert_lr_bit_equal, reference_lr
 
 
 def solve_case(system, netlist, config=None):
@@ -97,13 +98,15 @@ class TestEqualization:
 
 
 class TestSubgradientVariant:
+    """The subgradient oracle is the comparison point of Eq. 13's update."""
+
     def test_subgradient_runs_and_is_feasible(self):
         system = build_two_fpga_system(tdm_capacity=8)
         netlist = random_netlist(system, 60, seed=13)
         model = DelayModel()
         solution = InitialRouter(system, netlist, model).route()
         inc = TdmIncidence(system, netlist, solution, model)
-        result = LagrangianTdmAssigner(inc, update="subgradient").solve()
+        result = reference_lr(inc, update="subgradient")
         per_edge = {}
         for pair, use in enumerate(inc.uses):
             per_edge[use[1]] = per_edge.get(use[1], 0.0) + 1.0 / result.ratios[pair]
@@ -117,18 +120,9 @@ class TestSubgradientVariant:
         config = RouterConfig(lr_max_iterations=80)
         solution = InitialRouter(system, netlist, model, config).route()
         inc = TdmIncidence(system, netlist, solution, model)
-        fast = LagrangianTdmAssigner(inc, config, update="accelerated").solve()
-        slow = LagrangianTdmAssigner(inc, config, update="subgradient").solve()
+        fast = LagrangianTdmAssigner(inc, config).solve()
+        slow = reference_lr(inc, config, update="subgradient")
         assert fast.history.final_gap <= slow.history.final_gap + 1e-9
-
-    def test_unknown_update_rejected(self):
-        system = build_two_fpga_system()
-        netlist = Netlist([Net("a", 3, (4,))])
-        model = DelayModel()
-        solution = InitialRouter(system, netlist, model).route()
-        inc = TdmIncidence(system, netlist, solution, model)
-        with pytest.raises(ValueError):
-            LagrangianTdmAssigner(inc, update="bogus")
 
 
 class TestEdgeCases:
@@ -143,21 +137,12 @@ class TestEdgeCases:
         assert result.ratios.size == 0
         assert result.history.num_iterations == 0
 
-    def test_bad_min_ratio_rejected(self):
-        system = build_two_fpga_system()
-        netlist = Netlist([Net("a", 3, (4,))])
-        model = DelayModel()
-        solution = InitialRouter(system, netlist, model).route()
-        inc = TdmIncidence(system, netlist, solution, model)
-        with pytest.raises(ValueError):
-            LagrangianTdmAssigner(inc, min_ratio=0)
-
 
 class TestBufferedSolve:
-    """The allocation-free loop must match the reference bit-for-bit."""
+    """The buffered loop must match the allocating oracle bit for bit."""
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("update", ["accelerated", "subgradient"])
+    @pytest.mark.parametrize("update", ["accelerated"])
     def test_bit_identical_to_unbuffered(self, seed, update):
         system = build_two_fpga_system(
             sll_capacity=20, tdm_capacity=8, num_tdm_edges=3
@@ -166,15 +151,9 @@ class TestBufferedSolve:
         model = DelayModel()
         solution = InitialRouter(system, netlist, model).route()
         inc = TdmIncidence(system, netlist, solution, model)
-        buffered = LagrangianTdmAssigner(inc, update=update, buffered=True).solve()
-        reference = LagrangianTdmAssigner(inc, update=update, buffered=False).solve()
-        assert np.array_equal(buffered.ratios, reference.ratios)
-        assert np.array_equal(
-            buffered.connection_delays, reference.connection_delays
+        assert_lr_bit_equal(
+            LagrangianTdmAssigner(inc).solve(), reference_lr(inc, update=update)
         )
-        assert np.array_equal(buffered.multipliers, reference.multipliers)
-        assert buffered.history.converged == reference.history.converged
-        assert buffered.history.iterations == reference.history.iterations
 
     def test_warm_start_bit_identical(self):
         system = build_two_fpga_system(tdm_capacity=8, num_tdm_edges=3)
@@ -182,11 +161,11 @@ class TestBufferedSolve:
         model = DelayModel()
         solution = InitialRouter(system, netlist, model).route()
         inc = TdmIncidence(system, netlist, solution, model)
-        warm = LagrangianTdmAssigner(inc, buffered=False).solve().multipliers
-        buffered = LagrangianTdmAssigner(inc, buffered=True).solve(warm_start=warm)
-        reference = LagrangianTdmAssigner(inc, buffered=False).solve(warm_start=warm)
-        assert np.array_equal(buffered.ratios, reference.ratios)
-        assert buffered.history.iterations == reference.history.iterations
+        warm = reference_lr(inc).multipliers
+        assert_lr_bit_equal(
+            LagrangianTdmAssigner(inc).solve(warm_start=warm),
+            reference_lr(inc, warm_start=warm),
+        )
 
     def test_warm_start_input_not_mutated(self):
         system = build_two_fpga_system(tdm_capacity=8)
@@ -196,5 +175,5 @@ class TestBufferedSolve:
         inc = TdmIncidence(system, netlist, solution, model)
         warm = np.full(inc.num_connections, 1.0 / inc.num_connections)
         snapshot = warm.copy()
-        LagrangianTdmAssigner(inc, buffered=True).solve(warm_start=warm)
+        LagrangianTdmAssigner(inc).solve(warm_start=warm)
         assert np.array_equal(warm, snapshot)

@@ -28,8 +28,9 @@ from repro.core.initial_routing import InitialRouter
 from repro.core.lagrangian import LagrangianTdmAssigner
 from repro.core.legalization import TdmLegalizer
 from repro.core.wire_assignment import WireAssigner, WireAssignmentStats
-from repro.obs import Tracer
+from repro.obs import InMemorySink, Tracer
 from tests.conftest import build_two_fpga_system, random_netlist
+from tests.oracles import write_ratios
 
 #: The default model and one whose criticality drop ``d1·p`` is not dyadic.
 MODELS = [DelayModel(), DelayModel(d1=0.3, tdm_step=1)]
@@ -94,7 +95,7 @@ class GreedyWireAssigner(WireAssigner):
 
     def assign(self, solution, ratios, wire_budgets, criticality):
         inc = self.incidence
-        inc.write_ratios(solution, ratios)
+        write_ratios(inc, solution, ratios)
         stats = WireAssignmentStats()
         edges = sorted({edge for edge, _ in inc.directed_edges()})
         ratio_list = ratios.tolist()
@@ -233,19 +234,19 @@ class GreedyWireAssigner(WireAssigner):
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-def exact_tracer() -> Tracer:
-    return Tracer(histogram_mode="exact")
+def raw_tracer() -> Tracer:
+    """A tracer whose sink keeps every histogram observation."""
+    return Tracer(InMemorySink())
 
 
 def telemetry(tracer: Tracer, prefix: str):
-    """Counters and raw histograms whose names start with ``prefix``."""
+    """Counters and raw histogram values whose names start with ``prefix``."""
     snapshot = tracer.snapshot()
     counters = {k: v for k, v in snapshot.counters.items() if k.startswith(prefix)}
-    histograms = {
-        name: tracer.histogram(name)
-        for name in snapshot.histograms
-        if name.startswith(prefix)
-    }
+    histograms: Dict[str, List[float]] = {}
+    for event in tracer.sink.of_type("observe"):
+        if event["name"].startswith(prefix):
+            histograms.setdefault(event["name"], []).append(event["value"])
     return counters, histograms
 
 
@@ -356,7 +357,7 @@ def test_legalize_matches_heap(num_nets, tdm_capacity, seed, model, epsilon):
     lr_ratios = LagrangianTdmAssigner(inc, config).solve().ratios
     outcomes = []
     for cls in (TdmLegalizer, HeapLegalizer):
-        tracer = exact_tracer()
+        tracer = raw_tracer()
         legal = cls(inc, config, tracer=tracer).legalize(lr_ratios.copy())
         outcomes.append(
             (
@@ -381,7 +382,7 @@ def assign_both(solution, inc, ratios, budgets, criticality, stale_uses=()):
         # Keys from an earlier assignment keep their insertion slots.
         for use in stale_uses:
             target.ratios[use] = -1.0
-        tracer = exact_tracer()
+        tracer = raw_tracer()
         stats = cls(inc, RouterConfig(), tracer=tracer).assign(
             target,
             ratios.copy(),

@@ -180,6 +180,34 @@ MATRIX = [
         "def normalize(knobs):\n"
         "    return RouteRequest(contest_case='case02', config=knobs).config\n",
     ),
+    (
+        # BLAS splits long dot products across threads: the last bits
+        # follow the host's BLAS thread count.
+        "REPRO015",
+        "repro.core.lagrangian",
+        "import numpy as np\ndef dual(lam, d):\n    return float(np.dot(lam, d))\n",
+        "import numpy as np\n"
+        "def dual(lam, d):\n    return float(np.multiply(lam, d).sum())\n",
+    ),
+    (
+        "REPRO015",
+        "repro.timing.analysis",
+        "import numpy as np\ndef size(x):\n    return np.linalg.norm(x)\n",
+        "import math\nimport numpy as np\n"
+        "def size(x):\n    return math.sqrt(np.square(x).sum())\n",
+    ),
+    (
+        "REPRO015",
+        "repro.route.kernel",
+        "def f(a, b):\n    return a @ b + a.dot(b)\n",
+        "def f(a, b):\n    return (a * b).sum()\n",
+    ),
+    (
+        "REPRO015",
+        "repro.core.legalization",
+        "from numpy.linalg import norm\nfrom numpy import inner\n",
+        "from numpy import bincount\n",
+    ),
 ]
 
 MATRIX_IDS = [f"{rule_id}-{module.rsplit('.', 1)[-1]}" for rule_id, module, _, _ in MATRIX]
@@ -215,6 +243,8 @@ def test_scoped_rules_stay_out_of_other_layers():
     assert not lint_source(
         "import time\nt = time.time()\n", module="repro.analysis.sweep"
     )
+    # Analysis code feeds no fingerprint; BLAS products are fine there.
+    assert not lint_source("def f(a, b):\n    return a @ b\n", module="repro.analysis.exact")
 
 
 def test_module_name_for_maps_paths():

@@ -113,16 +113,18 @@ class TestCountersGaugesHistograms:
         tracer.gauge("overflow", 3.0)
         assert tracer.gauge_value("overflow") == 3.0
 
-    def test_exact_mode_histogram_keeps_observations(self):
-        tracer = Tracer(histogram_mode="exact")
+    def test_observe_events_keep_raw_values(self):
+        # The sketch keeps no raw values; a sink sees every observation.
+        sink = InMemorySink()
+        tracer = Tracer(sink)
         for value in (0.5, 1.5, 0.25):
             tracer.observe("margin", value)
-        assert tracer.histogram("margin") == [0.5, 1.5, 0.25]
+        observed = [e["value"] for e in sink.of_type("observe") if e["name"] == "margin"]
+        assert observed == [0.5, 1.5, 0.25]
         assert tracer.quantile("margin", 1.0) == 1.5
 
     def test_sketch_mode_is_default_and_bounds_memory(self):
         tracer = Tracer()
-        assert tracer.histogram_mode == "sketch"
         for i in range(10_000):
             tracer.observe("margin", 1.0 + (i % 100) / 100.0)
         summary = tracer.histogram_summary("margin")
@@ -131,10 +133,8 @@ class TestCountersGaugesHistograms:
         assert tracer._histograms["margin"].num_buckets < 200
         assert summary.p50 == pytest.approx(1.5, rel=0.02)
         assert summary.maximum == 1.99
-        # Raw values are gone in sketch mode; the accessor says so.
-        with pytest.raises(ValueError):
-            tracer.histogram("margin")
-        assert tracer.histogram("never.observed") == []
+        assert summary.mode == "sketch"
+        assert tracer.histogram_summary("never.observed") is None
 
     def test_abandoned_span_is_recorded_with_error_flag(self):
         sink = InMemorySink()

@@ -69,7 +69,6 @@ class TestRoutingBudgets:
             inc = TdmIncidence(case.system, case.netlist, solution, model)
             lr = LagrangianTdmAssigner(inc, config).solve()
             legal = TdmLegalizer(inc, config).legalize(lr.ratios)
-            inc.write_ratios(solution, legal.ratios)
             WireAssigner(inc, config).assign(
                 solution, legal.ratios, legal.wire_budgets, legal.criticality
             )

@@ -1,4 +1,5 @@
-"""Tests for repro.obs.quantiles: sketch error bounds vs the exact oracle."""
+"""Tests for repro.obs.quantiles: sketch error bounds vs the exact oracle
+(``tests.oracles.ExactQuantiles``)."""
 
 from __future__ import annotations
 
@@ -10,11 +11,10 @@ from hypothesis import strategies as st
 
 from repro.obs.quantiles import (
     DEFAULT_RELATIVE_ERROR,
-    ExactQuantiles,
     HistogramSummary,
     QuantileSketch,
-    quantile_accumulator,
 )
+from tests.oracles import ExactQuantiles
 
 #: Slack on top of the sketch's alpha bound for float round-off (the log
 #: bucketing can mis-place a value by one ulp at a bucket boundary) and
@@ -198,9 +198,3 @@ class TestEdgeCases:
             "mode": digest["mode"],
             "relative_error": digest["relative_error"],
         }).mean, float)
-
-    def test_factory(self):
-        assert isinstance(quantile_accumulator("sketch"), QuantileSketch)
-        assert isinstance(quantile_accumulator("exact"), ExactQuantiles)
-        with pytest.raises(ValueError):
-            quantile_accumulator("hdr")

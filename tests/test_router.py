@@ -133,29 +133,26 @@ class TestIncrementalIncidenceInRouter:
         assert counters.get("incidence.incremental_builds", 0) >= 1
         assert counters.get("incidence.patched_connections", 0) >= 1
 
-    def test_fraction_zero_forces_cold_builds(self):
+    def test_fraction_zero_forces_cold_builds(self, monkeypatch):
+        import repro.core.incidence
         from repro.benchgen import load_case
 
         case = load_case("case02")
-        result = SynergisticRouter(
-            case.system,
-            case.netlist,
-            config=RouterConfig(incremental_rebuild_fraction=0.0),
-        ).route()
+        monkeypatch.setattr(repro.core.incidence, "INCREMENTAL_REBUILD_FRACTION", 0.0)
+        result = SynergisticRouter(case.system, case.netlist).route()
         counters = result.telemetry.counters
         assert "incidence.incremental_builds" not in counters
         assert counters.get("incidence.cold_builds", 0) > 1
 
-    def test_incremental_is_bit_identical_end_to_end(self):
+    def test_incremental_is_bit_identical_end_to_end(self, monkeypatch):
+        import repro.core.incidence
         from repro.benchgen import load_case
 
         case = load_case("case02")
         incremental = SynergisticRouter(case.system, case.netlist).route()
-        cold = SynergisticRouter(
-            case.system,
-            case.netlist,
-            config=RouterConfig(incremental_rebuild_fraction=0.0),
-        ).route()
+        monkeypatch.setattr(repro.core.incidence, "INCREMENTAL_REBUILD_FRACTION", 0.0)
+        cold = SynergisticRouter(case.system, case.netlist).route()
+        assert cold.telemetry.counters.get("incidence.incremental_builds", 0) == 0
         assert incremental.critical_delay == cold.critical_delay
         assert incremental.solution.ratios == cold.solution.ratios
         for edge_index, wires in cold.solution.wires.items():
