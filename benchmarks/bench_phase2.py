@@ -6,10 +6,7 @@ topology of each case (``wall_time_fast_s``), and legalization plus wire
 assignment alone (``wall_time_lgwa_s``), so the perf sentinel guards
 that stage by itself.  The pipeline's results are held bit for bit to
 the per-hop oracles of ``tests/oracles.py`` by
-``tests/test_contest_oracles.py`` on the same cases.  A second benchmark
-times the incremental incidence rebuild
-(:meth:`TdmIncidence.incremental`) against a cold rebuild after a small
-set of connections changed — the timing-reroute/ECO refine-round case.
+``tests/test_contest_oracles.py`` on the same cases.
 
 Rows land in ``BENCH_phase2.json`` (schema: benchmarks/conftest.py) so
 the before/after trajectory can be diffed across commits.
@@ -21,7 +18,6 @@ import os
 import time
 from typing import Tuple
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import bench_case, record_bench_result, register_report
@@ -49,10 +45,6 @@ ROUNDS = int(os.environ.get("REPRO_BENCH_PHASE2_ROUNDS", "3"))
 #: pipeline, best of 7 runs alternated process-by-process with it on the
 #: reference machine — the fixed yardstick for its speedup.
 PRE_PR_BASELINE_S = {"case05": 0.0279, "case06": 0.1447, "case07": 0.1024}
-
-#: Connections rerouted before timing the incremental rebuild (well under
-#: the router's default 20% gate).
-INCREMENTAL_PATCH = 64
 
 
 def run_pipeline(case, sol) -> Tuple[object, object, object, float]:
@@ -125,61 +117,3 @@ def test_phase2_pipeline_speedup(benchmark, case_name):
         ],
     )
 
-
-def test_incremental_rebuild_speedup(benchmark):
-    case = bench_case(PHASE2_CASES[-1])
-    model = DelayModel()
-    solution = InitialRouter(case.system, case.netlist).route()
-    previous = TdmIncidence(case.system, case.netlist, solution, model)
-    # Touch a small connection set (re-setting a path marks it changed the
-    # same way a timing reroute does).
-    changed = list(range(0, case.netlist.num_connections))[:INCREMENTAL_PATCH]
-    patched = solution.copy_topology()
-    for conn_index in changed:
-        patched.set_path(conn_index, list(patched.path(conn_index)))
-    best = {"cold": float("inf"), "incremental": float("inf")}
-    holder = {}
-
-    def run():
-        for _ in range(ROUNDS):
-            start = time.perf_counter()
-            cold = TdmIncidence(case.system, case.netlist, patched, model)
-            best["cold"] = min(best["cold"], time.perf_counter() - start)
-            start = time.perf_counter()
-            patched_inc = TdmIncidence.incremental(previous, patched, changed)
-            best["incremental"] = min(
-                best["incremental"], time.perf_counter() - start
-            )
-            holder["cold"], holder["incremental"] = cold, patched_inc
-        return holder
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-
-    cold, inc = holder["cold"], holder["incremental"]
-    speedup = (
-        best["cold"] / best["incremental"]
-        if best["incremental"]
-        else float("inf")
-    )
-    record_bench_result(
-        "phase2",
-        PHASE2_CASES[-1],
-        wall_time_cold_build_s=best["cold"],
-        wall_time_incremental_s=best["incremental"],
-        incremental_speedup=speedup,
-        patched_connections=len(changed),
-        cpu_count=os.cpu_count(),
-    )
-    register_report(
-        "Incremental incidence rebuild",
-        [
-            f"{PHASE2_CASES[-1]}: incremental {best['incremental'] * 1e3:.2f}ms "
-            f"vs cold {best['cold'] * 1e3:.2f}ms ({speedup:.2f}x) "
-            f"patching {len(changed)} connections",
-        ],
-    )
-
-    # The patched incidence must equal the cold rebuild bit-for-bit.
-    assert inc.num_pairs == cold.num_pairs
-    for name in ("inc_conn", "inc_pair", "conn_sll_delay", "dir_pairs"):
-        assert np.array_equal(getattr(inc, name), getattr(cold, name)), name

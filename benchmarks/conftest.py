@@ -122,6 +122,8 @@ def run_perf_sentinel(baseline_dir: Path, written: List[Path]) -> Optional[Path]
             f"{path.name}: {status} ({report.compared} compared, "
             f"{report.skipped} skipped)"
         )
+        for case, metric in report.missing:
+            lines.append(f"  MISSING     {case}/{metric}")
         for finding in report.regressions:
             lines.append(f"  REGRESSION  {finding.describe()}")
         for finding in report.improvements:

@@ -182,7 +182,7 @@ class RouteRequest:
         object.__setattr__(self, "epoch", int(self.epoch))
         object.__setattr__(self, "priority", int(self.priority))
         if self.slo_seconds is not None:
-            if self.slo_seconds < 0:
+            if not self.slo_seconds >= 0:
                 raise ValueError("slo_seconds must be non-negative")
             object.__setattr__(self, "slo_seconds", float(self.slo_seconds))
         object.__setattr__(self, "warm_cache", bool(self.warm_cache))

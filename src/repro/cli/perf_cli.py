@@ -3,11 +3,12 @@
 Front-end for :mod:`repro.obs.sentinel`.  Compares a committed baseline
 (``BENCH_*.json`` trajectory or run report) against a freshly measured
 document and fails when a wall-time metric slowed down beyond the
-tolerance plus the baseline's own sample noise.
+tolerance plus the baseline's own sample noise, or when a baseline
+metric is missing from the fresh document.
 
-Exit status: 0 when no regression, 1 when regressions were flagged,
-2 on usage/file errors.  ``make perf`` and the benchmark CI job run
-this against the committed baselines.
+Exit status: 0 when no regression, 1 when regressions or missing
+metrics were flagged, 2 on usage/file errors.  ``make perf`` and the
+benchmark CI job run this against the committed baselines.
 """
 
 from __future__ import annotations
@@ -91,6 +92,8 @@ def _render_text(report: SentinelReport) -> str:
         f"below {report.min_seconds}s "
         f"(tolerance {report.tolerance}x, noise floor {report.noise_floor})"
     ]
+    for case, metric in report.missing:
+        lines.append(f"MISSING     {case}/{metric}: in the baseline, not measured")
     for finding in report.regressions:
         lines.append(f"REGRESSION  {finding.describe()}")
     for finding in report.improvements:

@@ -83,15 +83,17 @@ class RouterConfig:
     wall_clock_budget_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # Each bound is written so that NaN fails it (``not x >= 0``
+        # rather than ``x < 0``).
         if not 0.0 < self.mu_shared <= 1.0:
             raise ValueError("mu_shared must be in (0, 1]")
         if self.max_reroute_iterations < 0:
             raise ValueError("max_reroute_iterations must be non-negative")
-        if self.history_increment < 0:
+        if not self.history_increment >= 0:
             raise ValueError("history_increment must be non-negative")
-        if self.present_penalty < 0:
+        if not self.present_penalty >= 0:
             raise ValueError("present_penalty must be non-negative")
-        if self.ripup_factor <= 0:
+        if not self.ripup_factor > 0:
             raise ValueError("ripup_factor must be positive")
         if self.weight_mode not in ("auto", "delay", "congestion"):
             raise ValueError("weight_mode must be auto, delay or congestion")
@@ -99,13 +101,13 @@ class RouterConfig:
             raise ValueError("timing_reroute_rounds must be non-negative")
         if self.lr_max_iterations <= 0:
             raise ValueError("lr_max_iterations must be positive")
-        if self.lr_epsilon <= 0:
+        if not self.lr_epsilon > 0:
             raise ValueError("lr_epsilon must be positive")
-        if self.refine_margin_epsilon < 0:
+        if not self.refine_margin_epsilon >= 0:
             raise ValueError("refine_margin_epsilon must be non-negative")
         if (
             self.wall_clock_budget_seconds is not None
-            and self.wall_clock_budget_seconds < 0
+            and not self.wall_clock_budget_seconds >= 0
         ):
             raise ValueError("wall_clock_budget_seconds must be non-negative")
 

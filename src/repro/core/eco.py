@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.arch.system import MultiFpgaSystem
 from repro.core.config import RouterConfig
-from repro.core.incidence import TdmIncidence
 from repro.core.initial_routing import InitialRouter
 from repro.core.router import TdmAssigner
 from repro.netlist.netlist import Netlist
@@ -88,17 +87,12 @@ class EcoRouter:
         self,
         solution: RoutingSolution,
         net_indices: Iterable[int],
-        prev_incidence: Optional["TdmIncidence"] = None,
     ) -> EcoResult:
         """Rip up and re-route the given nets of an existing solution.
 
         Args:
             solution: the solution whose nets to reroute.
             net_indices: nets to rip up.
-            prev_incidence: TDM incidence of ``solution``, when the caller
-                holds one (e.g. an emulation loop issuing repeated ECOs);
-                lets phase II patch it instead of cold-rebuilding when the
-                rerouted set stays small.
         """
         netlist = solution.netlist
         targets = sorted(set(net_indices))
@@ -108,7 +102,7 @@ class EcoRouter:
         path_ids = solution.path_ids()
         path_ids[np.isin(netlist.connection_net_indices(), targets)] = -1
         carried = solution.with_path_ids(netlist, path_ids)
-        return self._route_missing(netlist, carried, prev_incidence)
+        return self._route_missing(netlist, carried)
 
     def migrate(
         self,
@@ -157,12 +151,7 @@ class EcoRouter:
         return result
 
     # ------------------------------------------------------------------
-    def _route_missing(
-        self,
-        netlist: Netlist,
-        carried: RoutingSolution,
-        prev_incidence: Optional["TdmIncidence"] = None,
-    ) -> EcoResult:
+    def _route_missing(self, netlist: Netlist, carried: RoutingSolution) -> EcoResult:
         """Route every connection ``carried`` leaves unrouted, re-run phase II."""
         # The router's phase I span, so traced ECO runs share its rows.
         with self.tracer.span("phase.initial_routing"):
@@ -175,32 +164,28 @@ class EcoRouter:
             )
             solution = router.route(carried=carried)
         # Phase I routed the connections without a carried path, then
-        # every connection of each net negotiation ripped up.
+        # every connection of each net negotiation ripped up; a ripped
+        # net that had a carried path is disturbed.
         carried_ids = carried.path_ids()
-        rerouted = set(np.flatnonzero(carried_ids < 0).tolist())
+        rerouted = carried_ids < 0
+        offsets = netlist.connection_offsets()
+        disturbed: Set[int] = set()
         for net_index in router.ripped_nets:
-            rerouted.update(netlist.connection_indices_of(net_index))
+            conns = slice(offsets[net_index], offsets[net_index + 1])
+            if (carried_ids[conns] >= 0).any():
+                disturbed.add(net_index)
+            rerouted[conns] = True
         TdmAssigner(
             self.system, netlist, self.delay_model, self.config, tracer=self.tracer
-        ).assign(
-            solution,
-            prev_incidence=prev_incidence,
-            changed_connections=sorted(rerouted),
-        )
+        ).assign(solution)
         analyzer = TimingAnalyzer(self.system, netlist, self.delay_model)
         critical = (
             analyzer.critical_delay(solution) if netlist.num_connections else 0.0
         )
-        offsets = netlist.connection_offsets()
-        disturbed = {
-            net_index
-            for net_index in router.ripped_nets
-            if (carried_ids[offsets[net_index] : offsets[net_index + 1]] >= 0).any()
-        }
         return EcoResult(
             solution=solution,
             critical_delay=critical,
             conflict_count=router.stats.final_overflow,
-            rerouted_connections=len(rerouted),
+            rerouted_connections=int(np.count_nonzero(rerouted)),
             disturbed_nets=disturbed,
         )

@@ -12,46 +12,29 @@ Construction itself is vectorized too: the flat ``(hop connection, hop
 edge, hop direction)`` columns and the pair set (deduplicated with one
 ``np.unique`` pass in first-occurrence order) come from the solution's
 memoized :class:`~repro.route.solution.TopologyIndex`, which the timing
-analyzer reads as well, and the per-directed-edge grouping that
-legalization and wire assignment consume is a CSR slice (``dir_indptr``
-/ ``dir_pairs``) instead of a dict of Python lists.
+analyzer reads as well, so each topology's pairs are numbered once.  The
+per-directed-edge grouping that legalization and wire assignment consume
+is a CSR slice (``dir_indptr`` / ``dir_pairs``) instead of a dict of
+Python lists.
 
-Two more entry points support the timing-reroute/ECO refine loops:
-
-* :meth:`TdmIncidence.incremental` patches only the rows of connections
-  that were actually rerouted, so each refine round rebuilds in
-  proportion to its moves.  LR multipliers live in connection space
-  (one per connection, Eq. 8) and a reroute changes paths, not the
-  connection set, so they warm-start the next solve unchanged.
-* :func:`build_incidence` is the gated front door used by phase II
-  (:class:`~repro.core.router.TdmAssigner`): it picks the incremental
-  path when fewer than :data:`INCREMENTAL_REBUILD_FRACTION` of the
-  connections changed and publishes the ``incidence.*`` obs counters.
+:func:`build_incidence` is the front door used by phase II
+(:class:`~repro.core.router.TdmAssigner`): it builds the incidence and
+publishes the ``incidence.cold_builds`` obs counter.  LR multipliers live
+in connection space (one per connection, Eq. 8) and a timing reroute
+changes paths, not the connection set, so they warm-start the next
+round's solve unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.arch.edges import EdgeKind
 from repro.arch.system import MultiFpgaSystem
 from repro.netlist.netlist import Netlist
-from repro.route.solution import (
-    NetEdgeUse,
-    RoutingSolution,
-    TdmPairs,
-    TopologyIndex,
-    tdm_pairs,
-)
+from repro.route.solution import NetEdgeUse, RoutingSolution
 from repro.timing.delay import DelayModel
-
-#: :func:`build_incidence` patches the previous incidence when strictly
-#: fewer than this fraction of the connections changed, and cold-builds
-#: otherwise.  Both builds are bit-identical; the gate only picks the
-#: cheaper one.
-INCREMENTAL_REBUILD_FRACTION = 0.2
 
 
 class TdmIncidence:
@@ -86,73 +69,37 @@ class TdmIncidence:
         self.system = system
         self.netlist = netlist
         self.delay_model = delay_model
-        self.num_connections = netlist.num_connections
-        self._init_edge_columns()
+        num_conns = self.num_connections = netlist.num_connections
 
         index = solution.topology_index()
         if index.unrouted >= 0:
             raise ValueError(f"connection {index.unrouted} is unrouted")
         sll_conn = index.sll_conn
-        conn_sll = np.bincount(
+        self.conn_sll_delay = np.bincount(
             sll_conn,
             weights=np.full(sll_conn.size, delay_model.d_sll),
-            minlength=self.num_connections,
+            minlength=num_conns,
         )
-        self._assemble(
-            inc_conn=index.tdm_conn,
-            pairs=index.pairs,
-            conn_net=netlist.connection_net_indices(),
-            conn_sll_delay=conn_sll,
-            index=index,
-        )
-
-    # ------------------------------------------------------------------
-    # Construction internals
-    # ------------------------------------------------------------------
-    def _init_edge_columns(self) -> None:
-        """Per-system-edge kind/capacity columns used by construction."""
-        edges = self.system.edges
-        num_edges = len(edges)
-        self._edge_is_tdm = np.fromiter(
-            (edge.kind is EdgeKind.TDM for edge in edges),
-            dtype=bool,
-            count=num_edges,
-        )
-        self._edge_capacity = np.fromiter(
-            (edge.capacity for edge in edges), dtype=np.int64, count=num_edges
-        )
-
-    def _assemble(
-        self,
-        inc_conn: np.ndarray,
-        pairs: TdmPairs,
-        conn_net: np.ndarray,
-        conn_sll_delay: np.ndarray,
-        index: Optional[TopologyIndex] = None,
-    ) -> None:
-        """Derive all pair/group arrays from the TDM hops and their pairs.
-
-        ``inc_conn`` must be sorted by connection with hops in path order
-        — exactly the order a scan over connections produces — and
-        ``pairs`` numbered from those hops by
-        :func:`~repro.route.solution.tdm_pairs`, so the pair order
-        reproduces the historical grouped-by-net ordering.  ``index`` is
-        the topology index the hops came from, if any; it supplies the
-        ``uses`` tuples.
-        """
-        num_conns = self.num_connections
-        self.conn_net = conn_net
-        self.conn_sll_delay = conn_sll_delay
-        self.inc_conn = inc_conn
-        self.conn_tdm_hops = np.bincount(inc_conn, minlength=num_conns).astype(
+        self.conn_net = netlist.connection_net_indices()
+        # The TDM hops come sorted by connection, each path in order, and
+        # their pairs are numbered in first-occurrence order, which
+        # reproduces the historical grouped-by-net pair ordering.
+        self.inc_conn = index.tdm_conn
+        self.conn_tdm_hops = np.bincount(self.inc_conn, minlength=num_conns).astype(
             np.int64, copy=False
         )
+        pairs = index.pairs
         self.inc_pair = pairs.hop_pair
         self.pair_net = pairs.net
         self.pair_edge = pairs.edge
         self.pair_dir = pairs.direction
         self.num_pairs = int(self.pair_net.shape[0])
-        self.pair_cap = self._edge_capacity[self.pair_edge]
+        edge_capacity = np.fromiter(
+            (edge.capacity for edge in system.edges),
+            dtype=np.int64,
+            count=system.num_edges,
+        )
+        self.pair_cap = edge_capacity[self.pair_edge]
 
         # The tuple list and its reverse index are derived on demand (see
         # the `uses` / `use_index` properties): the LR/legalization hot
@@ -182,7 +129,6 @@ class TdmIncidence:
             )
         }
 
-
     # ------------------------------------------------------------------
     # Lazy tuple views
     # ------------------------------------------------------------------
@@ -190,20 +136,11 @@ class TdmIncidence:
     def uses(self) -> List[NetEdgeUse]:
         """The (net, edge, direction) triples in pair-index order.
 
-        Shared with the solution's topology index when built from one,
-        so the timing analyzer looks ratios up by the same tuples.
+        Shared with the solution's topology index, so the timing analyzer
+        looks ratios up by the same tuples.
         """
         if self._uses is None:
-            if self._index is not None:
-                self._uses = self._index.uses
-            else:
-                self._uses = list(
-                    zip(
-                        self.pair_net.tolist(),
-                        self.pair_edge.tolist(),
-                        self.pair_dir.tolist(),
-                    )
-                )
+            self._uses = self._index.uses
         return self._uses
 
     @property
@@ -212,109 +149,6 @@ class TdmIncidence:
         if self._use_index is None:
             self._use_index = {use: i for i, use in enumerate(self.uses)}
         return self._use_index
-
-    # ------------------------------------------------------------------
-    # Incremental rebuild
-    # ------------------------------------------------------------------
-    @classmethod
-    def incremental(
-        cls,
-        previous: "TdmIncidence",
-        solution: RoutingSolution,
-        changed_connections: Iterable[int],
-    ) -> "TdmIncidence":
-        """Patch a previous incidence onto a partially rerouted solution.
-
-        Args:
-            previous: incidence of the pre-reroute topology.
-            solution: the rerouted topology; every connection **not** in
-                ``changed_connections`` must still have its previous path
-                (the caller — timing reroute, ECO — knows exactly which
-                connections it moved).
-            changed_connections: indices of the rerouted connections.
-
-        Returns:
-            An incidence equal to a cold :class:`TdmIncidence` build on
-            ``solution`` bit-for-bit.
-
-        Raises:
-            ValueError: when the solution belongs to a different netlist
-                or a changed index is out of range.
-        """
-        if previous.netlist is not solution.netlist:
-            raise ValueError(
-                "incremental rebuild requires the previous incidence and the "
-                "solution to share one netlist"
-            )
-        num_conns = previous.num_connections
-        changed = np.unique(np.fromiter(changed_connections, dtype=np.int64))
-        if changed.size and (changed[0] < 0 or changed[-1] >= num_conns):
-            raise ValueError("changed connection index out of range")
-        changed_mask = np.zeros(num_conns, dtype=bool)
-        changed_mask[changed] = True
-
-        inc = cls.__new__(cls)
-        inc.system = previous.system
-        inc.netlist = previous.netlist
-        inc.delay_model = previous.delay_model
-        inc.num_connections = num_conns
-        inc._edge_is_tdm = previous._edge_is_tdm
-        inc._edge_capacity = previous._edge_capacity
-
-        # Rows of unchanged connections carry over (triples reconstructed
-        # from the previous pair columns).
-        keep = ~changed_mask[previous.inc_conn]
-        kept_pairs = previous.inc_pair[keep]
-        old_conn = previous.inc_conn[keep]
-        old_edge = previous.pair_edge[kept_pairs]
-        old_dir = previous.pair_dir[kept_pairs]
-
-        # Fresh rows (and SLL delays) for the changed connections only.
-        counts = np.zeros(changed.size, dtype=np.int64)
-        edge_parts: List[np.ndarray] = []
-        dir_parts: List[np.ndarray] = []
-        for i, conn_index in enumerate(changed.tolist()):
-            edges, dirs = solution.path_hop_arrays(conn_index)
-            counts[i] = edges.shape[0]
-            edge_parts.append(edges)
-            dir_parts.append(dirs)
-        if edge_parts:
-            ch_edge = np.concatenate(edge_parts)
-            ch_dir = np.concatenate(dir_parts)
-        else:
-            ch_edge = np.zeros(0, dtype=np.int64)
-            ch_dir = np.zeros(0, dtype=np.int64)
-        ch_conn = np.repeat(changed, counts)
-        tdm_mask = inc._edge_is_tdm[ch_edge]
-        sll_rows = ch_conn[~tdm_mask]
-        conn_sll = previous.conn_sll_delay.copy()
-        if changed.size:
-            fresh_sll = np.bincount(
-                sll_rows,
-                weights=np.full(sll_rows.size, previous.delay_model.d_sll),
-                minlength=num_conns,
-            )
-            conn_sll[changed] = fresh_sll[changed]
-
-        # Merge: each connection's rows are either all-old or all-new, so
-        # a stable sort by connection restores the full scan order.
-        merged_conn = np.concatenate([old_conn, ch_conn[tdm_mask]])
-        merged_edge = np.concatenate([old_edge, ch_edge[tdm_mask]])
-        merged_dir = np.concatenate([old_dir, ch_dir[tdm_mask]])
-        order = np.argsort(merged_conn, kind="stable")
-        inc_conn = merged_conn[order]
-        inc._assemble(
-            inc_conn=inc_conn,
-            pairs=tdm_pairs(
-                previous.conn_net[inc_conn],
-                merged_edge[order],
-                merged_dir[order],
-                inc._edge_capacity.shape[0],
-            ),
-            conn_net=previous.conn_net,
-            conn_sll_delay=conn_sll,
-        )
-        return inc
 
     # ------------------------------------------------------------------
     # Vectorized evaluations
@@ -417,32 +251,13 @@ def build_incidence(
     netlist: Netlist,
     solution: RoutingSolution,
     delay_model: DelayModel,
-    previous: Optional[TdmIncidence] = None,
-    changed_connections: Optional[Iterable[int]] = None,
     tracer: Optional[object] = None,
 ) -> TdmIncidence:
-    """Build an incidence, incrementally when few connections changed.
+    """Build the incidence of ``solution``'s topology.
 
-    The incremental path runs when a previous incidence and the changed
-    connection set are given and the changed share is strictly below
-    :data:`INCREMENTAL_REBUILD_FRACTION`.  Publishes the ``incidence.*``
-    counters on ``tracer`` when one is given.
+    Publishes the ``incidence.cold_builds`` counter on ``tracer`` when
+    one is given.
     """
-    changed: Optional[List[int]] = None
-    if changed_connections is not None:
-        changed = list(changed_connections)
-    if (
-        previous is not None
-        and changed is not None
-        and netlist.num_connections > 0
-        and previous.netlist is netlist
-        and len(changed) < INCREMENTAL_REBUILD_FRACTION * netlist.num_connections
-    ):
-        incidence = TdmIncidence.incremental(previous, solution, changed)
-        if tracer is not None:
-            tracer.add("incidence.incremental_builds", 1)
-            tracer.add("incidence.patched_connections", len(changed))
-        return incidence
     incidence = TdmIncidence(system, netlist, solution, delay_model)
     if tracer is not None:
         tracer.add("incidence.cold_builds", 1)

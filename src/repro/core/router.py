@@ -152,11 +152,10 @@ class TdmAssigner:
     (``phase.tdm_assignment`` / ``phase.legalization_wire_assignment``),
     so repeated calls accumulate into the same phase timers.
 
-    After :meth:`assign`, ``incidence`` is the topology's incidence (the
-    next round's ``prev_incidence``), ``multipliers`` are the final LR
-    multipliers (the next round's ``warm_start``) and ``wire_stats`` the
-    wire-assignment counters; the last two are ``None`` when no net
-    crosses a TDM edge.
+    After :meth:`assign`, ``multipliers`` are the final LR multipliers
+    (the next round's ``warm_start``) and ``wire_stats`` the
+    wire-assignment counters; both are ``None`` when no net crosses a
+    TDM edge.
     """
 
     def __init__(
@@ -172,15 +171,12 @@ class TdmAssigner:
         self.delay_model = delay_model if delay_model is not None else DelayModel()
         self.config = config if config is not None else RouterConfig()
         self.tracer = tracer if tracer is not None else Tracer()
-        self.incidence: Optional[TdmIncidence] = None
         self.multipliers: Optional[np.ndarray] = None
         self.wire_stats: Optional[WireAssignmentStats] = None
 
     def assign(
         self,
         solution: RoutingSolution,
-        prev_incidence: Optional[TdmIncidence] = None,
-        changed_connections: Optional[list] = None,
         *,
         warm_start: Optional[np.ndarray] = None,
         deadline: Optional[float] = None,
@@ -192,13 +188,6 @@ class TdmAssigner:
 
         Args:
             solution: the routed topology to assign ratios and wires for.
-            prev_incidence: incidence of the topology this solution was
-                derived from (a timing round's incumbent, the solution
-                before an ECO); with ``changed_connections`` it enables
-                the incremental rebuild (gated on
-                :data:`~repro.core.incidence.INCREMENTAL_REBUILD_FRACTION`).
-            changed_connections: connection indices whose path differs
-                from ``prev_incidence``'s topology.
             warm_start: multipliers of a previous LR solve.
             deadline: wall-clock budget forwarded to the LR solve.
             checkpoint: writer offered ``phase2.lr`` and
@@ -219,14 +208,8 @@ class TdmAssigner:
         """
         tracer = self.tracer
         self.multipliers = self.wire_stats = None
-        self.incidence = incidence = build_incidence(
-            self.system,
-            self.netlist,
-            solution,
-            self.delay_model,
-            previous=prev_incidence,
-            changed_connections=changed_connections,
-            tracer=tracer,
+        incidence = build_incidence(
+            self.system, self.netlist, solution, self.delay_model, tracer=tracer
         )
         if not incidence.num_pairs:
             return None
@@ -504,7 +487,6 @@ class SynergisticRouter:
             refiner = TimingDrivenRefiner(
                 self.system, self.netlist, self.delay_model, config
             )
-            incidence = phase2.incidence
             for round_index in range(start_round, rounds):
                 if deadline is not None and tracer.elapsed() > deadline:
                     degraded = True
@@ -524,15 +506,9 @@ class SynergisticRouter:
                     break
                 candidate = outcome.solution
                 # The incumbent's multipliers warm-start the re-solve (the
-                # topology barely changed, so λ is nearly right already),
-                # and the round's changed-connection set lets the
-                # incidence rebuild incrementally.
+                # topology barely changed, so λ is nearly right already).
                 cand_lr = phase2.assign(
-                    candidate,
-                    incidence,
-                    outcome.changed_connections,
-                    warm_start=multipliers,
-                    deadline=deadline,
+                    candidate, warm_start=multipliers, deadline=deadline
                 )
                 if cand_lr is not None and cand_lr.budget_stopped:
                     degraded = True
@@ -552,7 +528,7 @@ class SynergisticRouter:
                     )
                 if not improved:
                     break
-                solution, timing, incidence = candidate, cand_timing, phase2.incidence
+                solution, timing = candidate, cand_timing
                 if cand_lr is not None:
                     lr_history = cand_lr
                     wire_stats, multipliers = phase2.wire_stats, phase2.multipliers

@@ -15,7 +15,7 @@ actually improved — so the loop is monotone by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.system import MultiFpgaSystem
@@ -41,14 +41,10 @@ class RefineOutcome:
         solution: the refined topology (paths only; ratios must be
             re-assigned), or ``None`` when no connection could move.
         moves: number of accepted reroutes.
-        changed_connections: indices of the connections whose path
-            actually changed — the exact set phase II needs to patch the
-            TDM incidence incrementally.
     """
 
     solution: Optional[RoutingSolution]
     moves: int = 0
-    changed_connections: List[int] = field(default_factory=list)
 
 
 class TimingDrivenRefiner:
@@ -94,17 +90,14 @@ class TimingDrivenRefiner:
         ratio_means = self._mean_wire_ratios(solution)
         refined = solution.copy_topology()
         state = self._rebuild_state(refined)
-        changed: List[int] = []
+        moves = 0
         for conn_index in targets:
-            if self._reroute(
+            moves += self._reroute(
                 refined, state, ratio_means, conn_index, report.delays[conn_index]
-            ):
-                changed.append(conn_index)
-        if not changed:
+            )
+        if not moves:
             return RefineOutcome(solution=None)
-        return RefineOutcome(
-            solution=refined, moves=len(changed), changed_connections=changed
-        )
+        return RefineOutcome(solution=refined, moves=moves)
 
     # ------------------------------------------------------------------
     def _mean_wire_ratios(self, solution: RoutingSolution) -> Dict[Tuple[int, int], float]:

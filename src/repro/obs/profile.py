@@ -13,8 +13,8 @@ them.  Feed it a JSONL trace file (``repro route --trace-out``), an
   end-to-end wall time;
 * the **critical path** — the chain of heaviest spans from the virtual
   root down through the phase I/II pipeline;
-* **derived rates** (incremental incidence rebuilds, reroutes,
-  warm-artifact cache hits) computed from the raw counters;
+* **derived rates** (reroutes, warm-artifact cache hits) computed from
+  the raw counters;
 * **histogram quantiles** re-aggregated from ``observe`` events; and
 * Chrome ``trace_event`` and speedscope JSON exports for flamegraph
   viewing (``chrome://tracing`` / https://www.speedscope.app).
@@ -46,10 +46,6 @@ _EPS = 1e-9
 #: Derived-rate definitions: output name -> (hit keys, miss keys).  The
 #: rate is hits / (hits + misses); emitted only when the denominator > 0.
 RATE_DEFINITIONS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    "incidence.incremental_build_rate": (
-        ("incidence.incremental_builds",),
-        ("incidence.cold_builds",),
-    ),
     "ir.reroute_rate": (("ir.reroutes",), ("ir.connections_routed",)),
     "serve.artifact_cache_hit_rate": (
         ("serve.artifacts.hits",),

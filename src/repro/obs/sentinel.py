@@ -16,6 +16,10 @@ slowdown is *statistically meaningful*:
 * an absolute **min_seconds** floor ignores sub-millisecond timings
   whose relative error is dominated by timer resolution.
 
+A baseline metric that the fresh document lacks is listed as
+**missing** and fails the check: a committed row that no benchmark
+writes any more guards nothing.
+
 ``repro perf`` is the CLI face; ``make perf`` and the benchmark CI job
 run it against the committed baselines.  Like the rest of
 :mod:`repro.obs`, this imports nothing from :mod:`repro.core`.
@@ -150,6 +154,7 @@ class SentinelReport:
         compared: number of metric pairs actually compared.
         skipped: metrics present in both documents but below the
             ``min_seconds`` floor.
+        missing: baseline metrics absent from the current document.
         tolerance / noise_floor / min_seconds: the knobs used.
     """
 
@@ -157,14 +162,15 @@ class SentinelReport:
     improvements: List[RegressionFinding] = field(default_factory=list)
     compared: int = 0
     skipped: int = 0
+    missing: List[MetricKey] = field(default_factory=list)
     tolerance: float = DEFAULT_TOLERANCE
     noise_floor: float = DEFAULT_NOISE_FLOOR
     min_seconds: float = DEFAULT_MIN_SECONDS
 
     @property
     def ok(self) -> bool:
-        """True when no regression was flagged."""
-        return not self.regressions
+        """True when no regression was flagged and no metric is missing."""
+        return not self.regressions and not self.missing
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready report (written by ``repro perf --output``)."""
@@ -173,6 +179,9 @@ class SentinelReport:
             "ok": self.ok,
             "compared": self.compared,
             "skipped": self.skipped,
+            "missing": [
+                {"case": case, "metric": metric} for case, metric in self.missing
+            ],
             "tolerance": self.tolerance,
             "noise_floor": self.noise_floor,
             "min_seconds": self.min_seconds,
@@ -208,7 +217,8 @@ def check_regressions(
     so a metric must beat its tolerance *and* clear twice the baseline's
     own repeated-sample wobble before it counts as a regression.
     Metrics whose baseline or current mean is below ``min_seconds`` are
-    skipped entirely.
+    skipped entirely.  Baseline metrics that the current document lacks
+    are listed in ``report.missing`` and fail the check.
 
     Args:
         baseline: committed ``BENCH_*.json`` / run report (path or dict).
@@ -227,7 +237,10 @@ def check_regressions(
     baseline_metrics = load_metrics(baseline)
     current_metrics = load_metrics(current)
     report = SentinelReport(
-        tolerance=tolerance, noise_floor=noise_floor, min_seconds=min_seconds
+        missing=sorted(set(baseline_metrics) - set(current_metrics)),
+        tolerance=tolerance,
+        noise_floor=noise_floor,
+        min_seconds=min_seconds,
     )
     for key in sorted(set(baseline_metrics) & set(current_metrics)):
         base_samples = baseline_metrics[key]

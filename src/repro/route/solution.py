@@ -481,19 +481,6 @@ class RoutingSolution:
             raise ValueError(f"connection {connection_index} is unrouted")
         return self._table.hops[pid]
 
-    def path_hop_arrays(self, connection_index: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(edge_indices, directions)`` int64 arrays of a connection's hops.
-
-        Read-only views into the path table's columns (like
-        :meth:`path_hops`, shared by every connection on that path).
-        """
-        pid = self._path_id[connection_index]
-        if pid < 0:
-            raise ValueError(f"connection {connection_index} is unrouted")
-        starts, edges, directions = self._table.columns()
-        start, stop = starts[pid], starts[pid + 1]
-        return edges[start:stop], directions[start:stop]
-
     def topology_index(self) -> TopologyIndex:
         """The flat hop columns of the current topology (memoized).
 

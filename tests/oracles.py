@@ -4,8 +4,7 @@ Each is the slow, obvious form of a stage that ships one fast path:
 
 * :func:`build_reference` builds a
   :class:`~repro.core.incidence.TdmIncidence` with per-hop Python loops.
-  The vectorized constructor and the incremental rebuild must match it
-  bit for bit.
+  The vectorized constructor must match it bit for bit.
 * :func:`write_ratios` / :func:`ratios_from_solution` scatter a per-pair
   ratio array into ``solution.ratios`` and gather it back, one pair at a
   time.
@@ -56,7 +55,6 @@ def build_reference(system, netlist, solution, delay_model) -> TdmIncidence:
     inc.netlist = netlist
     inc.delay_model = delay_model
     inc.num_connections = netlist.num_connections
-    inc._init_edge_columns()
 
     uses = solution.all_net_uses()
     use_index = {use: i for i, use in enumerate(uses)}

@@ -134,6 +134,15 @@ class TestRequestValidation:
         with pytest.raises(ValueError, match="slo"):
             RouteRequest(contest_case="case02", slo_seconds=-0.5)
 
+    def test_nan_slo_rejected(self):
+        """A NaN SLO would become a budget that never fires."""
+        with pytest.raises(ValueError, match="slo"):
+            RouteRequest(contest_case="case02", slo_seconds=float("nan"))
+        doc = RouteRequest(contest_case="case02").to_dict()
+        doc["slo_seconds"] = float("nan")
+        with pytest.raises(ValueError, match="slo"):
+            RouteRequest.from_dict(doc)
+
     def test_unknown_fields_rejected(self):
         doc = RouteRequest(contest_case="case02").to_dict()
         doc["frobnicate"] = True

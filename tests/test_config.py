@@ -30,6 +30,11 @@ class TestRouterConfig:
             {"lr_max_iterations": 0},
             {"lr_epsilon": 0.0},
             {"refine_margin_epsilon": -1e-9},
+            {"history_increment": float("nan")},
+            {"present_penalty": float("nan")},
+            {"ripup_factor": float("nan")},
+            {"lr_epsilon": float("nan")},
+            {"refine_margin_epsilon": float("nan")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -48,6 +53,7 @@ class TestRouterConfig:
             {"wall_clock_budget_seconds": -1.0},
             {"wall_clock_budget_seconds": -1e-9},
             {"wall_clock_budget_seconds": float("-inf")},
+            {"wall_clock_budget_seconds": float("nan")},
         ],
     )
     def test_invalid_resilience_values_rejected(self, kwargs):

@@ -12,7 +12,6 @@ from repro import (
 )
 from repro.benchgen import RevisionSpec, revise_netlist
 from repro.core.eco import EcoRouter
-from repro.core.incidence import TdmIncidence
 from repro.obs import InMemorySink, Tracer
 from repro.resilience.fingerprint import solution_fingerprint
 from tests.conftest import build_two_fpga_system, random_netlist
@@ -178,10 +177,7 @@ class TestGoldenFingerprints:
         system = build_two_fpga_system(sll_capacity=20, tdm_capacity=8)
         netlist = random_netlist(system, 40, seed=3)
         base = SynergisticRouter(system, netlist).route()
-        incidence = TdmIncidence(system, netlist, base.solution, DelayModel())
-        outcome = EcoRouter(system).reroute_nets(
-            base.solution, [12, 13], prev_incidence=incidence
-        )
+        outcome = EcoRouter(system).reroute_nets(base.solution, [12, 13])
         assert sorted(outcome.disturbed_nets) == [18, 31]
         assert outcome.rerouted_connections == 7
         assert outcome.conflict_count == 0
@@ -258,9 +254,9 @@ class TestCarryOver:
         seen = []
         original = EcoRouter._route_missing
 
-        def spy(self, netlist, carried, prev_incidence=None):
+        def spy(self, netlist, carried):
             seen.append(carried.paths())
-            return original(self, netlist, carried, prev_incidence)
+            return original(self, netlist, carried)
 
         monkeypatch.setattr(EcoRouter, "_route_missing", spy)
         outcome = EcoRouter(system).migrate(old_solution, new_netlist)

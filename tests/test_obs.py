@@ -343,10 +343,10 @@ class TestRunReport:
         doc = build_run_report(traced_result_report)
         rates = doc["telemetry"]["rates"]
         counters = doc["telemetry"]["counters"]
-        if counters.get("incidence.incremental_builds", 0) or counters.get(
-            "incidence.cold_builds", 0
+        if counters.get("ir.reroutes", 0) or counters.get(
+            "ir.connections_routed", 0
         ):
-            assert "incidence.incremental_build_rate" in rates
+            assert "ir.reroute_rate" in rates
         assert all(0.0 <= value <= 1.0 for value in rates.values())
 
     @pytest.fixture()

@@ -77,22 +77,6 @@ class TestRoutingBudgets:
         # ~0.09s with the vectorized kernel (was ~0.15s before it).
         assert elapsed < 1.0, f"phase II took {elapsed:.2f}s (budget 1s)"
 
-    def test_incremental_rebuild_beats_cold_build(self):
-        """Patching a few connections must not cost a full rebuild."""
-        case = load_case("case06")
-        model = DelayModel()
-        solution = InitialRouter(case.system, case.netlist).route()
-        previous = TdmIncidence(case.system, case.netlist, solution, model)
-        changed = list(range(32))
-        for index in changed:
-            solution.set_path(index, list(solution.path(index)))
-        _, elapsed = timed(
-            lambda: TdmIncidence.incremental(previous, solution, changed)
-        )
-        # ~4ms observed; a cold rebuild is ~15ms, a regression to
-        # per-connection scans would be far slower.
-        assert elapsed < 0.5, f"incremental rebuild took {elapsed:.2f}s"
-
 
 class TestPerfSentinelGuards:
     """The committed trajectories and the sentinel wiring stay honest."""
@@ -118,6 +102,22 @@ class TestPerfSentinelGuards:
         report = check_regressions(self.BASELINE, slow)
         assert not report.ok
         assert any(f.ratio == pytest.approx(3.0) for f in report.regressions)
+
+    def test_sentinel_names_a_dropped_row(self, tmp_path):
+        """A committed row that no benchmark writes any more fails."""
+        from repro.obs.sentinel import check_regressions
+
+        doc = json.loads(self.BASELINE.read_text())
+        dropped = doc["results"].pop()
+        current = tmp_path / "BENCH_phase2.json"
+        current.write_text(json.dumps(doc))
+        report = check_regressions(self.BASELINE, current)
+        assert not report.ok
+        assert report.missing == sorted(
+            (dropped["case"], name)
+            for name in dropped
+            if name.startswith("wall_time") and name.endswith("_s")
+        )
 
     def test_bench_conftest_sentinel_hook(self, tmp_path):
         from benchmarks.conftest import run_perf_sentinel

@@ -39,14 +39,14 @@ HAND_TRACE = [
     _span("phase.initial_routing", 0.0, 1.0),
     {
         "type": "counter",
-        "name": "incidence.incremental_builds",
+        "name": "ir.reroutes",
         "inc": 3,
         "total": 3,
         "t": 1.1,
     },
     {
         "type": "counter",
-        "name": "incidence.cold_builds",
+        "name": "ir.connections_routed",
         "inc": 1,
         "total": 1,
         "t": 1.15,
@@ -127,7 +127,7 @@ class TestAttribution:
         profile = TraceProfile.from_jsonl(GOLDEN)
         rates = profile.rates()
         assert all(0.0 <= value <= 1.0 for value in rates.values())
-        assert "incidence.incremental_build_rate" in rates
+        assert "ir.reroute_rate" in rates
         histograms = profile.quantiles()
         assert "legalization.margin" in histograms
         margin = histograms["legalization.margin"]
@@ -152,17 +152,17 @@ class TestDerivedRates:
     def test_rates_from_counters(self):
         rates = derive_rates(
             {
-                "incidence.incremental_builds": 9,
-                "incidence.cold_builds": 1,
+                "ir.reroutes": 9,
+                "ir.connections_routed": 1,
                 "serve.artifacts.hits": 3,
                 "serve.artifacts.misses": 1,
             }
         )
-        assert rates["incidence.incremental_build_rate"] == pytest.approx(0.9)
+        assert rates["ir.reroute_rate"] == pytest.approx(0.9)
         assert rates["serve.artifact_cache_hit_rate"] == pytest.approx(0.75)
 
     def test_zero_denominator_omitted(self):
-        assert "incidence.incremental_build_rate" not in derive_rates({})
+        assert derive_rates({}) == {}
 
 
 class TestExports:
@@ -230,8 +230,8 @@ class TestLoadProfile:
         doc = TraceProfile(HAND_TRACE).to_dict()
         assert doc["kind"] == "repro.trace_profile"
         assert doc["num_spans"] == 5
-        assert doc["counters"]["incidence.incremental_builds"] == 3
-        assert doc["rates"]["incidence.incremental_build_rate"] == pytest.approx(0.75)
+        assert doc["counters"]["ir.reroutes"] == 3
+        assert doc["rates"]["ir.reroute_rate"] == pytest.approx(0.75)
         assert doc["histograms"]["legalization.margin"]["count"] == 2
 
 

@@ -12,6 +12,7 @@ from repro import (
 )
 from repro.core.router import TdmAssigner
 from repro.core.initial_routing import InitialRouter
+from repro.obs import InMemorySink, Tracer
 from repro.timing import TimingAnalyzer
 from tests.conftest import build_two_fpga_system, random_netlist
 
@@ -115,48 +116,40 @@ class TestTdmAssignerStandalone:
         assert assigner.assign(solution) is None
 
 
-class TestIncrementalIncidenceInRouter:
-    def test_reroute_rounds_rebuild_incrementally(self):
-        """Acceptance: refine rounds patch the incidence, never cold-build.
+class TestPairNumbering:
+    def test_each_assigned_topology_numbers_its_pairs_once(self, monkeypatch):
+        """Phase II and the timing analyzer share one pair numbering.
 
-        case02 accepts timing-reroute moves, so the router runs phase II
-        more than once; only the first run may build the incidence cold
-        (each round moves far fewer than 20% of the connections).
+        case09 runs 3 timing rounds, so phase II assigns 4 topologies;
+        each numbers its TDM pairs exactly once, through the topology
+        index that the incidence and the analyzer both read.
         """
+        import sys
+
+        import repro.route.solution
         from repro.benchgen import load_case
 
-        case = load_case("case02")
-        result = SynergisticRouter(case.system, case.netlist).route()
-        assert result.timing_reroute_moves > 0
-        counters = result.telemetry.counters
-        assert counters.get("incidence.cold_builds") == 1
-        assert counters.get("incidence.incremental_builds", 0) >= 1
-        assert counters.get("incidence.patched_connections", 0) >= 1
+        original = repro.route.solution.tdm_pairs
+        calls = []
 
-    def test_fraction_zero_forces_cold_builds(self, monkeypatch):
-        import repro.core.incidence
-        from repro.benchgen import load_case
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
 
-        case = load_case("case02")
-        monkeypatch.setattr(repro.core.incidence, "INCREMENTAL_REBUILD_FRACTION", 0.0)
-        result = SynergisticRouter(case.system, case.netlist).route()
-        counters = result.telemetry.counters
-        assert "incidence.incremental_builds" not in counters
-        assert counters.get("incidence.cold_builds", 0) > 1
-
-    def test_incremental_is_bit_identical_end_to_end(self, monkeypatch):
-        import repro.core.incidence
-        from repro.benchgen import load_case
-
-        case = load_case("case02")
-        incremental = SynergisticRouter(case.system, case.netlist).route()
-        monkeypatch.setattr(repro.core.incidence, "INCREMENTAL_REBUILD_FRACTION", 0.0)
-        cold = SynergisticRouter(case.system, case.netlist).route()
-        assert cold.telemetry.counters.get("incidence.incremental_builds", 0) == 0
-        assert incremental.critical_delay == cold.critical_delay
-        assert incremental.solution.ratios == cold.solution.ratios
-        for edge_index, wires in cold.solution.wires.items():
-            other = incremental.solution.wires[edge_index]
-            assert [
-                (w.direction, w.ratio, sorted(w.net_indices)) for w in wires
-            ] == [(w.direction, w.ratio, sorted(w.net_indices)) for w in other]
+        binders = [
+            module
+            for name, module in list(sys.modules.items())
+            if name.startswith("repro.")
+            and getattr(module, "tdm_pairs", None) is original
+        ]
+        for module in binders:
+            monkeypatch.setattr(module, "tdm_pairs", counted)
+        case = load_case("case09")
+        sink = InMemorySink()
+        result = SynergisticRouter(
+            case.system, case.netlist, tracer=Tracer(sink)
+        ).route()
+        rounds = [e for e in sink.events if e["name"] == "timing_reroute.round"]
+        assert len(rounds) == 3
+        assert result.timing_reroute_moves == 22
+        assert len(calls) == 4

@@ -97,7 +97,16 @@ class TestCheckRegressions:
         assert "case05" in finding.describe()
 
     def test_speedup_is_reported_as_improvement(self):
-        current = _bench([{"case": "case05", "wall_time_fast_s": 0.02}])
+        current = _bench(
+            [
+                {
+                    "case": "case05",
+                    "wall_time_fast_s": 0.02,
+                    "wall_time_reference_s": 0.30,
+                },
+                {"case": "case06", "wall_time_fast_s": 0.50},
+            ]
+        )
         report = check_regressions(BASELINE, current)
         assert report.ok
         assert [f.metric for f in report.improvements] == ["wall_time_fast_s"]
@@ -124,7 +133,27 @@ class TestCheckRegressions:
     def test_disjoint_metrics_compare_nothing(self):
         other = _bench([{"case": "case99", "wall_time_fast_s": 1.0}])
         report = check_regressions(BASELINE, other)
-        assert report.ok and report.compared == 0
+        assert report.compared == 0
+        # Every baseline metric went unmeasured, so nothing is guarded.
+        assert not report.ok
+        assert report.missing == sorted(extract_metrics(BASELINE))
+
+    def test_missing_metric_fails_and_is_listed(self):
+        current = _bench(
+            [
+                {"case": "case05", "wall_time_fast_s": 0.10},
+                {"case": "case06", "wall_time_fast_s": 0.50},
+            ]
+        )
+        report = check_regressions(BASELINE, current)
+        assert report.regressions == []
+        assert not report.ok
+        assert report.missing == [("case05", "wall_time_reference_s")]
+        assert report.to_dict()["missing"] == [
+            {"case": "case05", "metric": "wall_time_reference_s"}
+        ]
+        # A metric only the current document has is not missing.
+        assert check_regressions(current, BASELINE).ok
 
     def test_bad_knobs_rejected(self):
         with pytest.raises(ValueError):
@@ -145,9 +174,9 @@ class TestPerfCli:
         base = tmp_path / "base.json"
         base.write_text(json.dumps(BASELINE))
         slow = tmp_path / "slow.json"
-        slow.write_text(
-            json.dumps(_bench([{"case": "case05", "wall_time_fast_s": 0.40}]))
-        )
+        slow_doc = json.loads(json.dumps(BASELINE))
+        slow_doc["results"][0]["wall_time_fast_s"] = 0.40
+        slow.write_text(json.dumps(slow_doc))
         return base, slow
 
     def test_clean_comparison_exits_zero(self, files, capsys):
@@ -161,6 +190,17 @@ class TestPerfCli:
         assert perf_cli.main([str(base), str(slow)]) == 1
         out = capsys.readouterr().out
         assert "REGRESSION" in out and "perf sentinel: FAIL" in out
+
+    def test_missing_metric_exits_one(self, files, tmp_path, capsys):
+        base, _ = files
+        partial = tmp_path / "partial.json"
+        partial.write_text(
+            json.dumps(_bench([{"case": "case05", "wall_time_fast_s": 0.10}]))
+        )
+        assert perf_cli.main([str(base), str(partial)]) == 1
+        out = capsys.readouterr().out
+        assert "MISSING     case06/wall_time_fast_s" in out
+        assert "perf sentinel: FAIL" in out
 
     def test_tolerance_flag_loosens(self, files):
         base, slow = files
